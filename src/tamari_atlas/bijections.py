@@ -12,8 +12,27 @@ edge per advance step: a bridge to a degree-1 vertex becomes a labelled-0
 leaf edge in place (A1); a bridge to a larger vertex is replaced by a
 tree edge to the vertex behind it (A2); a non-bridge triggers a vertex
 split, with the half holding the unexplored map edges becoming the new
-leftmost child and the merged face's half-degree becoming the edge label
-(A3). tree_to_map runs the exact inverse cases in postorder.
+leftmost child and the half-degree of the face that the edge closes
+becoming the edge label (A3). tree_to_map runs the exact inverse cases in
+postorder.
+
+map_to_tree never walks a face. The tree grows inside one face of the
+'M' part, the explored face: at first the outer face, and then also
+each face that an A3 step merges into it by deleting the non-bridge
+edge between them. Tree edges hang off each 'M' component at one vertex
+inside the explored face, so they never separate two faces, and the
+pending corner always lies on the explored face. Every other face is
+therefore still a face of the input, with its input degree. So the
+input's faces are numbered once per dart, with one flag per face
+marking it explored: an edge is a bridge when the face across it is
+explored, and A3 reads its label as half the input degree of the face
+across it, then flags that face. Apart from scans of the current
+vertex's rotation, every step takes constant time, so the direction runs
+in near-linear time on random inputs. PlanarMap.is_bridge keeps the
+face-walk definition as the independent reference.
+
+Each direction also checks its own invariants as it goes and raises
+RuntimeError if one fails; a failure means a bug, not bad input.
 
 The interval side goes through certificates: nodes are processed in
 reverse preorder, and a node with leftmost edge label r sends its
@@ -24,9 +43,10 @@ wraps the plane-tree Dyck word in one extra up/down pair.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
-from .dyck import DyckPath, NewInterval
+from .dyck import DyckPath, NewInterval, factor_rising_contacts
 from .maps import BLACK, PlanarMap, edgeless_map
 from .trees import (DegreeTree, PlaneTree, dyck_to_plane_tree, find_violation,
                     plane_tree_to_dyck)
@@ -70,108 +90,127 @@ def map_to_tree(m: PlanarMap, trace: list[TraceStep] | None = None
     w = m.copy()
     for d in w.darts():
         w.set_tag(d, 'M')
+
+    # faces of the input, flagged once merged into the explored face
+    # (see the module docstring)
+    face: dict[int, int] = {}       # dart -> its face in the input
+    degree: list[int] = []          # face -> its degree in the input
+    for orbit in w.face_orbits():
+        for x in orbit:
+            face[x] = len(degree)
+        degree.append(len(orbit))
+    explored = [False] * len(degree)
+    explored[face[w.root_corner]] = True
+
     root = w.root_vertex()
-    kids: dict[int, list[int]] = {root: []}
+    kids: dict[int, deque[int]] = {root: deque()}   # left to right
     labels: dict[int, int] = {}
     cur = root
     pend = w.root_corner
     stack: list[int] = []   # parent-side tree darts along the descent path
 
-    def first_map_dart(vertex: int, after: int) -> int | None:
-        for x in w.vertex_darts(vertex, start=after)[1:]:
+    def first_map_dart(after: int) -> int | None:
+        x = w.next_cw(after)
+        while x != after:
             if w.tag_of(x) == 'M':
                 return x
+            x = w.next_cw(x)
         return None
+
+    def new_child(v: int, label: int):
+        if v in kids:
+            raise RuntimeError(f"map_to_tree reached vertex {v} twice")
+        kids[v] = deque()
+        kids[cur].appendleft(v)
+        labels[v] = label
 
     while True:
         d = pend
-        across = w.vertex_of(w.mate(d))
-        if w.is_bridge(d):
-            if w.degree(across) == 1:
+        md = w.mate(d)
+        if not explored[face[d]]:
+            raise RuntimeError(f"pending dart {d} is not on the explored face")
+        if explored[face[md]]:
+            # a bridge: its two sides lie in the explored face
+            if w.next_cw(md) == md:
                 # A1: leaf edge, converted in place
                 w.set_tag(d, 'T', 0)
-                assert across not in kids
-                kids[across] = []
-                kids[cur].insert(0, across)
-                labels[across] = 0
+                new_child(w.vertex_of(md), 0)
                 scan_from = d
                 _snapshot(trace, 'A1', w, cur, root, kids)
             else:
                 # A2: bridge into a bigger component; hop over it
-                e1 = w.next_cw(w.mate(d))
+                e1 = w.next_cw(md)
                 behind = w.vertex_of(w.mate(e1))
                 a, b = w.add_edge(('corner', d), ('after', w.mate(e1)))
                 w.set_tag(a, 'T', 0)
                 w.delete_edge(d)
-                assert behind not in kids
-                kids[behind] = []
-                kids[cur].insert(0, behind)
-                labels[behind] = 0
+                new_child(behind, 0)
                 stack.append(a)
                 cur = behind
                 scan_from = b
                 _snapshot(trace, 'A2', w, cur, root, kids)
         else:
-            # A3: split off the unexplored edges as the new leftmost child
-            inner = w.face_of(w.mate(d))
-            assert len(inner) % 2 == 0
-            half_deg = len(inner) // 2
+            # A3: split off the unexplored edges as the new leftmost child;
+            # deleting d merges the face it closes into the explored face
+            inner = face[md]
+            if degree[inner] % 2:
+                raise RuntimeError(f"face of dart {md} has odd degree "
+                                   f"{degree[inner]}")
+            half_deg = degree[inner] // 2
+            explored[inner] = True
             rotated = w.vertex_darts(cur, start=d)
             arc = []
             for x in rotated:
                 if w.tag_of(x) != 'M':
                     break
                 arc.append(x)
-            assert all(w.tag_of(x) == 'T' for x in rotated[len(arc):]), \
-                "map darts are not contiguous at the current vertex"
+            if any(w.tag_of(x) != 'T' for x in rotated[len(arc):]):
+                raise RuntimeError("map darts are not contiguous at the "
+                                   f"current vertex {cur}")
             child_v = w.split_vertex(cur, arc, w.color(cur))
             place_tree = (('corner', rotated[len(arc)])
                           if len(arc) < len(rotated) else ('vertex', cur))
             t_dart, m_dart = w.add_edge(place_tree, ('corner', d))
             w.set_tag(t_dart, 'T', half_deg)
             w.delete_edge(d)
-            kids[child_v] = []
-            kids[cur].insert(0, child_v)
-            labels[child_v] = half_deg
+            new_child(child_v, half_deg)
             stack.append(t_dart)
             cur = child_v
             scan_from = m_dart
             _snapshot(trace, 'A3', w, cur, root, kids)
 
         # prepare: next pending edge, backtracking along the tree if needed
-        pend = first_map_dart(cur, scan_from)
+        pend = first_map_dart(scan_from)
         while pend is None and stack:
             t = stack.pop()
             cur = w.vertex_of(t)
-            pend = first_map_dart(cur, t)
+            pend = first_map_dart(t)
             if pend is None:
                 _snapshot(trace, 'backtrack', w, cur, root, kids)
         _snapshot(trace, 'prepare', w, cur, root, kids)
         if pend is None:
             break
 
-    assert all(w.tag_of(d) == 'T' for d in w.darts())
+    if any(w.tag_of(d) != 'T' for d in w.darts()):
+        raise RuntimeError("map_to_tree left map edges unconverted")
 
     # flatten the vertex-keyed tree into preorder indexing
-    children: list[tuple[int, ...]] = []
+    children: list[list[int]] = []
     edge_labels: list[int] = []
-
-    def emit(v: int) -> int:
+    todo = [(root, -1)]     # (vertex, preorder index of its parent)
+    while todo:
+        v, p = todo.pop()
         idx = len(children)
-        children.append(())
-        out = []
-        for c in kids[v]:
-            ci = emit(c)
-            edge_labels_by_node[ci] = labels[c]
-            out.append(ci)
-        children[idx] = tuple(out)
-        return idx
-
-    edge_labels_by_node: dict[int, int] = {}
-    emit(root)
-    edge_labels = [edge_labels_by_node[i] for i in range(1, len(children))]
-    dt = DegreeTree(PlaneTree(tuple(children)), tuple(edge_labels))
-    assert find_violation(dt) is None
+        children.append([])
+        if p >= 0:
+            children[p].append(idx)
+            edge_labels.append(labels[v])
+        todo.extend((c, idx) for c in reversed(kids[v]))
+    dt = DegreeTree(PlaneTree(tuple(map(tuple, children))),
+                    tuple(edge_labels))
+    bad = find_violation(dt)
+    if bad is not None:
+        raise RuntimeError(f"map_to_tree built an invalid tree: {bad}")
     return dt
 
 
@@ -182,33 +221,27 @@ def tree_to_map(dt: DegreeTree, trace: list[TraceStep] | None = None
     if dt.size == 0:
         return edgeless_map()
 
-    # embed the tree: clockwise rotation at each node is
-    # [parent, rightmost child, ..., leftmost child]
+    # embed the tree in preorder: clockwise rotation at each node is
+    # [parent, rightmost child, ..., leftmost child], so a child's dart
+    # goes right after the node's parent dart; the root has none, and its
+    # later children follow the dart of its first child instead
     w = PlanarMap()
     tree = dt.tree
+    parents = tree.parents()
     vert: dict[int, int] = {0: 0}
     up_dart: dict[int, int] = {}    # node -> dart at node toward its parent
-
-    def build(node: int):
-        prev_parent_dart = None
-        for child in tree.children[node]:
-            cv = w.new_vertex(BLACK)
-            if prev_parent_dart is not None:
-                place = ('corner', prev_parent_dart)
-            elif node == 0:
-                place = ('vertex', vert[node])
-            else:
-                place = ('after', up_dart[node])
-            p_dart, c_dart = w.add_edge(place, ('vertex', cv))
-            w.set_tag(p_dart, 'T', dt.label_of(child))
-            vert[child] = cv
-            up_dart[child] = c_dart
-            prev_parent_dart = p_dart
-            build(child)
+    for child in range(1, tree.node_count):
+        node = parents[child]
+        cv = w.new_vertex(BLACK)
+        place = (('after', up_dart[node]) if node in up_dart
+                 else ('vertex', vert[node]))
+        p_dart, c_dart = w.add_edge(place, ('vertex', cv))
+        w.set_tag(p_dart, 'T', dt.label_of(child))
+        vert[child] = cv
+        up_dart[child] = c_dart
         if node == 0:
-            w.root_corner = prev_parent_dart
-
-    build(0)
+            up_dart.setdefault(0, p_dart)
+            w.root_corner = p_dart
     kids_snapshot = {vert[v]: tuple(vert[c] for c in tree.children[v])
                      for v in range(tree.node_count)}
     _snapshot(trace, 'embed', w, None, 0, kids_snapshot)
@@ -221,13 +254,15 @@ def tree_to_map(dt: DegreeTree, trace: list[TraceStep] | None = None
         r = w.edge_label(q)
         if not tree.children[node]:
             # A1': leaf edge moves to the map in place
-            assert r == 0
+            if r != 0:
+                raise RuntimeError(f"leaf {node} has edge label {r}")
             w.set_tag(q, 'M')
             _snapshot(trace, "A1'", w, None, 0, kids_snapshot)
         elif r == 0:
             # A2': close a triangle over the neighbouring component edge
             e_prime = w.prev_cw(q)
-            assert e_prime != q
+            if e_prime == q:
+                raise RuntimeError(f"node {node} has no component edge")
             a, _ = w.add_edge(('after', p), ('corner', w.mate(e_prime)))
             w.set_tag(a, 'M')
             w.delete_edge(q)
@@ -236,19 +271,24 @@ def tree_to_map(dt: DegreeTree, trace: list[TraceStep] | None = None
             # A3': cut a face of half-degree r out of the outer face,
             # then contract the tree edge
             d0 = w.next_cw(q)
-            assert d0 != q
+            if d0 == q:
+                raise RuntimeError(f"node {node} has no component edge")
             target = w.corner_walk_cw(d0, 2 * r - 1)
             a, _ = w.add_edge(('corner', d0), ('corner', target))
             w.set_tag(a, 'M')
-            assert len(w.face_of(d0)) == 2 * r, \
-                "new face does not close at the stated half-degree"
+            if len(w.face_of(d0)) != 2 * r:
+                raise RuntimeError("new face does not close at the stated "
+                                   f"half-degree {r}")
             w.contract_edge(p)
             _snapshot(trace, "A3'", w, None, 0, kids_snapshot)
 
-    assert all(w.tag_of(d) == 'M' for d in w.darts())
+    if any(w.tag_of(d) != 'M' for d in w.darts()):
+        raise RuntimeError("tree_to_map left tree edges unconverted")
     w.clear_tags()
     w.recolor_bipartite()
-    assert w.find_violation() is None, w.find_violation()
+    bad = w.find_violation()
+    if bad is not None:
+        raise RuntimeError(f"tree_to_map built an invalid map: {bad}")
     return w
 
 
@@ -284,7 +324,8 @@ def certificates(dt: DegreeTree) -> CertificateAssignment:
         stop = v
         j = v + 1
         while True:
-            assert j < n1, "certificate search ran off the tree"
+            if j >= n1:
+                raise RuntimeError("certificate search ran off the tree")
             if black[j]:
                 if seen == r:
                     break
@@ -312,17 +353,16 @@ def interval_to_tree(interval: NewInterval) -> DegreeTree:
 
     The tree is read off the upper path with its outer up/down pair
     stripped; the label of each leftmost edge is the number of rising
-    contacts of the lower-path factor at the parent's preorder index.
+    contacts of the lower-path factor at the parent's preorder index,
+    i.e. the number of up steps directly nested in that node's up step.
     """
-    from .dyck import factor_between, rising_contacts
-
     tree = dyck_to_plane_tree(DyckPath(interval.upper.steps[1:-1]))
+    contacts = factor_rising_contacts(interval.lower)
     labels = [0] * tree.size
     for node in range(tree.node_count):
         kids = tree.children[node]
         if kids:
-            labels[kids[0] - 1] = rising_contacts(
-                factor_between(interval.lower, node + 1))
+            labels[kids[0] - 1] = contacts[node]
     dt = DegreeTree(tree, tuple(labels))
     _check_tree(dt)
     return dt

@@ -8,7 +8,8 @@ the library: intervals as ``<lower>;<upper>``, degree trees as
 ``-`` means standard input; blank lines and ``#`` comments are skipped.
 
 Exit codes: 0 on success, 1 on parse or validation failure, 2 on
-verification failure.
+verification failure. A failure on an input line names the line, counted
+from 1 over all lines of the input.
 
 Trace step lines serialize the tagged working map on raw dart ids, since
 transient states can hold an edge between two same-colored vertices:
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from typing import Iterator
 
 from .bijections import (TraceStep, interval_to_map, interval_to_tree,
@@ -44,16 +46,26 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _read_lines(path: str) -> Iterator[str]:
+def _read_lines(path: str) -> Iterator[tuple[int, str]]:
+    """(1-based line number, stripped text) of each object line."""
     stream = sys.stdin if path == '-' else open(path)
     try:
-        for line in stream:
+        for number, line in enumerate(stream, 1):
             line = line.strip()
             if line and not line.startswith('#'):
-                yield line
+                yield number, line
     finally:
         if stream is not sys.stdin:
             stream.close()
+
+
+@contextmanager
+def _at_line(number: int):
+    """Prefix a parse or validation error with its input line."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"line {number}: {exc}") from exc
 
 
 def _parse_object(kind: str, text: str):
@@ -203,17 +215,19 @@ def _cmd_enumerate(args, out) -> int:
 
 def _cmd_convert(args, out) -> int:
     fn = _CONVERT.get((args.src, args.dst), lambda x: x)
-    for line in _read_lines(args.input):
-        obj = _parse_object(args.src, line)
-        print(_serialize(args.dst, fn(obj)), file=out)
+    for number, line in _read_lines(args.input):
+        with _at_line(number):
+            result = fn(_parse_object(args.src, line))
+        print(_serialize(args.dst, result), file=out)
     return 0
 
 
 def _cmd_stats(args, out) -> int:
     kind = _FAMILY_KIND[args.family]
-    for line in _read_lines(args.input):
-        obj = _parse_object(kind, line)
-        print(' '.join(map(str, _object_stats(kind, obj))), file=out)
+    for number, line in _read_lines(args.input):
+        with _at_line(number):
+            stats = _object_stats(kind, _parse_object(kind, line))
+        print(' '.join(map(str, stats)), file=out)
     return 0
 
 
@@ -231,8 +245,9 @@ def _cmd_gf(args, out) -> int:
 
 
 def _cmd_render(args, out) -> int:
-    for line in _read_lines(args.input):
-        obj = _parse_object(args.kind, line)
+    for number, line in _read_lines(args.input):
+        with _at_line(number):
+            obj = _parse_object(args.kind, line)
         dot = obj.to_dot() if args.kind == 'map' else degree_tree_to_dot(obj)
         print(dot, file=out)
     return 0
@@ -243,10 +258,10 @@ def _cmd_trace(args, out) -> int:
         os.makedirs(args.trace_dir, exist_ok=True)
     fn = map_to_tree if args.src == 'map' else tree_to_map
     dst = 'tree' if args.src == 'map' else 'map'
-    for obj_index, line in enumerate(_read_lines(args.input)):
-        obj = _parse_object(args.src, line)
+    for obj_index, (number, line) in enumerate(_read_lines(args.input)):
         trace: list[TraceStep] = []
-        result = fn(obj, trace=trace)
+        with _at_line(number):
+            result = fn(_parse_object(args.src, line), trace=trace)
         for i, step in enumerate(trace):
             print(f"{i} {step.kind} {tagged_map_code(step.map)}", file=out)
             if args.trace_dir is not None:

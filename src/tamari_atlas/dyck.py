@@ -7,7 +7,10 @@ vectors: entry i is the size of the factor matched by the i-th up step.
 New intervals are Tamari intervals [P, Q] such that the first up step of
 Q matches the final down step, and V_P(i) <= V_Q(i+1) whenever V_Q(i) > 0.
 
-Up steps are indexed from 1, step positions likewise.
+Up steps are indexed from 1, step positions likewise. The whole-path
+quantities (bracket vectors, the rising contacts of every factor) come
+from one stack pass over the steps, so they take linear time;
+match_index and factor_between answer a single query by a scan.
 """
 
 from __future__ import annotations
@@ -87,10 +90,42 @@ def factor_between(path: DyckPath, i: int) -> DyckPath:
 
 
 def bracket_vector(path: DyckPath) -> tuple[int, ...]:
-    """V_P(i) = size of the factor matched by up step i, for i = 1..n."""
-    ups = path.up_positions()
-    return tuple((match_index(path, i) - ups[i - 1] - 1) // 2
-                 for i in range(1, len(ups) + 1))
+    """V_P(i) = size of the factor matched by up step i, for i = 1..n.
+
+    One stack pass: a down step closes the innermost open up step.
+    """
+    out = [0] * path.size
+    open_ups: list[tuple[int, int]] = []    # (up-step index, position)
+    i = 0
+    for pos, ch in enumerate(path.steps):
+        if ch == 'u':
+            open_ups.append((i, pos))
+            i += 1
+        else:
+            j, start = open_ups.pop()
+            out[j] = (pos - start - 1) // 2
+    return tuple(out)
+
+
+def factor_rising_contacts(path: DyckPath) -> tuple[int, ...]:
+    """Rising contacts of the factor matched by each up step, for i = 1..n.
+
+    An up step starts at height 0 inside the factor of up step i exactly
+    when i is the innermost open up step at that moment, so one stack pass
+    counts them all.
+    """
+    out = [0] * path.size
+    open_ups: list[int] = []
+    i = 0
+    for ch in path.steps:
+        if ch == 'u':
+            if open_ups:
+                out[open_ups[-1]] += 1
+            open_ups.append(i)
+            i += 1
+        else:
+            open_ups.pop()
+    return tuple(out)
 
 
 def tamari_leq(lower: DyckPath, upper: DyckPath) -> bool:

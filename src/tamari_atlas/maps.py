@@ -137,13 +137,19 @@ def parse_hypermap(text: str) -> HypermapCode:
         raise ValueError(f"malformed map text {text!r}")
     fields = {parts[i]: parts[i + 1].strip()
               for i in range(1, len(parts) - 1, 2)}
-    n = int(fields['n'])
+
+    def field(name: str) -> str:
+        if name not in fields:
+            raise ValueError(f"missing field {name!r}")
+        return fields[name]
+
+    n = int(field('n'))
     if n == 0:
         return HypermapCode(0, (), (), 0)
     return HypermapCode(n,
-                        _parse_cycles(n, fields['sigma']),
-                        _parse_cycles(n, fields['alpha']),
-                        int(fields['root']))
+                        _parse_cycles(n, field('sigma')),
+                        _parse_cycles(n, field('alpha')),
+                        int(field('root')))
 
 
 @dataclass(frozen=True)
@@ -437,7 +443,8 @@ class PlanarMap:
             rotated = darts[start:] + darts[:start]
             if rotated[:len(arc)] != list(arc):
                 raise ValueError("darts do not form a contiguous cw arc")
-        rest = [d for d in darts if d not in set(arc)]
+        in_arc = set(arc)
+        rest = [d for d in darts if d not in in_arc]
         w = self.new_vertex(color)
         for grp, vtx in ((list(arc), w), (rest, v)):
             for i, d in enumerate(grp):

@@ -61,14 +61,14 @@ class PlaneTree:
         return list(range(self.node_count))
 
     def postorder(self) -> list[int]:
+        # the reverse of "node, then its subtrees right to left"
         out: list[int] = []
-
-        def rec(v: int):
-            for c in self.children[v]:
-                rec(c)
+        stack = [0]
+        while stack:
+            v = stack.pop()
             out.append(v)
-
-        rec(0)
+            stack.extend(self.children[v])
+        out.reverse()
         return out
 
     def reverse_preorder(self) -> list[int]:
@@ -119,16 +119,15 @@ def dyck_to_plane_tree(path: DyckPath) -> PlaneTree:
 
 
 def plane_tree_to_dyck(tree: PlaneTree) -> DyckPath:
-    """Inverse of dyck_to_plane_tree."""
+    """Inverse of dyck_to_plane_tree: in preorder, each node enters by an
+    up step after the down steps that climb back to its parent."""
     out: list[str] = []
-
-    def rec(v: int):
-        for c in tree.children[v]:
-            out.append('u')
-            rec(c)
-            out.append('d')
-
-    rec(0)
+    height = 0
+    depth = tree.depths()
+    for v in range(1, tree.node_count):
+        out.append('d' * (height - depth[v] + 1) + 'u')
+        height = depth[v]
+    out.append('d' * height)
     return DyckPath(''.join(out))
 
 
@@ -155,12 +154,16 @@ class DegreeTree:
         return self.edge_labels[v - 1]
 
     def __str__(self) -> str:
-        def rec(v: int) -> str:
-            parts = [f"{self.label_of(c)}:{rec(c)}"
-                     for c in self.tree.children[v]]
-            return "(" + "".join(parts) + ")"
-
-        return rec(0)
+        # in preorder, each node opens after the closers back to its parent
+        parts = ["("]
+        height = 0
+        depth = self.tree.depths()
+        for v in range(1, self.tree.node_count):
+            parts.append(")" * (height - depth[v] + 1)
+                         + f"{self.label_of(v)}:(")
+            height = depth[v]
+        parts.append(")" * (height + 1))
+        return "".join(parts)
 
     @staticmethod
     def parse(text: str) -> "DegreeTree":
@@ -176,39 +179,41 @@ def parse_degree_tree(text: str) -> DegreeTree:
     s = ''.join(text.split())
     pos = 0
     children: list[list[int]] = []
-    labels: dict[int, int] = {}
+    labels: list[int] = []           # labels[v-1]: edge above node v
 
     def fail(msg: str):
         raise ValueError(f"degree tree parse error at {pos}: {msg}")
 
-    def parse_tree() -> int:
+    def open_node() -> int:
         nonlocal pos
         if pos >= len(s) or s[pos] != '(':
             fail("expected '('")
         pos += 1
-        idx = len(children)
         children.append([])
-        while pos < len(s) and s[pos] != ')':
-            start = pos
-            while pos < len(s) and s[pos].isdigit():
-                pos += 1
-            if pos == start or pos >= len(s) or s[pos] != ':':
-                fail("expected 'label:'")
-            label = int(s[start:pos])
-            pos += 1
-            child = parse_tree()
-            children[idx].append(child)
-            labels[child] = label
+        return len(children) - 1
+
+    path = [open_node()]             # nodes whose ')' is still to come
+    while path:
         if pos >= len(s):
             fail("unbalanced parentheses")
+        if s[pos] == ')':
+            pos += 1
+            path.pop()
+            continue
+        start = pos
+        while pos < len(s) and s[pos].isdigit():
+            pos += 1
+        if pos == start or pos >= len(s) or s[pos] != ':':
+            fail("expected 'label:'")
+        labels.append(int(s[start:pos]))
         pos += 1
-        return idx
-
-    parse_tree()
+        child = open_node()
+        children[path[-1]].append(child)
+        path.append(child)
     if pos != len(s):
         fail("trailing input")
     tree = PlaneTree(tuple(tuple(k) for k in children))
-    return DegreeTree(tree, tuple(labels[v] for v in range(1, len(children))))
+    return DegreeTree(tree, tuple(labels))
 
 
 def node_labels(dt: DegreeTree) -> tuple[int, ...]:

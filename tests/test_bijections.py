@@ -1,14 +1,18 @@
+import random
+
 import pytest
 
 from tamari_atlas.bijections import (TraceStep, certificates,
                                      interval_to_map, interval_to_tree,
                                      map_to_interval, map_to_tree,
                                      tree_to_interval, tree_to_map)
-from tamari_atlas.dyck import NewInterval, interval_stats
+from tamari_atlas.dyck import DyckPath, NewInterval, interval_stats, \
+    rising_contacts
 from tamari_atlas.enumeration import (enum_degree_trees, enum_maps_oracle,
                                       enum_new_intervals)
 from tamari_atlas.maps import from_hypermap, parse_hypermap
-from tamari_atlas.trees import parse_degree_tree
+from tamari_atlas.trees import (DegreeTree, PlaneTree, find_violation,
+                                 parse_degree_tree)
 from tamari_atlas.verify import _trace_shape_violation
 
 
@@ -158,3 +162,71 @@ def test_one_face_specialization_up_to_6():
             if m.edge_count and len(m.face_orbits()) != 1:
                 continue
             assert not any(map_to_tree(m).edge_labels)
+
+
+def test_interval_to_tree_labels_match_factors_up_to_8():
+    # reference: scan the lower path for the down step matching up step
+    # node + 1, then count the rising contacts of the factor between them
+    for n in range(1, 9):
+        for interval in enum_new_intervals(n):
+            dt = interval_to_tree(interval)
+            lower = interval.lower.steps
+            ups = [k for k, ch in enumerate(lower) if ch == 'u']
+            for node, kids in enumerate(dt.tree.children):
+                if not kids:
+                    continue
+                start = ups[node] + 1
+                end, height = start, 0
+                while height >= 0:
+                    height += 1 if lower[end] == 'u' else -1
+                    end += 1
+                factor = DyckPath(lower[start:end - 1])
+                assert dt.label_of(kids[0]) == rising_contacts(factor)
+
+
+def random_degree_tree(rng: random.Random, n: int) -> DegreeTree:
+    """A random degree tree with n edges: the plane tree of a uniform
+    Dyck word (cycle lemma: rotate a shuffled word of n up and n + 1 down
+    steps to start after its first lowest point, then drop the last
+    step), and on each leftmost edge a uniform admissible label."""
+    steps = [1] * n + [-1] * (n + 1)
+    rng.shuffle(steps)
+    height, low, cut = 0, 0, 0
+    for i, step in enumerate(steps):
+        height += step
+        if height < low:
+            low, cut = height, i + 1
+    steps = (steps[cut:] + steps[:cut])[:-1]
+    children: list[list[int]] = [[]]
+    path = [0]
+    for step in steps:
+        if step > 0:
+            children.append([])
+            children[path[-1]].append(len(children) - 1)
+            path.append(len(children) - 1)
+        else:
+            path.pop()
+    # bottom-up: a node's derived label needs its children's labels only
+    ell = [0] * (n + 1)
+    labels = [0] * n
+    for v in reversed(range(n + 1)):
+        kids = children[v]
+        if kids:
+            a = rng.randint(0, ell[kids[0]])
+            labels[kids[0] - 1] = a
+            ell[v] = len(kids) - a + sum(ell[c] for c in kids)
+    return DegreeTree(PlaneTree(tuple(map(tuple, children))), tuple(labels))
+
+
+def test_random_trees_roundtrip_all_directions_at_5000():
+    rng = random.Random(2020)
+    for _ in range(2):
+        dt = random_degree_tree(rng, 5000)
+        assert find_violation(dt) is None
+        m = tree_to_map(dt)
+        assert map_to_tree(m) == dt
+        assert map_to_tree(from_hypermap(parse_hypermap(
+            m.canonical_code()))) == dt
+        interval = tree_to_interval(dt)
+        assert interval.size == 5001
+        assert interval_to_tree(interval) == dt

@@ -147,3 +147,42 @@ def test_unknown_flag_rejected():
 def test_missing_subcommand_rejected():
     code, _ = run([])
     assert code == 1
+
+
+def test_missing_map_field_names_line(capsys):
+    code, out = run(['convert', '--from', 'map', '--to', 'tree'],
+                    stdin="n=2 sigma=(1 2) root=1\n")
+    assert code == 1
+    assert out == ""
+    assert capsys.readouterr().err == \
+        "error: line 1: missing field 'alpha'\n"
+
+
+def test_error_names_line_past_blank_and_comment_lines(capsys):
+    for argv in (['convert', '--from', 'tree', '--to', 'map'],
+                 ['stats', '--family', 'trees'],
+                 ['render', '--format', 'dot', '--kind', 'tree'],
+                 ['trace', '--from', 'tree']):
+        code, _ = run(argv, stdin="(0:())\n\n# comment\n(1:())\n")
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: line 4: ")
+
+
+def chain(depth, maximal):
+    """A path of the given depth; with ``maximal`` each leftmost label is
+    as large as allowed, which is 1 everywhere but on the bottom edge."""
+    labels = [1] * (depth - 1) + [0] if maximal else [0] * depth
+    return '(' + ''.join(f'{a}:(' for a in labels) + ')' * (depth + 1)
+
+
+@pytest.mark.parametrize('depth,maximal', [(3000, False), (1500, True)])
+def test_deep_chain_roundtrips(depth, maximal):
+    tree = chain(depth, maximal)
+    for via in ('map', 'interval'):
+        code, mid = run(['convert', '--from', 'tree', '--to', via],
+                        stdin=tree + "\n")
+        assert code == 0
+        code, back = run(['convert', '--from', via, '--to', 'tree'],
+                         stdin=mid)
+        assert code == 0
+        assert back == tree + "\n"

@@ -1,9 +1,10 @@
 import pytest
 
 from tamari_atlas.dyck import (DyckPath, NewInterval, bracket_vector,
-                               factor_between, interval_stats,
-                               is_new_interval, iter_dyck_words, match_index,
-                               rising_contacts, tamari_leq, type_word)
+                               factor_between, factor_rising_contacts,
+                               interval_stats, is_new_interval,
+                               iter_dyck_words, match_index, rising_contacts,
+                               tamari_leq, type_word)
 from tamari_atlas.enumeration import enum_dyck, enum_new_intervals
 from tamari_atlas.trees import dyck_to_plane_tree, plane_tree_to_dyck
 
@@ -164,3 +165,31 @@ def test_tree_dyck_roundtrip_up_to_size_8():
             tree = dyck_to_plane_tree(p)
             assert tree.node_count == p.size + 1
             assert plane_tree_to_dyck(tree) == p
+
+
+def scan_factors(path):
+    """(start, end) step positions of each up step's factor, found by
+    scanning forward for the matching down step: a brute-force reference
+    for the one-pass stack computations."""
+    out = []
+    for start, ch in enumerate(path.steps):
+        if ch != 'u':
+            continue
+        height = 0
+        for end in range(start, len(path.steps)):
+            height += 1 if path.steps[end] == 'u' else -1
+            if height == 0:
+                break
+        out.append((start + 1, end))
+    return out
+
+
+def test_one_pass_vectors_match_scan_up_to_size_8():
+    for n in range(0, 9):
+        for p in enum_dyck(n):
+            factors = scan_factors(p)
+            assert bracket_vector(p) == tuple(
+                (end - start) // 2 for start, end in factors)
+            assert factor_rising_contacts(p) == tuple(
+                rising_contacts(DyckPath(p.steps[start:end]))
+                for start, end in factors)
