@@ -31,7 +31,7 @@ from .bijections import (TraceStep, interval_to_map, interval_to_tree,
 from .dyck import NewInterval, interval_stats
 from .enumeration import (enum_degree_trees, enum_maps_oracle,
                           enum_new_intervals, gf_table, gf_table_lines)
-from .maps import PlanarMap, from_hypermap, parse_hypermap
+from .maps import PlanarMap, cycles_str, from_hypermap, parse_hypermap
 from .trees import degree_tree_to_dot, find_violation, parse_degree_tree, \
     tree_stats
 from .verify import report_lines, verify_suite
@@ -157,23 +157,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _dart_cycles(mapping: dict[int, int]) -> str:
-    seen: set[int] = set()
-    parts = []
-    for start in sorted(mapping):
-        if start in seen:
-            continue
-        cyc = [start]
-        seen.add(start)
-        x = mapping[start]
-        while x != start:
-            seen.add(x)
-            cyc.append(x)
-            x = mapping[x]
-        parts.append('(' + ' '.join(map(str, cyc)) + ')')
-    return ''.join(parts)
-
-
 def tagged_map_code(m: PlanarMap) -> str:
     """Dart-level serialization of a tagged working map."""
     darts = m.darts()
@@ -190,8 +173,8 @@ def tagged_map_code(m: PlanarMap) -> str:
             elif tag is not None:
                 tags.append(f"{d}:{tag}")
     root = m.root_corner if m.root_corner is not None else 0
-    text = (f"n={len(darts) // 2} sigma={_dart_cycles(rotation)} "
-            f"alpha={_dart_cycles(mate)} root={root}")
+    text = (f"n={len(darts) // 2} sigma={cycles_str(rotation, darts)} "
+            f"alpha={cycles_str(mate, darts)} root={root}")
     if tags:
         text += " tags=" + ','.join(tags)
     return text

@@ -50,14 +50,6 @@ class DyckPath:
         """1-based step positions of the up steps."""
         return [k + 1 for k, ch in enumerate(self.steps) if ch == 'u']
 
-    def heights(self) -> list[int]:
-        """Height after each step; starts implicitly at 0."""
-        out, h = [], 0
-        for ch in self.steps:
-            h += 1 if ch == 'u' else -1
-            out.append(h)
-        return out
-
 
 def match_index(path: DyckPath, i: int) -> int:
     """Step position of the down step matching the i-th up step.
@@ -244,18 +236,15 @@ def interval_stats(interval: NewInterval) -> IntervalStats:
 
 def iter_dyck_words(n: int) -> Iterator[str]:
     """All Dyck words of size n in lexicographic order ('d' < 'u')."""
-
-    def rec(prefix: list[str], ups: int, height: int):
+    # depth-first over prefixes; the 'd' extension is pushed last so that
+    # it is expanded first
+    stack = [('', n, 0)]   # (prefix, up steps left, height)
+    while stack:
+        prefix, ups, height = stack.pop()
         if ups == 0 and height == 0:
-            yield ''.join(prefix)
-            return
-        if height > 0:
-            prefix.append('d')
-            yield from rec(prefix, ups, height - 1)
-            prefix.pop()
+            yield prefix
+            continue
         if ups > 0:
-            prefix.append('u')
-            yield from rec(prefix, ups - 1, height + 1)
-            prefix.pop()
-
-    yield from rec([], n, 0)
+            stack.append((prefix + 'u', ups - 1, height + 1))
+        if height > 0:
+            stack.append((prefix + 'd', ups, height - 1))

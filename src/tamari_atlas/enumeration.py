@@ -7,21 +7,23 @@ order ('d' < 'u'), intervals in lower-major order over path pairs, degree
 trees grouped by underlying tree with label choices ascending, and maps
 in first-seen order of the permutation-pair scan. The map enumerator is
 independent of the bijections: it scans all pairs of permutations acting
-on edge ids, keeps the transitive genus-0 pairs, and retains exactly the
-canonically labelled representative of each root-preserving isomorphism
-class.
+on edge ids, keeps the genus-0 pairs, and retains exactly the canonically
+labelled representative of each root-preserving isomorphism class. Both
+it and ``PlanarMap.canonical_code`` label edges with the one
+breadth-first search of ``maps.bfs_edge_order``, so the oracle shares
+code with the maps module only.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from itertools import permutations
 from typing import Iterator
 
 from .dyck import (DyckPath, NewInterval, bracket_vector, iter_dyck_words,
                    interval_stats)
-from .maps import HypermapCode, PlanarMap, from_hypermap
+from .maps import (HypermapCode, PlanarMap, bfs_edge_order, from_hypermap,
+                   perm_cycles)
 from .trees import DegreeTree, PlaneTree, dyck_to_plane_tree
 
 
@@ -54,28 +56,32 @@ def enum_new_intervals(n: int) -> list[NewInterval]:
     return out
 
 
-def _label_choices(tree: PlaneTree, node: int
-                   ) -> list[tuple[dict[int, int], int]]:
-    """All admissible label assignments on the subtree at ``node``,
-    as (edge labels by child node, derived node label) pairs."""
-    kids = tree.children[node]
-    if not kids:
-        return [({}, 0)]
-    per_child = [_label_choices(tree, c) for c in kids]
-    first = per_child[0]
-    rest = per_child[1:]
-    out = []
-    rest_combos: list[tuple[dict[int, int], int]] = [({}, 0)]
-    for choices in rest:
-        rest_combos = [({**acc, **lab}, s + ell)
-                       for acc, s in rest_combos for lab, ell in choices]
-    k = len(kids)
-    for lab1, ell1 in first:
-        for labr, sumr in rest_combos:
-            for a in range(ell1 + 1):
-                labs = {**lab1, **labr, kids[0]: a}
-                out.append((labs, k - a + ell1 + sumr))
-    return out
+def _label_choices(tree: PlaneTree) -> list[tuple[dict[int, int], int]]:
+    """All admissible label assignments on the tree, as (edge labels by
+    child node, derived root label) pairs. Built bottom-up over reversed
+    preorder: the choices on a node's subtree combine its children's."""
+    subtree: dict[int, list[tuple[dict[int, int], int]]] = {}
+    for node in reversed(range(tree.node_count)):
+        kids = tree.children[node]
+        if not kids:
+            subtree[node] = [({}, 0)]
+            continue
+        per_child = [subtree.pop(c) for c in kids]
+        first = per_child[0]
+        rest = per_child[1:]
+        out = []
+        rest_combos: list[tuple[dict[int, int], int]] = [({}, 0)]
+        for choices in rest:
+            rest_combos = [({**acc, **lab}, s + ell)
+                           for acc, s in rest_combos for lab, ell in choices]
+        k = len(kids)
+        for lab1, ell1 in first:
+            for labr, sumr in rest_combos:
+                for a in range(ell1 + 1):
+                    labs = {**lab1, **labr, kids[0]: a}
+                    out.append((labs, k - a + ell1 + sumr))
+        subtree[node] = out
+    return subtree[0]
 
 
 def enum_degree_trees(n: int) -> list[DegreeTree]:
@@ -85,62 +91,10 @@ def enum_degree_trees(n: int) -> list[DegreeTree]:
     out = []
     for word in iter_dyck_words(n):
         tree = dyck_to_plane_tree(DyckPath(word))
-        for labs, _ in _label_choices(tree, 0):
+        for labs, _ in _label_choices(tree):
             out.append(DegreeTree(tree, tuple(labs.get(v, 0)
                                               for v in range(1, n + 1))))
     return out
-
-
-def _cycle_count(perm: tuple[int, ...]) -> int:
-    n = len(perm)
-    seen = [False] * (n + 1)
-    count = 0
-    for s in range(1, n + 1):
-        if not seen[s]:
-            count += 1
-            x = s
-            while not seen[x]:
-                seen[x] = True
-                x = perm[x - 1]
-    return count
-
-
-def _bfs_edge_order(n: int, sigma: tuple[int, ...], alpha: tuple[int, ...],
-                    root: int) -> list[int]:
-    """Edge ids in the breadth-first discovery order used by the canonical
-    map labelling, computed directly on the permutation pair. Darts are
-    (edge, side) with side 0 at the black end."""
-    rot = (sigma, alpha)
-    order: list[int] = []
-    placed = [False] * (n + 1)
-    visited: set[tuple[int, int]] = set()   # vertex = (side, min edge of cycle)
-
-    def vertex_id(e: int, side: int) -> tuple[int, int]:
-        best = e
-        x = rot[side][e - 1]
-        while x != e:
-            best = min(best, x)
-            x = rot[side][x - 1]
-        return (side, best)
-
-    queue = deque([(root, 0)])
-    while queue:
-        e, side = queue.popleft()
-        vid = vertex_id(e, side)
-        if vid in visited:
-            continue
-        visited.add(vid)
-        x = e
-        while True:
-            if not placed[x]:
-                placed[x] = True
-                order.append(x)
-            if vertex_id(x, 1 - side) not in visited:
-                queue.append((x, 1 - side))
-            x = rot[side][x - 1]
-            if x == e:
-                break
-    return order
 
 
 def enum_maps_oracle(n: int) -> list[PlanarMap]:
@@ -148,27 +102,29 @@ def enum_maps_oracle(n: int) -> list[PlanarMap]:
     labelled representative per root-preserving isomorphism class.
 
     Independent of the bijections: scans permutation pairs with root edge
-    1, keeping the transitive genus-0 ones whose breadth-first labelling
-    is already the identity.
+    1 and keeps the genus-0 ones whose breadth-first edge order
+    (:func:`~tamari_atlas.maps.bfs_edge_order`, the search behind every
+    canonical code) is the identity, which makes them transitive and
+    canonically labelled.
     """
     if n < 0:
         raise ValueError("size must be non-negative")
     if n == 0:
         return [from_hypermap(HypermapCode(0, (), (), 0))]
-    ids = tuple(range(1, n + 1))
+    ids = range(1, n + 1)
+    identity = list(ids)
+    # permutations of 1..n, index 0 unused, and their cycle counts
+    perms = [(0,) + p for p in permutations(ids)]
+    cycle_counts = [len(perm_cycles(p, ids)) for p in perms]
     out = []
-    for sigma in permutations(ids):
-        c_sigma = _cycle_count(sigma)
-        for alpha in permutations(ids):
-            faces = tuple(sigma[alpha[e - 1] - 1] for e in ids)
-            if c_sigma + _cycle_count(alpha) + _cycle_count(faces) != n + 2:
+    for sigma, c_sigma in zip(perms, cycle_counts):
+        for alpha, c_alpha in zip(perms, cycle_counts):
+            faces = [sigma[a] for a in alpha]
+            if c_sigma + c_alpha + len(perm_cycles(faces, ids)) != n + 2:
                 continue
-            order = _bfs_edge_order(n, sigma, alpha, 1)
-            if len(order) < n:      # not transitive
-                continue
-            if order != list(ids):  # not the canonical representative
-                continue
-            out.append(from_hypermap(HypermapCode(n, sigma, alpha, 1)))
+            if bfs_edge_order(sigma, alpha, 1) == identity:
+                out.append(from_hypermap(
+                    HypermapCode(n, sigma[1:], alpha[1:], 1)))
     return out
 
 

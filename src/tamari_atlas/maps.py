@@ -14,6 +14,11 @@ faces correspond to orbits of e -> sigma(alpha(e)). Its text form is
 ``n=<n> sigma=<cycles> alpha=<cycles> root=<edge>``, with disjoint cycles
 including fixed points, and the edgeless map written ``n=0``.
 
+Every orbit of a permutation, over edge ids or over darts, comes from the
+one walker :func:`perm_cycles`. The canonical code relabels edges in the
+order of :func:`bfs_edge_order`, the one breadth-first search over a
+permutation pair, which the map oracle in ``enumeration`` also uses.
+
 Maps are mutable through the surgery primitives and therefore must be
 owned by a single thread at a time; the encodings are immutable values.
 """
@@ -23,47 +28,65 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterable, Mapping, Sequence
 
 BLACK = 0
 WHITE = 1
 
 
-def _perm_cycles(perm: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Disjoint cycles of a permutation of {1..n} given as a tuple."""
-    n = len(perm)
-    seen = [False] * (n + 1)
+def perm_cycles(perm: Mapping[int, int] | Sequence[int],
+                points: Iterable[int]) -> list[list[int]]:
+    """Disjoint cycles of the permutation x -> perm[x] that meet
+    ``points``, in the order of their first point, each starting there.
+    A permutation of {1..n} is passed as a sequence with index 0 unused."""
+    seen: set[int] = set()
     cycles = []
-    for start in range(1, n + 1):
-        if seen[start]:
+    for start in points:
+        if start in seen:
             continue
-        cyc = []
-        x = start
-        while not seen[x]:
-            seen[x] = True
+        cyc = [start]
+        x = perm[start]
+        while x != start:
             cyc.append(x)
-            x = perm[x - 1]
-        cycles.append(tuple(cyc))
+            x = perm[x]
+        seen.update(cyc)
+        cycles.append(cyc)
     return cycles
 
 
-def _cycles_str(perm: tuple[int, ...]) -> str:
+def cycles_str(perm: Mapping[int, int] | Sequence[int],
+               points: Iterable[int]) -> str:
+    """Cycle notation of :func:`perm_cycles`, e.g. ``(1 2)(3)``."""
     return ''.join('(' + ' '.join(map(str, c)) + ')'
-                   for c in _perm_cycles(perm))
+                   for c in perm_cycles(perm, points))
 
 
-def _is_transitive(n: int, perms: list[tuple[int, ...]]) -> bool:
-    if n == 0:
-        return True
-    seen = {1}
-    todo = [1]
-    while todo:
-        x = todo.pop()
-        for p in perms:
-            y = p[x - 1]
-            if y not in seen:
-                seen.add(y)
-                todo.append(y)
-    return len(seen) == n
+def bfs_edge_order(sigma: Sequence[int], alpha: Sequence[int],
+                   root: int) -> list[int]:
+    """Edges of a permutation pair in the breadth-first discovery order
+    that defines the canonical labelling; sigma and alpha are indexed by
+    edge, index 0 unused.
+
+    The search starts at the black end of ``root`` and reads each vertex's
+    rotation once, from the dart it was first reached by; an edge is
+    discovered at its first read end. The order is shorter than n exactly
+    when the pair is not transitive.
+    """
+    rot = (sigma, alpha)
+    # read[side][e]: the black (0) or white (1) end of edge e has been read
+    read = ([False] * len(sigma), [False] * len(sigma))
+    order: list[int] = []
+    queue = [(root, 0)]   # grows while it is read, first in first out
+    for e, side in queue:
+        here, far, nxt = read[side], read[1 - side], rot[side]
+        x = e
+        while not here[x]:
+            here[x] = True
+            if not far[x]:   # far end unread: x is discovered here
+                order.append(x)
+                queue.append((x, 1 - side))
+            x = nxt[x]
+    return order
 
 
 @dataclass(frozen=True)
@@ -87,28 +110,28 @@ class HypermapCode:
             return
         if not 1 <= self.root <= self.n:
             raise ValueError("root edge out of range")
-        if not _is_transitive(self.n, [self.sigma, self.alpha]):
+        sigma, alpha = (0,) + self.sigma, (0,) + self.alpha
+        if len(bfs_edge_order(sigma, alpha, self.root)) < self.n:
             raise ValueError("permutation pair is not transitive")
-        faces = tuple(self.sigma[self.alpha[e - 1] - 1]
-                      for e in range(1, self.n + 1))
-        c = (len(_perm_cycles(self.sigma)) + len(_perm_cycles(self.alpha))
-             + len(_perm_cycles(faces)))
+        ids = range(1, self.n + 1)
+        c = (len(perm_cycles(sigma, ids)) + len(perm_cycles(alpha, ids))
+             + len(self.face_cycles()))
         if c != self.n + 2:
             raise ValueError(f"not genus 0: cycle count {c} != {self.n + 2}")
 
-    def face_cycles(self) -> list[tuple[int, ...]]:
-        return _perm_cycles(tuple(self.sigma[self.alpha[e - 1] - 1]
-                                  for e in range(1, self.n + 1)))
+    def face_cycles(self) -> list[list[int]]:
+        """Orbits of e -> sigma(alpha(e)), one per face."""
+        sigma = (0,) + self.sigma
+        return perm_cycles([sigma[a] for a in (0,) + self.alpha],
+                           range(1, self.n + 1))
 
     def __str__(self) -> str:
         if self.n == 0:
             return "n=0"
-        return (f"n={self.n} sigma={_cycles_str(self.sigma)} "
-                f"alpha={_cycles_str(self.alpha)} root={self.root}")
-
-    @staticmethod
-    def parse(text: str) -> "HypermapCode":
-        return parse_hypermap(text)
+        ids = range(1, self.n + 1)
+        return (f"n={self.n} sigma={cycles_str((0,) + self.sigma, ids)} "
+                f"alpha={cycles_str((0,) + self.alpha, ids)} "
+                f"root={self.root}")
 
 
 _CYCLE_RE = re.compile(r'\(([^()]*)\)')
@@ -171,6 +194,10 @@ class PlanarMap:
     working state; surgery keeps them consistent.
     """
 
+    # every field of the state, set up by __init__ and duplicated by copy
+    __slots__ = ('_next', '_mate', '_vertex', '_vrep', '_color', '_tags',
+                 'root_corner', '_next_dart', '_next_vertex')
+
     def __init__(self):
         self._next: dict[int, int] = {}
         self._mate: dict[int, int] = {}
@@ -185,16 +212,10 @@ class PlanarMap:
     # -- basic queries -----------------------------------------------------
 
     def copy(self) -> "PlanarMap":
-        m = PlanarMap.__new__(PlanarMap)
-        m._next = dict(self._next)
-        m._mate = dict(self._mate)
-        m._vertex = dict(self._vertex)
-        m._vrep = dict(self._vrep)
-        m._color = dict(self._color)
-        m._tags = dict(self._tags)
-        m.root_corner = self.root_corner
-        m._next_dart = self._next_dart
-        m._next_vertex = self._next_vertex
+        m = PlanarMap()
+        for field in PlanarMap.__slots__:
+            value = getattr(self, field)
+            setattr(m, field, dict(value) if type(value) is dict else value)
         return m
 
     @property
@@ -276,19 +297,8 @@ class PlanarMap:
         return d
 
     def face_orbits(self) -> list[list[int]]:
-        seen: set[int] = set()
-        orbits = []
-        for d in self.darts():
-            if d in seen:
-                continue
-            orbit = []
-            x = d
-            while x not in seen:
-                seen.add(x)
-                orbit.append(x)
-                x = self.face_next(x)
-            orbits.append(orbit)
-        return orbits
+        face_next = {d: self._next[m] for d, m in self._mate.items()}
+        return perm_cycles(face_next, self.darts())
 
     def face_of(self, d: int) -> list[int]:
         orbit = [d]
@@ -549,49 +559,27 @@ class PlanarMap:
 
     # -- encodings -----------------------------------------------------------
 
-    def canonical_edge_order(self) -> list[int]:
-        """Edges in breadth-first discovery order from the root corner,
-        each edge given by its first-discovered dart."""
-        if self.root_corner is None:
-            return []
-        order: list[int] = []
-        placed: set[int] = set()
-        visited_vertex: set[int] = set()
-        queue = deque([self.root_corner])
-        while queue:
-            d = queue.popleft()
-            v = self._vertex[d]
-            if v in visited_vertex:
-                continue
-            visited_vertex.add(v)
-            for d2 in self.vertex_darts(v, start=d):
-                key = self.edge_key(d2)
-                if key not in placed:
-                    placed.add(key)
-                    order.append(d2)
-                m = self._mate[d2]
-                if self._vertex[m] not in visited_vertex:
-                    queue.append(m)
-        return order
-
     def to_hypermap(self) -> HypermapCode:
         """Permutation-pair encoding under the canonical edge labeling."""
-        if self.edge_count == 0:
-            return HypermapCode(0, (), (), 0)
-        order = self.canonical_edge_order()
-        label = {self.edge_key(d): i + 1 for i, d in enumerate(order)}
         n = self.edge_count
-        sigma = [0] * n
-        alpha = [0] * n
-        for d in self._mate:
-            e = label[self.edge_key(d)]
-            nxt = label[self.edge_key(self._next[d])]
-            if self._color[self._vertex[d]] == BLACK:
-                sigma[e - 1] = nxt
-            else:
-                alpha[e - 1] = nxt
-        return HypermapCode(n, tuple(sigma), tuple(alpha),
-                            label[self.edge_key(self.root_corner)])
+        if n == 0:
+            return HypermapCode(0, (), (), 0)
+        # the raw pair numbers the edges in sorted dart order
+        keys = sorted(d for d, m in self._mate.items() if d < m)
+        raw = {d: e for e, d in enumerate(keys, 1)}
+        sigma = [0] * (n + 1)
+        alpha = [0] * (n + 1)
+        for d, nxt in self._next.items():
+            rot = sigma if self._color[self._vertex[d]] == BLACK else alpha
+            rot[raw[self.edge_key(d)]] = raw[self.edge_key(nxt)]
+        order = bfs_edge_order(sigma, alpha,
+                               raw[self.edge_key(self.root_corner)])
+        # edge order[i - 1] gets label i
+        label = [0] * (n + 1)
+        for i, e in enumerate(order, 1):
+            label[e] = i
+        return HypermapCode(n, tuple(label[sigma[e]] for e in order),
+                            tuple(label[alpha[e]] for e in order), 1)
 
     def canonical_code(self) -> str:
         """Root-preserving isomorphism invariant."""
@@ -630,34 +618,24 @@ def from_hypermap(code: HypermapCode) -> PlanarMap:
     """Half-edge structure of a permutation-pair encoding; black dart of
     edge e is 2e-1, white dart 2e, and the root corner is the black corner
     preceding the root edge."""
-    m = PlanarMap.__new__(PlanarMap)
-    m._next = {}
-    m._mate = {}
-    m._vertex = {}
-    m._vrep = {}
-    m._color = {}
-    m._tags = {}
-    m._next_vertex = 0
+    m = PlanarMap()  # its vertex 0 is black, as is the first sigma cycle
     if code.n == 0:
-        m._color[0] = BLACK
-        m._next_vertex = 1
-        m.root_corner = None
-        m._next_dart = 1
         return m
     for e in range(1, code.n + 1):
         m._mate[2 * e - 1] = 2 * e
         m._mate[2 * e] = 2 * e - 1
         m._next[2 * e - 1] = 2 * code.sigma[e - 1] - 1
         m._next[2 * e] = 2 * code.alpha[e - 1]
+    v = 0
     for perm, parity, color in ((code.sigma, 1, BLACK),
                                 (code.alpha, 0, WHITE)):
-        for cyc in _perm_cycles(perm):
-            v = m._next_vertex
-            m._next_vertex += 1
+        for cyc in perm_cycles((0,) + perm, range(1, code.n + 1)):
             m._color[v] = color
             m._vrep[v] = 2 * cyc[0] - parity
             for e in cyc:
                 m._vertex[2 * e - parity] = v
+            v += 1
+    m._next_vertex = v
     m.root_corner = 2 * code.root - 1
     m._next_dart = 2 * code.n + 1
     return m

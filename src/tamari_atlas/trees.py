@@ -71,9 +71,6 @@ class PlaneTree:
         out.reverse()
         return out
 
-    def reverse_preorder(self) -> list[int]:
-        return list(range(self.node_count - 1, -1, -1))
-
     def subtree_sizes(self) -> tuple[int, ...]:
         """Number of proper descendants of each node."""
         sizes = [0] * self.node_count
@@ -91,16 +88,16 @@ class PlaneTree:
 
 def tree_from_nested(nested) -> PlaneTree:
     """Build a PlaneTree from nested lists/tuples of children."""
-    children: list[tuple[int, ...]] = []
-
-    def rec(node) -> int:
+    children: list[list[int]] = []
+    stack = [(nested, -1)]   # (node, preorder index of its parent)
+    while stack:
+        node, parent = stack.pop()
         idx = len(children)
-        children.append(())
-        children[idx] = tuple(rec(c) for c in node)
-        return idx
-
-    rec(nested)
-    return PlaneTree(tuple(children))
+        children.append([])
+        if parent >= 0:
+            children[parent].append(idx)
+        stack.extend((c, idx) for c in reversed(node))
+    return PlaneTree(tuple(tuple(k) for k in children))
 
 
 def dyck_to_plane_tree(path: DyckPath) -> PlaneTree:
@@ -164,10 +161,6 @@ class DegreeTree:
             height = depth[v]
         parts.append(")" * (height + 1))
         return "".join(parts)
-
-    @staticmethod
-    def parse(text: str) -> "DegreeTree":
-        return parse_degree_tree(text)
 
 
 def parse_degree_tree(text: str) -> DegreeTree:

@@ -8,12 +8,15 @@ from tamari_atlas.bijections import (TraceStep, certificates,
                                      tree_to_interval, tree_to_map)
 from tamari_atlas.dyck import DyckPath, NewInterval, interval_stats, \
     rising_contacts
-from tamari_atlas.enumeration import (enum_degree_trees, enum_maps_oracle,
-                                      enum_new_intervals)
+from tamari_atlas.enumeration import enum_maps_oracle, enum_new_intervals
 from tamari_atlas.maps import from_hypermap, parse_hypermap
 from tamari_atlas.trees import (DegreeTree, PlaneTree, find_violation,
                                  parse_degree_tree)
-from tamari_atlas.verify import _trace_shape_violation
+from tamari_atlas.verify import (check_one_face_specialization,
+                                 check_roundtrip_map_tree,
+                                 check_roundtrip_tree_interval,
+                                 check_theorem_stats, check_trace_reversal,
+                                 check_trace_shape)
 
 
 def build(text):
@@ -84,32 +87,15 @@ def test_composites_worked_examples():
 
 
 def test_roundtrips_map_tree_up_to_5():
-    for n in range(0, 6):
-        for dt in enum_degree_trees(n):
-            assert map_to_tree(tree_to_map(dt)) == dt
-        for m in enum_maps_oracle(n):
-            assert tree_to_map(map_to_tree(m)).canonical_code() == \
-                m.canonical_code()
+    assert check_roundtrip_map_tree(5).ok
 
 
 def test_roundtrips_tree_interval():
-    for n in range(0, 6):
-        for dt in enum_degree_trees(n):
-            assert interval_to_tree(tree_to_interval(dt)) == dt
-    for n in range(1, 7):
-        for interval in enum_new_intervals(n):
-            assert tree_to_interval(interval_to_tree(interval)) == interval
+    assert check_roundtrip_tree_interval(5).ok
 
 
 def test_theorem_statistics_up_to_5():
-    for n in range(1, 6):
-        for m in enum_maps_oracle(n):
-            ms = m.stats()
-            s = interval_stats(map_to_interval(m))
-            assert ms.white == s.c00
-            assert ms.black == s.c01
-            assert ms.face == 1 + s.c11
-            assert ms.outdeg == s.rcont - 1
+    assert check_theorem_stats(5).ok
 
 
 def test_size_zero_statistics_exception():
@@ -135,33 +121,15 @@ def test_trace_does_not_change_result():
 
 
 def test_trace_shape_after_every_prepare():
-    for n in range(0, 5):
-        for m in enum_maps_oracle(n):
-            trace: list[TraceStep] = []
-            map_to_tree(m, trace=trace)
-            for step in trace:
-                if step.kind == 'prepare':
-                    assert _trace_shape_violation(step) is None
+    assert check_trace_shape(4).ok
 
 
 def test_trace_kinds_reverse():
-    for n in range(0, 5):
-        for dt in enum_degree_trees(n):
-            fwd: list[TraceStep] = []
-            back: list[TraceStep] = []
-            m = tree_to_map(dt, trace=back)
-            map_to_tree(m, trace=fwd)
-            kinds_fwd = [s.kind for s in fwd if s.kind in ('A1', 'A2', 'A3')]
-            kinds_back = [s.kind[:-1] for s in back if s.kind.endswith("'")]
-            assert kinds_fwd == list(reversed(kinds_back))
+    assert check_trace_reversal(4).ok
 
 
 def test_one_face_specialization_up_to_6():
-    for n in range(0, 7):
-        for m in enum_maps_oracle(n):
-            if m.edge_count and len(m.face_orbits()) != 1:
-                continue
-            assert not any(map_to_tree(m).edge_labels)
+    assert check_one_face_specialization(6).ok
 
 
 def test_interval_to_tree_labels_match_factors_up_to_8():

@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from test_bijections import random_degree_tree
 
+from tamari_atlas.bijections import tree_to_map
 from tamari_atlas.enumeration import enum_maps_oracle
 from tamari_atlas.maps import (BLACK, WHITE, HypermapCode, PlanarMap,
                                edgeless_map, from_hypermap, parse_hypermap)
+from tamari_atlas.verify import check_map_sanity
 
 
 def build(text: str) -> PlanarMap:
@@ -151,30 +154,27 @@ def test_three_two_edge_maps_distinct():
 
 def test_canonical_code_invariant_under_relabeling():
     rng = random.Random(7)
-    for n in range(1, 6):
-        for m in enum_maps_oracle(n):
-            code = m.to_hypermap()
-            perm = list(range(1, n + 1))
-            rng.shuffle(perm)
-            relabel = {e: perm[e - 1] for e in range(1, n + 1)}
-            sigma = [0] * n
-            alpha = [0] * n
-            for e in range(1, n + 1):
-                sigma[relabel[e] - 1] = relabel[code.sigma[e - 1]]
-                alpha[relabel[e] - 1] = relabel[code.alpha[e - 1]]
-            shuffled = HypermapCode(n, tuple(sigma), tuple(alpha),
-                                    relabel[code.root])
-            assert from_hypermap(shuffled).canonical_code() == \
-                m.canonical_code()
+    maps = [m for n in range(1, 6) for m in enum_maps_oracle(n)]
+    maps.append(tree_to_map(random_degree_tree(rng, 2000)))
+    for m in maps:
+        code = m.to_hypermap()
+        n = code.n
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        relabel = {e: perm[e - 1] for e in range(1, n + 1)}
+        sigma = [0] * n
+        alpha = [0] * n
+        for e in range(1, n + 1):
+            sigma[relabel[e] - 1] = relabel[code.sigma[e - 1]]
+            alpha[relabel[e] - 1] = relabel[code.alpha[e - 1]]
+        shuffled = HypermapCode(n, tuple(sigma), tuple(alpha),
+                                relabel[code.root])
+        assert from_hypermap(shuffled).canonical_code() == \
+            m.canonical_code()
 
 
 def test_euler_and_even_faces_up_to_5():
-    for n in range(0, 6):
-        for m in enum_maps_oracle(n):
-            v = len(m.vertices())
-            f = len(m.face_orbits()) or 1
-            assert v - m.edge_count + f == 2
-            assert all(len(o) % 2 == 0 for o in m.face_orbits())
+    assert check_map_sanity(5).ok
 
 
 def test_to_dot_smoke():

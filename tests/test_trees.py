@@ -28,6 +28,15 @@ def test_traversals():
     assert cherry.subtree_sizes() == (2, 0, 0)
 
 
+def test_tree_from_nested_deep_chain():
+    nested: list = []
+    for _ in range(5000):
+        nested = [nested]
+    chain = tree_from_nested(nested)
+    assert chain.size == 5000
+    assert chain.children[:2] == ((1,), (2,)) and chain.children[-1] == ()
+
+
 def test_node_labels_examples():
     assert node_labels(parse_degree_tree("()")) == (0,)
     assert node_labels(parse_degree_tree("(0:())")) == (1, 0)
