@@ -5,11 +5,14 @@ generating-function tables.
 All generators are deterministic: Dyck paths come out in lexicographic
 order ('d' < 'u'), intervals in lower-major order over path pairs, degree
 trees grouped by underlying tree with label choices ascending, and maps
-in first-seen order of the permutation-pair scan. The map enumerator is
-independent of the bijections: it scans all pairs of permutations acting
-on edge ids, keeps the genus-0 pairs, and retains exactly the canonically
-labelled representative of each root-preserving isomorphism class. Both
-it and ``PlanarMap.canonical_code`` label edges with the one
+in increasing order of their canonical (sigma, alpha) pair. The map
+enumerator is independent of the bijections: it grows permutation pairs
+acting on edge ids one edge at a time from the one-edge map, inserting
+the new edge into every black and white corner (or onto a new vertex of
+either colour), keeps the genus-0 pairs by their cycle count, and
+deduplicates them by their canonical relabelling, in the manner of
+McKay's canonical augmentation ("Isomorph-free exhaustive generation",
+1998). Both it and ``PlanarMap.canonical_code`` label edges with the one
 breadth-first search of ``maps.bfs_edge_order``, so the oracle shares
 code with the maps module only.
 """
@@ -17,8 +20,7 @@ code with the maps module only.
 from __future__ import annotations
 
 import math
-from itertools import permutations
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .dyck import (DyckPath, NewInterval, bracket_vector, iter_dyck_words,
                    interval_stats)
@@ -97,35 +99,69 @@ def enum_degree_trees(n: int) -> list[DegreeTree]:
     return out
 
 
+def _insertions(perm: Sequence[int], k: int) -> list[list[int]]:
+    """The permutation of 1..k-1 extended to k: k placed right after each
+    of 1..k-1 in its cycle, then k as a new fixed point (last)."""
+    out = []
+    for e in range(1, k):
+        p = [*perm, perm[e]]
+        p[e] = k
+        out.append(p)
+    out.append([*perm, k])
+    return out
+
+
+def _grow(level: list[tuple[tuple[int, ...], tuple[int, ...]]],
+          k: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Canonical pairs with k edges from the canonical pairs with k - 1.
+
+    Edge k goes into each black corner or onto a new black vertex, and
+    into each white corner or onto a new white vertex, never with both
+    ends new. A result is kept when it has genus 0 by its cycle count,
+    relabelled by its breadth-first edge order and deduplicated."""
+    ids = range(1, k + 1)
+    out = set()
+    for sigma, alpha in level:
+        alphas = [(a, len(perm_cycles(a, ids))) for a in _insertions(alpha, k)]
+        for s in _insertions(sigma, k):
+            c_s = len(perm_cycles(s, ids))
+            for a, c_a in alphas:
+                if s[k] == k and a[k] == k:   # both ends new: disconnected
+                    continue
+                faces = [s[x] for x in a]
+                if c_s + c_a + len(perm_cycles(faces, ids)) != k + 2:
+                    continue
+                order = bfs_edge_order(s, a, 1)
+                label = [0] * (k + 1)
+                for i, e in enumerate(order, 1):
+                    label[e] = i
+                out.add(((0, *(label[s[e]] for e in order)),
+                         (0, *(label[a[e]] for e in order))))
+    return sorted(out)
+
+
 def enum_maps_oracle(n: int) -> list[PlanarMap]:
     """All rooted bipartite planar maps with n edges, one canonically
-    labelled representative per root-preserving isomorphism class.
+    labelled representative per root-preserving isomorphism class, in
+    increasing order of their (sigma, alpha) pair.
 
-    Independent of the bijections: scans permutation pairs with root edge
-    1 and keeps the genus-0 ones whose breadth-first edge order
-    (:func:`~tamari_atlas.maps.bfs_edge_order`, the search behind every
-    canonical code) is the identity, which makes them transitive and
-    canonically labelled.
+    Independent of the bijections: grows permutation pairs one edge at a
+    time from the one-edge map. Every map with n >= 2 edges is a map with
+    n - 1 edges plus a non-root edge whose deletion keeps it connected,
+    so growing every canonical pair of size n - 1 by every insertion of
+    edge n reaches every map; the results are relabelled by
+    :func:`~tamari_atlas.maps.bfs_edge_order` (the search behind every
+    canonical code) and deduplicated by the relabelled pair.
     """
     if n < 0:
         raise ValueError("size must be non-negative")
     if n == 0:
         return [from_hypermap(HypermapCode(0, (), (), 0))]
-    ids = range(1, n + 1)
-    identity = list(ids)
-    # permutations of 1..n, index 0 unused, and their cycle counts
-    perms = [(0,) + p for p in permutations(ids)]
-    cycle_counts = [len(perm_cycles(p, ids)) for p in perms]
-    out = []
-    for sigma, c_sigma in zip(perms, cycle_counts):
-        for alpha, c_alpha in zip(perms, cycle_counts):
-            faces = [sigma[a] for a in alpha]
-            if c_sigma + c_alpha + len(perm_cycles(faces, ids)) != n + 2:
-                continue
-            if bfs_edge_order(sigma, alpha, 1) == identity:
-                out.append(from_hypermap(
-                    HypermapCode(n, sigma[1:], alpha[1:], 1)))
-    return out
+    level = [((0, 1), (0, 1))]   # the one-edge map, index 0 unused
+    for k in range(2, n + 1):
+        level = _grow(level, k)
+    return [from_hypermap(HypermapCode(n, sigma[1:], alpha[1:], 1))
+            for sigma, alpha in level]
 
 
 def count_formula(n: int) -> int:
@@ -142,28 +178,36 @@ def count_formula(n: int) -> int:
 GfTable = dict[tuple[int, int, int, int, int], int]
 
 
-def gf_table(family: str, max_size: int) -> GfTable:
-    """Coefficient table of the statistics generating function.
+def gf_tally(family: str, objects: Iterable) -> GfTable:
+    """Coefficient table of the statistics generating function over the
+    given objects of one family.
 
     Intervals contribute at (n, rcont-1, c00, c01, c11), maps at
     (n, outdeg, black, white, face); values are exact counts.
     """
     table: GfTable = {}
+    for obj in objects:
+        if family == 'intervals':
+            s = interval_stats(obj)
+            key = (obj.size, s.rcont - 1, s.c00, s.c01, s.c11)
+        elif family == 'maps':
+            s = obj.stats()
+            key = (obj.edge_count, s.outdeg, s.black, s.white, s.face)
+        else:
+            raise ValueError(f"unknown family {family!r}")
+        table[key] = table.get(key, 0) + 1
+    return table
+
+
+def gf_table(family: str, max_size: int) -> GfTable:
+    """:func:`gf_tally` over every object of the family up to max_size."""
     if family == 'intervals':
-        for n in range(1, max_size + 1):
-            for interval in enum_new_intervals(n):
-                s = interval_stats(interval)
-                key = (n, s.rcont - 1, s.c00, s.c01, s.c11)
-                table[key] = table.get(key, 0) + 1
+        sizes, enum = range(1, max_size + 1), enum_new_intervals
     elif family == 'maps':
-        for n in range(0, max_size + 1):
-            for m in enum_maps_oracle(n):
-                s = m.stats()
-                key = (n, s.outdeg, s.black, s.white, s.face)
-                table[key] = table.get(key, 0) + 1
+        sizes, enum = range(0, max_size + 1), enum_maps_oracle
     else:
         raise ValueError(f"unknown family {family!r}")
-    return table
+    return gf_tally(family, (obj for n in sizes for obj in enum(n)))
 
 
 def gf_table_lines(table: GfTable) -> Iterator[str]:

@@ -89,7 +89,7 @@ def bfs_edge_order(sigma: Sequence[int], alpha: Sequence[int],
     return order
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HypermapCode:
     """Permutation-pair encoding of a rooted bipartite planar map."""
 

@@ -12,18 +12,20 @@ half-degree multiset identity.
 from __future__ import annotations
 
 from collections import Counter
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import permutations as iter_permutations
+from typing import Callable, Iterator
 
 from .bijections import (TraceStep, certificates, interval_to_tree,
                          map_to_interval, map_to_tree, tree_to_interval,
                          tree_to_map)
-from .dyck import bracket_vector, factor_between, interval_stats, \
-    rising_contacts
-from .enumeration import (count_formula, enum_degree_trees, enum_dyck,
-                          enum_maps_oracle, enum_new_intervals, gf_table)
-from .maps import PlanarMap
-from .trees import node_labels, tree_stats
+from .dyck import (NewInterval, bracket_vector, factor_between,
+                   interval_stats, rising_contacts)
+from .enumeration import (GfTable, count_formula, enum_degree_trees,
+                          enum_maps_oracle, enum_new_intervals, gf_tally)
+from .maps import HypermapCode, PlanarMap, from_hypermap
+from .trees import DegreeTree, node_labels
 
 
 @dataclass(frozen=True)
@@ -36,6 +38,59 @@ class CheckResult:
         return f"{'PASS' if self.ok else 'FAIL'} {self.check_id} {self.detail}"
 
 
+class _Corpora:
+    """Each size of each family and each generating-function table,
+    built on first use and kept for the lifetime of the object. Maps are
+    kept as their canonical codes and rebuilt on every read, which takes
+    a fraction of the memory of the maps themselves."""
+
+    def __init__(self):
+        self._built: dict[tuple, object] = {}
+
+    def _get(self, key: tuple, build: Callable[[], object]):
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
+
+    def map_codes(self, n: int) -> list[HypermapCode]:
+        def build():
+            maps = enum_maps_oracle(n)
+            # code the maps from the back, so each is freed once coded
+            codes = [maps.pop().to_hypermap() for _ in range(len(maps))]
+            codes.reverse()
+            return codes
+        return self._get(('maps', n), build)
+
+    def maps(self, n: int) -> Iterator[PlanarMap]:
+        return map(from_hypermap, self.map_codes(n))
+
+    def trees(self, n: int) -> list[DegreeTree]:
+        return self._get(('trees', n), lambda: enum_degree_trees(n))
+
+    def intervals(self, n: int) -> list[NewInterval]:
+        return self._get(('intervals', n), lambda: enum_new_intervals(n))
+
+    def gf(self, family: str, max_size: int) -> GfTable:
+        """:func:`~tamari_atlas.enumeration.gf_table` over these corpora."""
+        if family == 'maps':
+            sizes, objects = range(0, max_size + 1), self.maps
+        else:
+            sizes, objects = range(1, max_size + 1), self.intervals
+        return self._get(('gf', family, max_size), lambda: gf_tally(
+            family, (obj for n in sizes for obj in objects(n))))
+
+
+# the corpora of the running verify_suite call
+_SUITE_CORPORA: ContextVar[_Corpora | None] = ContextVar(
+    'suite_corpora', default=None)
+
+
+def _corpora() -> _Corpora:
+    """The corpora shared by the checks of one verify_suite call, or
+    fresh ones for a check that runs on its own."""
+    return _SUITE_CORPORA.get() or _Corpora()
+
+
 def _result(check_id: str, failures: list[str], detail_ok: str) -> CheckResult:
     if failures:
         return CheckResult(check_id, False, '; '.join(failures[:3]))
@@ -43,12 +98,14 @@ def _result(check_id: str, failures: list[str], detail_ok: str) -> CheckResult:
 
 
 def check_counting(n_max: int) -> CheckResult:
+    corpora = _corpora()
     fails = []
     total = 0
     for n in range(1, n_max + 1):
         expected = count_formula(n + 1)
-        got = (len(enum_new_intervals(n + 1)), len(enum_degree_trees(n)),
-               len(enum_maps_oracle(n)))
+        # maps first: their oracle's list is the largest transient object
+        maps = len(corpora.map_codes(n))
+        got = (len(corpora.intervals(n + 1)), len(corpora.trees(n)), maps)
         total += 1
         if got != (expected, expected, expected):
             fails.append(f"size {n}: formula {expected}, "
@@ -58,14 +115,15 @@ def check_counting(n_max: int) -> CheckResult:
 
 
 def check_roundtrip_map_tree(n_max: int) -> CheckResult:
+    corpora = _corpora()
     fails = []
     count = 0
     for n in range(0, n_max + 1):
-        for dt in enum_degree_trees(n):
+        for dt in corpora.trees(n):
             if map_to_tree(tree_to_map(dt)) != dt:
                 fails.append(f"tree {dt} not recovered")
             count += 1
-        for m in enum_maps_oracle(n):
+        for m in corpora.maps(n):
             code = m.canonical_code()
             if tree_to_map(map_to_tree(m)).canonical_code() != code:
                 fails.append(f"map {code} not recovered")
@@ -75,15 +133,16 @@ def check_roundtrip_map_tree(n_max: int) -> CheckResult:
 
 
 def check_roundtrip_tree_interval(n_max: int) -> CheckResult:
+    corpora = _corpora()
     fails = []
     count = 0
     for n in range(0, n_max + 1):
-        for dt in enum_degree_trees(n):
+        for dt in corpora.trees(n):
             if interval_to_tree(tree_to_interval(dt)) != dt:
                 fails.append(f"tree {dt} not recovered")
             count += 1
     for n in range(1, n_max + 2):
-        for interval in enum_new_intervals(n):
+        for interval in corpora.intervals(n):
             if tree_to_interval(interval_to_tree(interval)) != interval:
                 fails.append(f"interval {interval} not recovered")
             count += 1
@@ -92,10 +151,11 @@ def check_roundtrip_tree_interval(n_max: int) -> CheckResult:
 
 
 def check_theorem_stats(n_max: int) -> CheckResult:
+    corpora = _corpora()
     fails = []
     count = 0
     for n in range(1, n_max + 1):
-        for m in enum_maps_oracle(n):
+        for m in corpora.maps(n):
             ms = m.stats()
             s = interval_stats(map_to_interval(m))
             if (ms.white, ms.black, ms.face, ms.outdeg) != \
@@ -106,8 +166,9 @@ def check_theorem_stats(n_max: int) -> CheckResult:
 
 
 def check_corollary_identity(n_max: int) -> CheckResult:
-    maps_gf = gf_table('maps', n_max)
-    ints_gf = gf_table('intervals', n_max + 1)
+    corpora = _corpora()
+    maps_gf = corpora.gf('maps', n_max)
+    ints_gf = corpora.gf('intervals', n_max + 1)
     # t * F_maps matches w * F_intervals: compare the maps entry at
     # (n, i, j, k, l) with the intervals entry at (n + 1, i, j, k, l - 1)
     shifted = {(n + 1, i, j, k, l - 1): c
@@ -127,7 +188,8 @@ def check_gf_symmetry(n_max: int) -> CheckResult:
     variables, with the root-degree variable set to 1 (the refinement by
     outer degree is not symmetric) and starting at degree 2 (the degree-1
     coefficient is the size-zero map exception and stays one-sided)."""
-    ints_gf = gf_table('intervals', n_max + 1)
+    corpora = _corpora()
+    ints_gf = corpora.gf('intervals', n_max + 1)
     table: dict[tuple[int, int, int, int], int] = {}
     for (n, i, j, k, l), c in ints_gf.items():
         if n < 2:
@@ -148,11 +210,12 @@ def check_gf_symmetry(n_max: int) -> CheckResult:
 
 
 def check_oracle_equivalence(n_max: int) -> CheckResult:
+    corpora = _corpora()
     fails = []
     for n in range(0, n_max + 1):
-        oracle = {m.canonical_code() for m in enum_maps_oracle(n)}
+        oracle = {m.canonical_code() for m in corpora.maps(n)}
         image = {tree_to_map(dt).canonical_code()
-                 for dt in enum_degree_trees(n)}
+                 for dt in corpora.trees(n)}
         if oracle != image:
             fails.append(f"size {n}: oracle-only {sorted(oracle - image)}, "
                          f"image-only {sorted(image - oracle)}")
@@ -170,10 +233,11 @@ def _internal_half_degrees(m: PlanarMap) -> Counter:
 
 
 def check_face_multiset(n_max: int) -> CheckResult:
+    corpora = _corpora()
     fails = []
     count = 0
     for n in range(0, n_max + 1):
-        for m in enum_maps_oracle(n):
+        for m in corpora.maps(n):
             faces = _internal_half_degrees(m)
             dt = map_to_tree(m)
             labels = Counter(x for x in dt.edge_labels if x > 0)
@@ -195,10 +259,11 @@ def check_face_multiset(n_max: int) -> CheckResult:
 
 
 def check_node_label_lemma(n_max: int) -> CheckResult:
+    corpora = _corpora()
     fails = []
     count = 0
     for n in range(0, n_max + 1):
-        for dt in enum_degree_trees(n):
+        for dt in corpora.trees(n):
             ell = node_labels(dt)
             sizes = dt.tree.subtree_sizes()
             subtree_label_sum = [0] * dt.tree.node_count
@@ -218,10 +283,11 @@ def check_node_label_lemma(n_max: int) -> CheckResult:
 
 
 def check_certificate_location(n_max: int) -> CheckResult:
+    corpora = _corpora()
     fails = []
     count = 0
     for n in range(0, n_max + 1):
-        for dt in enum_degree_trees(n):
+        for dt in corpora.trees(n):
             cert = certificates(dt).certificate
             sizes = dt.tree.subtree_sizes()
             for v in range(dt.tree.node_count):
@@ -243,10 +309,11 @@ def check_certificate_location(n_max: int) -> CheckResult:
 
 
 def check_certificate_nesting(n_max: int) -> CheckResult:
+    corpora = _corpora()
     fails = []
     count = 0
     for n in range(0, n_max + 1):
-        for dt in enum_degree_trees(n):
+        for dt in corpora.trees(n):
             cert = certificates(dt).certificate
             n1 = dt.tree.node_count
             for v in range(n1):
@@ -319,10 +386,11 @@ def _trace_shape_violation(step: TraceStep) -> str | None:
 
 
 def check_trace_shape(n_max: int) -> CheckResult:
+    corpora = _corpora()
     fails = []
     count = 0
     for n in range(0, n_max + 1):
-        for m in enum_maps_oracle(n):
+        for m in corpora.maps(n):
             trace: list[TraceStep] = []
             map_to_tree(m, trace=trace)
             for step in trace:
@@ -339,11 +407,12 @@ def check_trace_shape(n_max: int) -> CheckResult:
 def check_trace_reversal(n_max: int) -> CheckResult:
     """Advance steps of the map direction, reversed, match the tree
     direction's steps case for case."""
+    corpora = _corpora()
     fails = []
     count = 0
     advance = {'A1', 'A2', 'A3'}
     for n in range(0, n_max + 1):
-        for dt in enum_degree_trees(n):
+        for dt in corpora.trees(n):
             fwd: list[TraceStep] = []
             back: list[TraceStep] = []
             m = tree_to_map(dt, trace=back)
@@ -360,10 +429,11 @@ def check_trace_reversal(n_max: int) -> CheckResult:
 
 
 def check_rising_contact_labels(n_max: int) -> CheckResult:
+    corpora = _corpora()
     fails = []
     count = 0
     for n in range(0, n_max + 1):
-        for dt in enum_degree_trees(n):
+        for dt in corpora.trees(n):
             interval = tree_to_interval(dt)
             for node in range(dt.tree.node_count):
                 kids = dt.tree.children[node]
@@ -379,10 +449,11 @@ def check_rising_contact_labels(n_max: int) -> CheckResult:
 
 
 def check_upper_bracket_subtrees(n_max: int) -> CheckResult:
+    corpora = _corpora()
     fails = []
     count = 0
     for n in range(0, n_max + 1):
-        for dt in enum_degree_trees(n):
+        for dt in corpora.trees(n):
             interval = tree_to_interval(dt)
             vq = bracket_vector(interval.upper)
             expect = dt.tree.subtree_sizes()
@@ -394,10 +465,11 @@ def check_upper_bracket_subtrees(n_max: int) -> CheckResult:
 
 
 def check_one_face_specialization(n_max: int) -> CheckResult:
+    corpora = _corpora()
     fails = []
     count = 0
     for n in range(0, n_max + 1):
-        for m in enum_maps_oracle(n):
+        for m in corpora.maps(n):
             if m.edge_count > 0 and len(m.face_orbits()) != 1:
                 continue
             dt = map_to_tree(m)
@@ -410,10 +482,11 @@ def check_one_face_specialization(n_max: int) -> CheckResult:
 
 
 def check_bridge_agreement(n_max: int) -> CheckResult:
+    corpora = _corpora()
     fails = []
     count = 0
     for n in range(1, n_max + 1):
-        for m in enum_maps_oracle(n):
+        for m in corpora.maps(n):
             for d in m.darts():
                 by_face = m.mate(d) in m.face_of(d)
                 cut = m.copy()
@@ -445,15 +518,16 @@ def check_bridge_agreement(n_max: int) -> CheckResult:
 
 def check_map_sanity(n_max: int) -> CheckResult:
     """Euler relation and even face degrees on every enumerated map."""
+    corpora = _corpora()
     fails = []
     count = 0
     for n in range(0, n_max + 1):
-        for m in enum_maps_oracle(n):
-            v = len([x for x in m.vertices()]) or 1
-            f = len(m.face_orbits()) or 1
-            if v - m.edge_count + f != 2:
+        for m in corpora.maps(n):
+            faces = m.face_orbits()
+            v = len(m.vertices()) or 1
+            if v - m.edge_count + (len(faces) or 1) != 2:
                 fails.append(f"map {m.canonical_code()}: Euler fails")
-            if any(len(orbit) % 2 for orbit in m.face_orbits()):
+            if any(len(orbit) % 2 for orbit in faces):
                 fails.append(f"map {m.canonical_code()}: odd face degree")
             count += 1
     return _result('map-sanity', fails, f"{count} maps, sizes 0..{n_max}")
@@ -467,26 +541,30 @@ def verify_suite(n_max: int) -> list[CheckResult]:
         raise ValueError("n_max must be at least 1")
     maps_n = min(n_max, 6)
     tree_n = min(n_max, 6)
-    results = [
-        check_counting(maps_n),
-        check_roundtrip_map_tree(min(maps_n, 5)),
-        check_roundtrip_tree_interval(min(tree_n, 5)),
-        check_theorem_stats(min(maps_n, 5)),
-        check_corollary_identity(maps_n),
-        check_gf_symmetry(maps_n),
-        check_oracle_equivalence(min(maps_n, 5)),
-        check_face_multiset(min(maps_n, 5)),
-        check_node_label_lemma(tree_n),
-        check_certificate_location(tree_n),
-        check_certificate_nesting(tree_n),
-        check_trace_shape(min(maps_n, 4)),
-        check_trace_reversal(min(tree_n, 4)),
-        check_rising_contact_labels(tree_n),
-        check_upper_bracket_subtrees(tree_n),
-        check_one_face_specialization(maps_n),
-        check_bridge_agreement(min(maps_n, 5)),
-        check_map_sanity(maps_n),
-    ]
+    token = _SUITE_CORPORA.set(_Corpora())
+    try:
+        results = [
+            check_counting(maps_n),
+            check_roundtrip_map_tree(min(maps_n, 5)),
+            check_roundtrip_tree_interval(min(tree_n, 5)),
+            check_theorem_stats(min(maps_n, 5)),
+            check_corollary_identity(maps_n),
+            check_gf_symmetry(maps_n),
+            check_oracle_equivalence(min(maps_n, 5)),
+            check_face_multiset(min(maps_n, 5)),
+            check_node_label_lemma(tree_n),
+            check_certificate_location(tree_n),
+            check_certificate_nesting(tree_n),
+            check_trace_shape(min(maps_n, 4)),
+            check_trace_reversal(min(tree_n, 4)),
+            check_rising_contact_labels(tree_n),
+            check_upper_bracket_subtrees(tree_n),
+            check_one_face_specialization(maps_n),
+            check_bridge_agreement(min(maps_n, 5)),
+            check_map_sanity(maps_n),
+        ]
+    finally:
+        _SUITE_CORPORA.reset(token)
     return sorted(results, key=lambda r: r.check_id)
 
 

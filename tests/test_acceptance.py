@@ -8,9 +8,9 @@ from itertools import permutations
 import pytest
 
 import tamari_atlas.cli as cli
-from tamari_atlas.bijections import (interval_to_map, interval_to_tree,
-                                     map_to_interval, map_to_tree,
-                                     tree_to_interval, tree_to_map)
+from tamari_atlas.bijections import (interval_to_tree, map_to_interval,
+                                     map_to_tree, tree_to_interval,
+                                     tree_to_map)
 from tamari_atlas.dyck import interval_stats
 from tamari_atlas.enumeration import (count_formula, enum_degree_trees,
                                       enum_maps_oracle, enum_new_intervals,

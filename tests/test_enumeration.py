@@ -1,9 +1,37 @@
+import math
+from itertools import permutations
+
 import pytest
 
 from tamari_atlas.enumeration import (count_formula, enum_degree_trees,
                                       enum_dyck, enum_maps_oracle,
                                       enum_new_intervals, gf_table,
                                       gf_table_lines)
+from tamari_atlas.maps import (HypermapCode, bfs_edge_order, from_hypermap,
+                               perm_cycles)
+
+
+def scan_map_codes(n):
+    """Reference oracle: canonical codes of every rooted bipartite planar
+    map with n edges, by scanning all (n!)^2 permutation pairs with root
+    edge 1 and keeping the genus-0 ones whose breadth-first edge order is
+    the identity (transitive and canonically labelled)."""
+    if n == 0:
+        return {str(HypermapCode(0, (), (), 0))}
+    ids = range(1, n + 1)
+    identity = list(ids)
+    perms = [(0,) + p for p in permutations(ids)]
+    cycle_counts = [len(perm_cycles(p, ids)) for p in perms]
+    out = set()
+    for sigma, c_sigma in zip(perms, cycle_counts):
+        for alpha, c_alpha in zip(perms, cycle_counts):
+            faces = [sigma[a] for a in alpha]
+            if c_sigma + c_alpha + len(perm_cycles(faces, ids)) != n + 2:
+                continue
+            if bfs_edge_order(sigma, alpha, 1) == identity:
+                out.add(from_hypermap(
+                    HypermapCode(n, sigma[1:], alpha[1:], 1)).canonical_code())
+    return out
 
 
 def test_enum_new_intervals_size_2():
@@ -30,6 +58,29 @@ def test_enum_maps_all_valid_and_canonical():
         for m in maps:
             assert m.is_valid()
             assert str(m.to_hypermap()) == m.canonical_code()
+
+
+def test_grown_oracle_matches_permutation_scan():
+    for n in range(0, 6):
+        grown = [m.canonical_code() for m in enum_maps_oracle(n)]
+        assert len(set(grown)) == len(grown)
+        assert set(grown) == scan_map_codes(n), n
+
+
+def test_grown_oracle_counts_match_formulas_up_to_7():
+    # Tutte, "A census of planar maps" (1963): 3 * 2^(n-1) (2n)! /
+    # (n! (n+2)!) rooted bipartite planar maps with n edges
+    for n in range(1, 8):
+        tutte = (3 * 2 ** (n - 1) * math.factorial(2 * n)
+                 // (math.factorial(n) * math.factorial(n + 2)))
+        assert len(enum_maps_oracle(n)) == count_formula(n + 1) == tutte
+
+
+def test_grown_oracle_output_is_sorted_by_pair():
+    for n in range(1, 6):
+        pairs = [(c.sigma, c.alpha)
+                 for c in (m.to_hypermap() for m in enum_maps_oracle(n))]
+        assert pairs == sorted(pairs)
 
 
 def test_count_formula_values():

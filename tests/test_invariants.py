@@ -41,3 +41,33 @@ def test_no_self_recursive_functions_in_package():
                      and _callee(node.func) == fn.name]
             assert not calls, \
                 f"{module.name}: {fn.name} calls itself at lines {calls}"
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Names bound by the module's imports, with their line numbers."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split('.')[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != '__future__':
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def test_no_unused_imports_in_package():
+    # a name counts as used when the module reads it or re-exports it in
+    # __all__
+    package = Path(tamari_atlas.__file__).parent
+    for module in sorted(package.glob('*.py')):
+        tree = ast.parse(module.read_text(), filename=str(module))
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                    getattr(t, 'id', None) == '__all__' for t in node.targets):
+                used |= {elt.value for elt in node.value.elts}
+        unused = {name: line for name, line in _imported_names(tree).items()
+                  if name not in used}
+        assert not unused, f"{module.name}: unused imports {unused}"
