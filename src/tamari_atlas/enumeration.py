@@ -36,26 +36,47 @@ def enum_dyck(n: int) -> list[DyckPath]:
     return [DyckPath(w) for w in iter_dyck_words(n)]
 
 
+def _lower_words(bound: Sequence[int]) -> list[str]:
+    """Dyck words whose bracket vector is at most ``bound`` pointwise, by
+    a depth-first search over prefixes: up step j may open only while
+    j <= i + bound[i] for every open up step i."""
+    n = len(bound)
+    out = []
+    # (prefix, up steps so far, open ups as (least i + bound[i], outer))
+    stack: list[tuple[str, int, tuple | None]] = [('', 0, None)]
+    while stack:
+        prefix, j, opened = stack.pop()
+        if opened is None and j == n:
+            out.append(prefix)
+            continue
+        if j < n and (opened is None or j <= opened[0]):
+            limit = j + bound[j]
+            stack.append((prefix + 'u', j + 1, (
+                limit if opened is None else min(limit, opened[0]), opened)))
+        if opened is not None:
+            stack.append((prefix + 'd', j, opened[1]))
+    return out
+
+
 def enum_new_intervals(n: int) -> list[NewInterval]:
-    """All new intervals of size n, by filtering pairs of Dyck paths."""
+    """All new intervals of size n, in lower-major order.
+
+    Generated directly: an upper path Q has first up step matching the
+    final down step, and the lower paths of Q are exactly the Dyck words
+    with V_P(k) <= min(V_Q(k), V_Q(k+1)) where V_Q(k) > 0 and V_P(k) = 0
+    elsewhere (Chapoton, arXiv:1809.10981). Each word becomes one shared
+    DyckPath."""
     if n < 1:
         raise ValueError("intervals need size >= 1")
-    paths = enum_dyck(n)
-    vectors = [bracket_vector(p) for p in paths]
-    out = []
-    for i, lower in enumerate(paths):
-        vp = vectors[i]
-        for j, upper in enumerate(paths):
-            vq = vectors[j]
-            if vq[0] != n - 1:
-                continue
-            if any(a > b for a, b in zip(vp, vq)):
-                continue
-            if any(vq[k] > 0 and vp[k] > (vq[k + 1] if k + 1 < n else 0)
-                   for k in range(n)):
-                continue
-            out.append(NewInterval(lower, upper))
-    return out
+    pairs = []
+    for inner in iter_dyck_words(n - 1):
+        upper = 'u' + inner + 'd'
+        vq = bracket_vector(DyckPath(upper)) + (0,)
+        bound = [min(vq[k], vq[k + 1]) if vq[k] else 0 for k in range(n)]
+        pairs.extend((lower, upper) for lower in _lower_words(bound))
+    pairs.sort()
+    paths = {w: DyckPath(w) for pair in pairs for w in pair}
+    return [NewInterval(paths[lower], paths[upper]) for lower, upper in pairs]
 
 
 def _label_choices(tree: PlaneTree) -> list[tuple[dict[int, int], int]]:

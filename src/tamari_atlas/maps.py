@@ -8,6 +8,14 @@ root corner sits on a black vertex of the outer face. Faces are orbits of
 ``next_cw . mate``; walking that permutation advances clockwise along the
 boundary of the face containing the starting corner.
 
+A map is stored flat, as lists indexed by dart (index 0 unused): the
+rotation ``_next`` and its inverse ``_prev``, ``_mate``, ``_vertex``, and
+a ``_tag``/``_label`` pair written on both darts of an edge; per vertex,
+``_color`` (None once deleted) and a representative dart ``_vrep`` (0 if
+bare). Ids are never reused: a deleted dart keeps its slot with mate 0.
+So placing or removing a dart is an O(1) splice, and a tag is one read.
+Only this module touches the lists.
+
 The permutation-pair encoding lists, per edge id in 1..n, the next edge
 clockwise around its black end (sigma) and around its white end (alpha);
 faces correspond to orbits of e -> sigma(alpha(e)). Its text form is
@@ -26,7 +34,6 @@ owned by a single thread at a time; the encodings are immutable values.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -194,20 +201,21 @@ class PlanarMap:
     working state; surgery keeps them consistent.
     """
 
-    # every field of the state, set up by __init__ and duplicated by copy
-    __slots__ = ('_next', '_mate', '_vertex', '_vrep', '_color', '_tags',
-                 'root_corner', '_next_dart', '_next_vertex')
+    # every field of the state, set up by __init__ and duplicated by copy;
+    # all but root_corner are lists indexed by dart or by vertex
+    __slots__ = ('_next', '_prev', '_mate', '_vertex', '_tag', '_label',
+                 '_vrep', '_color', 'root_corner')
 
     def __init__(self):
-        self._next: dict[int, int] = {}
-        self._mate: dict[int, int] = {}
-        self._vertex: dict[int, int] = {}
-        self._vrep: dict[int, int] = {}   # vertex -> one of its darts
-        self._color: dict[int, int] = {0: BLACK}
-        self._tags: dict[int, tuple[str, int]] = {}  # min dart -> (tag, label)
+        self._next: list[int] = [0]
+        self._prev: list[int] = [0]
+        self._mate: list[int] = [0]       # 0 marks a deleted dart
+        self._vertex: list[int] = [0]
+        self._tag: list[str | None] = [None]  # same on both darts of an edge
+        self._label: list[int] = [0]
+        self._vrep: list[int] = [0]       # vertex -> one of its darts, or 0
+        self._color: list[int | None] = [BLACK]   # None: deleted vertex
         self.root_corner: int | None = None
-        self._next_dart = 1
-        self._next_vertex = 1
 
     # -- basic queries -----------------------------------------------------
 
@@ -215,18 +223,18 @@ class PlanarMap:
         m = PlanarMap()
         for field in PlanarMap.__slots__:
             value = getattr(self, field)
-            setattr(m, field, dict(value) if type(value) is dict else value)
+            setattr(m, field, value.copy() if type(value) is list else value)
         return m
 
     @property
     def edge_count(self) -> int:
-        return len(self._mate) // 2
+        return (len(self._mate) - self._mate.count(0)) // 2
 
     def darts(self) -> list[int]:
-        return sorted(self._mate)
+        return [d for d, m in enumerate(self._mate) if m]
 
     def vertices(self) -> list[int]:
-        return sorted(self._color)
+        return [v for v, c in enumerate(self._color) if c is not None]
 
     def mate(self, d: int) -> int:
         return self._mate[d]
@@ -235,10 +243,7 @@ class PlanarMap:
         return self._next[d]
 
     def prev_cw(self, d: int) -> int:
-        x = d
-        while self._next[x] != d:
-            x = self._next[x]
-        return x
+        return self._prev[d]
 
     def vertex_of(self, d: int) -> int:
         return self._vertex[d]
@@ -248,12 +253,11 @@ class PlanarMap:
 
     def vertex_darts(self, v: int, start: int | None = None) -> list[int]:
         """Darts of v in clockwise order, from ``start`` (or a stable rep)."""
-        if v not in self._vrep:
+        if not self._vrep[v]:
             return []
-        d0 = start if start is not None else self._vrep[v]
-        out = [d0]
-        x = self._next[d0]
-        while x != d0:
+        out = [start or self._vrep[v]]
+        x = self._next[out[0]]
+        while x != out[0]:
             out.append(x)
             x = self._next[x]
         return out
@@ -264,7 +268,7 @@ class PlanarMap:
     def root_vertex(self) -> int:
         if self.root_corner is None:
             # the edgeless map keeps its single vertex
-            return next(iter(self._color))
+            return self.vertices()[0]
         return self._vertex[self.root_corner]
 
     # -- edge tags ---------------------------------------------------------
@@ -273,15 +277,15 @@ class PlanarMap:
         return min(d, self._mate[d])
 
     def set_tag(self, d: int, tag: str, label: int = 0):
-        self._tags[self.edge_key(d)] = (tag, label)
+        m = self._mate[d]
+        self._tag[d] = self._tag[m] = tag
+        self._label[d] = self._label[m] = label
 
     def tag_of(self, d: int) -> str | None:
-        entry = self._tags.get(self.edge_key(d))
-        return entry[0] if entry else None
+        return self._tag[d]
 
     def edge_label(self, d: int) -> int:
-        entry = self._tags.get(self.edge_key(d))
-        return entry[1] if entry else 0
+        return self._label[d]
 
     # -- faces -------------------------------------------------------------
 
@@ -297,8 +301,8 @@ class PlanarMap:
         return d
 
     def face_orbits(self) -> list[list[int]]:
-        face_next = {d: self._next[m] for d, m in self._mate.items()}
-        return perm_cycles(face_next, self.darts())
+        nxt = self._next
+        return perm_cycles([nxt[m] for m in self._mate], self.darts())
 
     def face_of(self, d: int) -> list[int]:
         orbit = [d]
@@ -313,24 +317,21 @@ class PlanarMap:
             return []
         return self.face_of(self.root_corner)
 
+    def _is_dart(self, d: int) -> bool:
+        return 0 < d < len(self._mate) and self._mate[d] != 0
+
     def is_bridge(self, d: int) -> bool:
         """True iff both darts of d's edge lie in the same face orbit."""
-        if d not in self._mate:
+        if not self._is_dart(d):
             raise KeyError(f"unknown dart {d}")
         return self._mate[d] in self.face_of(d)
 
     # -- surgery -----------------------------------------------------------
 
-    def _fresh_dart(self) -> int:
-        d = self._next_dart
-        self._next_dart += 1
-        return d
-
     def new_vertex(self, color: int) -> int:
-        v = self._next_vertex
-        self._next_vertex += 1
-        self._color[v] = color
-        return v
+        self._color.append(color)
+        self._vrep.append(0)
+        return len(self._color) - 1
 
     def _place_dart(self, place) -> int:
         """Create one dart at the position described by ``place``:
@@ -339,20 +340,23 @@ class PlanarMap:
         ('vertex', v)  on the bare vertex v.
         """
         kind, ref = place
-        d = self._fresh_dart()
+        d = len(self._next)
         if kind == 'vertex':
-            if ref in self._vrep:
+            if self._vrep[ref]:
                 raise ValueError(f"vertex {ref} is not bare")
-            self._next[d] = d
-            self._vertex[d] = ref
-            self._vrep[ref] = d
+            self._vrep[ref] = before = after = d
+            v = ref
         elif kind in ('corner', 'after'):
-            anchor = ref if kind == 'after' else self.prev_cw(ref)
-            self._next[d] = self._next[anchor]
-            self._next[anchor] = d
-            self._vertex[d] = self._vertex[anchor]
+            before = ref if kind == 'after' else self._prev[ref]
+            after = self._next[before]
+            v = self._vertex[before]
         else:
             raise ValueError(f"unknown placement {kind!r}")
+        self._next.append(after)
+        self._prev.append(before)
+        self._vertex.append(v)
+        self._next[before] = d
+        self._prev[after] = d
         return d
 
     def add_edge(self, place1, place2) -> tuple[int, int]:
@@ -361,8 +365,9 @@ class PlanarMap:
         this is the caller's responsibility during surgery sequences."""
         d1 = self._place_dart(place1)
         d2 = self._place_dart(place2)
-        self._mate[d1] = d2
-        self._mate[d2] = d1
+        self._mate += (d2, d1)
+        self._tag += (None, None)
+        self._label += (0, 0)
         return d1, d2
 
     def add_edge_between_corners(self, c1: int, c2: int) -> tuple[int, int]:
@@ -372,31 +377,28 @@ class PlanarMap:
 
     def _remove_dart(self, d: int):
         v = self._vertex[d]
-        nxt = self._next[d]
-        if nxt == d:
-            del self._vrep[v]
+        before, after = self._prev[d], self._next[d]
+        if after == d:
+            self._vrep[v] = 0
         else:
-            self._next[self.prev_cw(d)] = nxt
+            self._next[before] = after
+            self._prev[after] = before
             if self._vrep[v] == d:
-                self._vrep[v] = nxt
+                self._vrep[v] = after
         if self.root_corner == d:
-            self.root_corner = nxt if nxt != d else None
-        del self._next[d]
-        del self._vertex[d]
+            self.root_corner = after if after != d else None
 
     def delete_edge(self, d: int):
         """Remove the edge of dart d; endpoints may become isolated."""
         m = self._mate[d]
-        self._tags.pop(self.edge_key(d), None)
-        del self._mate[d]
-        del self._mate[m]
+        self._mate[d] = self._mate[m] = 0
         self._remove_dart(d)
         self._remove_dart(m)
 
     def remove_isolated_vertex(self, v: int):
-        if v in self._vrep:
+        if self._vrep[v]:
             raise ValueError(f"vertex {v} still has darts")
-        del self._color[v]
+        self._color[v] = None
 
     def contract_edge(self, d: int):
         """Contract d's edge, merging its endpoints and preserving the
@@ -406,77 +408,56 @@ class PlanarMap:
         x, y = self._vertex[p], self._vertex[q]
         if x == y:
             raise ValueError("cannot contract a loop")
-        arc = self.vertex_darts(y, start=q)[1:]  # y's darts after q, cw
-        # splice the arc where p sat in x's rotation
-        before = self.prev_cw(p)
-        after = self._next[p]
-        if arc:
-            if before == p:  # p was alone at x
-                before, after = arc[-1], arc[0]
-            self._next[before] = arc[0]
-            self._next[arc[-1]] = after
-            for a in arc:
-                self._vertex[a] = x
-            if self._vrep[x] == p:
-                self._vrep[x] = arc[0]
-            if self.root_corner == p:
-                self.root_corner = arc[0]
-        else:
-            if after == p:
-                del self._vrep[x]
-            else:
-                self._next[before] = after
-                if self._vrep[x] == p:
-                    self._vrep[x] = after
-            if self.root_corner == p:
-                self.root_corner = after if after != p else None
+        for a in self.vertex_darts(y):
+            self._vertex[a] = x
+        # exchanging the successors of p and q joins the two rotations,
+        # with y's other darts between p and q; then p and q go
+        nxt, prv = self._next, self._prev
+        a, b = nxt[q], nxt[p]
+        nxt[p], nxt[q] = a, b
+        prv[a], prv[b] = p, q
         if self.root_corner == q:
-            self.root_corner = arc[0] if arc else (after if after != p
-                                                   else None)
-        self._tags.pop(self.edge_key(p), None)
-        del self._mate[p]
-        del self._mate[q]
-        del self._next[p]
-        del self._next[q]
-        del self._vertex[p]
-        del self._vertex[q]
-        del self._vrep[y]
-        del self._color[y]
+            self.root_corner = p   # passes on to the dart after q
+        self._remove_dart(p)
+        self._remove_dart(q)
+        self._mate[p] = self._mate[q] = 0
+        self._vrep[y] = 0
+        self._color[y] = None
         return x
 
     def split_vertex(self, v: int, arc: list[int], color: int) -> int:
         """Detach the contiguous cw arc of darts from v onto a fresh vertex
         of the given color; the arc may be empty. Returns the new vertex."""
-        darts = self.vertex_darts(v)
-        if arc:
-            start = darts.index(arc[0])
-            rotated = darts[start:] + darts[:start]
-            if rotated[:len(arc)] != list(arc):
-                raise ValueError("darts do not form a contiguous cw arc")
-        in_arc = set(arc)
-        rest = [d for d in darts if d not in in_arc]
+        nxt, prv, vertex = self._next, self._prev, self._vertex
+        if (len(set(arc)) != len(arc)
+                or not all(self._is_dart(d) and vertex[d] == v for d in arc)
+                or any(nxt[a] != b for a, b in zip(arc, arc[1:]))):
+            raise ValueError("darts do not form a contiguous cw arc")
         w = self.new_vertex(color)
-        for grp, vtx in ((list(arc), w), (rest, v)):
-            for i, d in enumerate(grp):
-                self._next[d] = grp[(i + 1) % len(grp)]
-                self._vertex[d] = vtx
-            if grp:
-                self._vrep[vtx] = grp[0]
-            elif vtx in self._vrep:
-                del self._vrep[vtx]
+        if arc:
+            first, last = arc[0], arc[-1]
+            before, after = prv[first], nxt[last]
+            for d in arc:
+                vertex[d] = w
+            nxt[before], nxt[last] = after, first
+            prv[after], prv[first] = before, last
+            if vertex[self._vrep[v]] == w:
+                # after == first when the arc is the whole rotation
+                self._vrep[v] = after if after != first else 0
+            self._vrep[w] = first
         return w
 
     def clear_tags(self):
-        self._tags.clear()
+        self._tag = [None] * len(self._tag)
+        self._label = [0] * len(self._label)
 
     def recolor_bipartite(self):
         """Recolor all vertices by breadth-first 2-coloring from the root
         vertex (black). Fails on odd cycles."""
         root = self.root_vertex()
         colors = {root: BLACK}
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
+        queue = [root]
+        for v in queue:
             for d in self.vertex_darts(v):
                 u = self._vertex[self._mate[d]]
                 if u not in colors:
@@ -484,65 +465,76 @@ class PlanarMap:
                     queue.append(u)
                 elif colors[u] == colors[v]:
                     raise ValueError("map is not bipartite")
-        if set(colors) != set(self._color):
+        if len(colors) != len(self.vertices()):
             raise ValueError("map is not connected")
-        self._color = colors
+        self._color = [colors.get(v) for v in range(len(self._color))]
 
     # -- validation & statistics --------------------------------------------
 
     def find_violation(self) -> str | None:
         """None if this is a valid rooted bipartite planar map."""
-        darts = set(self._mate)
-        if set(self._next) != darts or set(self._vertex) != darts:
+        nxt, prv, mate, vertex = (self._next, self._prev, self._mate,
+                                  self._vertex)
+        color, vrep = self._color, self._vrep
+        size = len(mate)
+        if ({len(nxt), len(prv), len(vertex), len(self._tag),
+             len(self._label)} != {size} or len(vrep) != len(color)):
             return "dart tables out of sync"
-        for d, m in self._mate.items():
-            if m == d or self._mate[m] != d:
+        darts = self.darts()
+        for d in darts:
+            m, x = mate[d], nxt[d]
+            if m == d or not 0 < m < size or mate[m] != d:
                 return f"mate is not a fixed-point-free involution at {d}"
-        for v in self._color:
-            if (v in self._vrep) != (self.degree(v) > 0):
+            if not 0 < x < size or not mate[x] or prv[x] != d:
+                return f"prev does not invert next at dart {d}"
+        for v, r in enumerate(vrep):
+            if r and (color[v] is None or not 0 < r < size or not mate[r]
+                      or vertex[r] != v):
                 return f"vertex {v} representative out of sync"
         for d in darts:
-            if self._vertex[self._next[d]] != self._vertex[d]:
+            if vertex[nxt[d]] != vertex[d]:
                 return f"rotation at dart {d} leaves its vertex"
-        covered = {d for v in self._vrep for d in self.vertex_darts(v)}
-        if covered != darts:
+        rotations = perm_cycles(nxt, [r for r in vrep if r])
+        if sum(map(len, rotations)) != len(darts):
             return "rotation orbits do not partition the darts"
         for d in darts:
-            if self._color[self._vertex[d]] == self._color[
-                    self._vertex[self._mate[d]]]:
+            c = color[vertex[d]]
+            if c == color[vertex[mate[d]]]:
                 return (f"edge at dart {d} joins two "
-                        f"{'black' if self._color[self._vertex[d]] == BLACK else 'white'} vertices")
-        # connectivity over darts, plus the edgeless special case
-        isolated = [v for v in self._color if v not in self._vrep]
+                        f"{'black' if c == BLACK else 'white'} vertices")
+        # connectivity over vertices, plus the edgeless special case
+        vertices = self.vertices()
+        isolated = [v for v in vertices if not vrep[v]]
         if not darts:
-            if len(self._color) != 1 or isolated != self.vertices():
+            if len(vertices) != 1 or isolated != vertices:
                 return "edgeless map must be a single vertex"
-            if self._color[isolated[0]] != BLACK:
+            if color[isolated[0]] != BLACK:
                 return "edgeless map vertex must be black"
             if self.root_corner is not None:
                 return "edgeless map has no root corner"
             return None
         if isolated:
             return f"isolated vertex {isolated[0]} in a map with edges"
-        seen = set()
-        todo = [next(iter(darts))]
-        while todo:
-            d = todo.pop()
-            if d in seen:
-                continue
-            seen.add(d)
-            todo.append(self._mate[d])
-            todo.append(self._next[d])
-        if seen != darts:
+        seen = [False] * len(color)
+        seen[vertices[0]] = True
+        reached = [vertices[0]]
+        for v in reached:
+            for d in self.vertex_darts(v):
+                u = vertex[mate[d]]
+                if not seen[u]:
+                    seen[u] = True
+                    reached.append(u)
+        if len(reached) != len(vertices):
             return "map is not connected"
-        v_count = len(self._color)
+        edges = len(darts) // 2
         f_count = len(self.face_orbits())
-        if v_count - self.edge_count + f_count != 2:
-            return (f"genus is not 0: V={v_count} E={self.edge_count} "
+        if len(vertices) - edges + f_count != 2:
+            return (f"genus is not 0: V={len(vertices)} E={edges} "
                     f"F={f_count}")
-        if self.root_corner is None:
+        root = self.root_corner
+        if root is None or not self._is_dart(root):
             return "missing root corner"
-        if self._color[self._vertex[self.root_corner]] != BLACK:
+        if color[vertex[root]] != BLACK:
             return "root vertex is not black"
         return None
 
@@ -550,9 +542,8 @@ class PlanarMap:
         return self.find_violation() is None
 
     def stats(self) -> MapStats:
-        black = sum(1 for c in self._color.values() if c == BLACK)
-        white = len(self._color) - black
-        if not self._mate:
+        black, white = self._color.count(BLACK), self._color.count(WHITE)
+        if not self.edge_count:
             return MapStats(black, white, 1, 0)
         return MapStats(black, white, len(self.face_orbits()),
                         len(self.outer_face()) // 2)
@@ -564,16 +555,21 @@ class PlanarMap:
         n = self.edge_count
         if n == 0:
             return HypermapCode(0, (), (), 0)
-        # the raw pair numbers the edges in sorted dart order
-        keys = sorted(d for d, m in self._mate.items() if d < m)
-        raw = {d: e for e, d in enumerate(keys, 1)}
+        mate, nxt, vertex, color = (self._mate, self._next, self._vertex,
+                                    self._color)
+        # the raw pair numbers the edges in sorted dart order, on both darts
+        raw = [0] * len(mate)
+        e = 0
+        for d, m in enumerate(mate):
+            if d < m:
+                e += 1
+                raw[d] = raw[m] = e
         sigma = [0] * (n + 1)
         alpha = [0] * (n + 1)
-        for d, nxt in self._next.items():
-            rot = sigma if self._color[self._vertex[d]] == BLACK else alpha
-            rot[raw[self.edge_key(d)]] = raw[self.edge_key(nxt)]
-        order = bfs_edge_order(sigma, alpha,
-                               raw[self.edge_key(self.root_corner)])
+        for d in self.darts():
+            rot = sigma if color[vertex[d]] == BLACK else alpha
+            rot[raw[d]] = raw[nxt[d]]
+        order = bfs_edge_order(sigma, alpha, raw[self.root_corner])
         # edge order[i - 1] gets label i
         label = [0] * (n + 1)
         for i, e in enumerate(order, 1):
@@ -599,10 +595,9 @@ class PlanarMap:
         for d in self.darts():
             if d < self._mate[d]:
                 attr = ""
-                entry = self._tags.get(d)
-                if entry:
-                    tag, lab = entry
-                    text = f"{tag}{lab}" if tag == 'T' else tag
+                tag = self._tag[d]
+                if tag:
+                    text = f"{tag}{self._label[d]}" if tag == 'T' else tag
                     attr = f' [label="{text}"]'
                 lines.append(f"  v{self._vertex[d]} -- "
                              f"v{self._vertex[self._mate[d]]}{attr};")
@@ -621,21 +616,26 @@ def from_hypermap(code: HypermapCode) -> PlanarMap:
     m = PlanarMap()  # its vertex 0 is black, as is the first sigma cycle
     if code.n == 0:
         return m
-    for e in range(1, code.n + 1):
-        m._mate[2 * e - 1] = 2 * e
-        m._mate[2 * e] = 2 * e - 1
-        m._next[2 * e - 1] = 2 * code.sigma[e - 1] - 1
-        m._next[2 * e] = 2 * code.alpha[e - 1]
-    v = 0
+    size = 2 * code.n + 1
+    nxt = [0] * size
+    nxt[1::2] = [2 * s - 1 for s in code.sigma]
+    nxt[2::2] = [2 * a for a in code.alpha]
+    prv = [0] * size
+    for d in range(1, size):
+        prv[nxt[d]] = d
+    mate = [0] * size
+    mate[1::2] = range(2, size, 2)
+    mate[2::2] = range(1, size, 2)
+    vertex = [0] * size
+    m._vrep, m._color = [], []
     for perm, parity, color in ((code.sigma, 1, BLACK),
                                 (code.alpha, 0, WHITE)):
         for cyc in perm_cycles((0,) + perm, range(1, code.n + 1)):
-            m._color[v] = color
-            m._vrep[v] = 2 * cyc[0] - parity
             for e in cyc:
-                m._vertex[2 * e - parity] = v
-            v += 1
-    m._next_vertex = v
+                vertex[2 * e - parity] = len(m._color)
+            m._vrep.append(2 * cyc[0] - parity)
+            m._color.append(color)
+    m._next, m._prev, m._mate, m._vertex = nxt, prv, mate, vertex
+    m._tag, m._label = [None] * size, [0] * size
     m.root_corner = 2 * code.root - 1
-    m._next_dart = 2 * code.n + 1
     return m

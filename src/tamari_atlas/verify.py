@@ -123,10 +123,11 @@ def check_roundtrip_map_tree(n_max: int) -> CheckResult:
             if map_to_tree(tree_to_map(dt)) != dt:
                 fails.append(f"tree {dt} not recovered")
             count += 1
-        for m in corpora.maps(n):
-            code = m.canonical_code()
-            if tree_to_map(map_to_tree(m)).canonical_code() != code:
-                fails.append(f"map {code} not recovered")
+        for code in corpora.map_codes(n):
+            text = str(code)
+            if tree_to_map(map_to_tree(from_hypermap(code))
+                           ).canonical_code() != text:
+                fails.append(f"map {text} not recovered")
             count += 1
     return _result('roundtrip-map-tree', fails,
                    f"{count} objects, sizes 0..{n_max}")
@@ -213,7 +214,7 @@ def check_oracle_equivalence(n_max: int) -> CheckResult:
     corpora = _corpora()
     fails = []
     for n in range(0, n_max + 1):
-        oracle = {m.canonical_code() for m in corpora.maps(n)}
+        oracle = {str(code) for code in corpora.map_codes(n)}
         image = {tree_to_map(dt).canonical_code()
                  for dt in corpora.trees(n)}
         if oracle != image:

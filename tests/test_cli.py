@@ -175,7 +175,10 @@ def chain(depth, maximal):
     return '(' + ''.join(f'{a}:(' for a in labels) + ')' * (depth + 1)
 
 
-@pytest.mark.parametrize('depth,maximal', [(3000, False), (1500, True)])
+# the 10**4-deep zero-label chain only takes linear time because surgery
+# splices rotations in O(1)
+@pytest.mark.parametrize('depth,maximal',
+                         [(3000, False), (1500, True), (10 ** 4, False)])
 def test_deep_chain_roundtrips(depth, maximal):
     tree = chain(depth, maximal)
     for via in ('map', 'interval'):
@@ -186,3 +189,4 @@ def test_deep_chain_roundtrips(depth, maximal):
                          stdin=mid)
         assert code == 0
         assert back == tree + "\n"
+

@@ -3,6 +3,7 @@ from itertools import permutations
 
 import pytest
 
+from tamari_atlas.dyck import NewInterval, bracket_vector
 from tamari_atlas.enumeration import (count_formula, enum_degree_trees,
                                       enum_dyck, enum_maps_oracle,
                                       enum_new_intervals, gf_table,
@@ -32,6 +33,30 @@ def scan_map_codes(n):
                 out.add(from_hypermap(
                     HypermapCode(n, sigma[1:], alpha[1:], 1)).canonical_code())
     return out
+
+
+def scan_new_intervals(n):
+    """Reference generator: every pair of Dyck paths of size n that
+    passes the new-interval conditions on bracket vectors, lower-major."""
+    paths = enum_dyck(n)
+    vectors = [bracket_vector(p) for p in paths]
+    out = []
+    for lower, vp in zip(paths, vectors):
+        for upper, vq in zip(paths, vectors):
+            if vq[0] != n - 1:
+                continue
+            if any(a > b for a, b in zip(vp, vq)):
+                continue
+            if any(vq[k] > 0 and vp[k] > (vq[k + 1] if k + 1 < n else 0)
+                   for k in range(n)):
+                continue
+            out.append(NewInterval(lower, upper))
+    return out
+
+
+def test_direct_interval_generator_matches_pair_scan():
+    for n in range(1, 9):
+        assert enum_new_intervals(n) == scan_new_intervals(n)
 
 
 def test_enum_new_intervals_size_2():

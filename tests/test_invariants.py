@@ -71,3 +71,23 @@ def test_no_unused_imports_in_package():
         unused = {name: line for name, line in _imported_names(tree).items()
                   if name not in used}
         assert not unused, f"{module.name}: unused imports {unused}"
+
+
+PLANAR_MAP_FIELDS = {'_next', '_prev', '_mate', '_vertex', '_tag', '_label',
+                     '_vrep', '_color'}
+
+
+def test_only_maps_reads_planar_map_storage():
+    # the rest of the package and the demos go through PlanarMap's
+    # methods, so its storage can change without touching them
+    package = Path(tamari_atlas.__file__).parent
+    demos = Path(__file__).parent.parent / 'demos'
+    modules = sorted(package.glob('*.py')) + sorted(demos.glob('*.py'))
+    for module in modules:
+        if module == package / 'maps.py':
+            continue
+        tree = ast.parse(module.read_text(), filename=str(module))
+        found = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and node.attr in PLANAR_MAP_FIELDS]
+        assert not found, f"{module.name}: PlanarMap storage read at {found}"

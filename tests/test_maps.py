@@ -138,6 +138,38 @@ def test_split_vertex_and_rejoin():
         m.split_vertex(mid, [999], WHITE)
 
 
+def assert_prev_inverts_next(m):
+    for d in m.darts():
+        assert m.prev_cw(m.next_cw(d)) == d
+        assert m.next_cw(m.prev_cw(d)) == d
+
+
+def test_find_violation_rejects_a_corrupted_prev():
+    for n in range(1, 4):
+        for m in enum_maps_oracle(n):
+            for d in m.darts():
+                bad = m.copy()
+                bad._prev[d] = bad.mate(d)
+                assert "prev does not invert next" in bad.find_violation()
+
+
+def test_prev_cw_inverts_next_cw_after_surgery():
+    for m in enum_maps_oracle(3):
+        for d in m.darts():
+            w = m.copy()
+            w.add_edge(('corner', d), ('vertex', w.new_vertex(WHITE)))
+            assert_prev_inverts_next(w)
+            a, _ = w.add_edge(('after', d), ('vertex', w.new_vertex(BLACK)))
+            assert_prev_inverts_next(w)
+            v = w.vertex_of(d)
+            w.split_vertex(v, w.vertex_darts(v, start=d)[:2], BLACK)
+            assert_prev_inverts_next(w)
+            w.contract_edge(d)
+            assert_prev_inverts_next(w)
+            w.delete_edge(a)
+            assert_prev_inverts_next(w)
+
+
 def test_hypermap_roundtrip_on_canonical_codes():
     for n in range(0, 5):
         for m in enum_maps_oracle(n):
