@@ -6,6 +6,8 @@ uuddud;uuuddd. This script converts it in all six directions and prints
 the step trace of the map/tree bijection.
 """
 
+from itertools import count
+
 from tamari_atlas import (NewInterval, interval_stats, interval_to_map,
                           interval_to_tree, map_to_interval, map_to_tree,
                           parse_degree_tree, parse_hypermap,
@@ -31,7 +33,6 @@ t = interval_stats(interval)
 print(f"  interval: c00={t.c00}   c01={t.c01}   c11+1={t.c11 + 1} rcont-1={t.rcont - 1}")
 
 print("\nstep trace of tree -> map:")
-steps = []
-tree_to_map(tree, trace=steps)
-for i, step in enumerate(steps):
-    print(f"  {i} {step.kind:5s} {tagged_map_code(step.map)}")
+steps = count()
+tree_to_map(tree, trace=lambda kind, w, *_: print(
+    f"  {next(steps)} {kind:5s} {tagged_map_code(w)}"))

@@ -14,9 +14,9 @@ from .trees import (DegreeTree, PlaneTree, TreeStats, degree_tree_to_dot,
                     tree_from_nested, tree_stats)
 from .maps import (BLACK, WHITE, HypermapCode, MapStats, PlanarMap,
                    edgeless_map, from_hypermap, parse_hypermap)
-from .bijections import (CertificateAssignment, TraceStep, certificates,
-                         interval_to_map, interval_to_tree, map_to_interval,
-                         map_to_tree, tree_to_interval, tree_to_map)
+from .bijections import (CertificateAssignment, certificates, interval_to_map,
+                         interval_to_tree, map_to_interval, map_to_tree,
+                         tree_to_interval, tree_to_map)
 from .enumeration import (count_formula, enum_degree_trees, enum_dyck,
                           enum_maps_oracle, enum_new_intervals, gf_table,
                           gf_table_lines)
@@ -32,7 +32,7 @@ __all__ = [
     "tree_stats",
     "BLACK", "WHITE", "HypermapCode", "MapStats", "PlanarMap",
     "edgeless_map", "from_hypermap", "parse_hypermap",
-    "CertificateAssignment", "TraceStep", "certificates", "interval_to_map",
+    "CertificateAssignment", "certificates", "interval_to_map",
     "interval_to_tree", "map_to_interval", "map_to_tree", "tree_to_interval",
     "tree_to_map",
     "count_formula", "enum_degree_trees", "enum_dyck", "enum_maps_oracle",

@@ -44,29 +44,13 @@ wraps the plane-tree Dyck word in one extra up/down pair.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 from .dyck import DyckPath, NewInterval, factor_rising_contacts
 from .maps import BLACK, PlanarMap, edgeless_map
 from .trees import (DegreeTree, PlaneTree, dyck_to_plane_tree, find_violation,
                     plane_tree_to_dyck)
-
-
-@dataclass
-class TraceStep:
-    """One recorded step of a map/tree transformation."""
-
-    kind: str                 # A1, A2, A3, A1', A2', A3', prepare, backtrack
-    map: PlanarMap            # snapshot of the tagged working map
-    current: int | None       # current vertex (map-to-tree only)
-    root: int                 # root vertex of the (partial) tree
-    tree_children: dict[int, tuple[int, ...]] = field(default_factory=dict)
-
-
-def _snapshot(trace, kind, w, current, root, kids):
-    if trace is not None:
-        trace.append(TraceStep(kind, w.copy(), current, root,
-                               {v: tuple(c) for v, c in kids.items()}))
 
 
 def _check_map(m: PlanarMap):
@@ -81,9 +65,14 @@ def _check_tree(dt: DegreeTree):
         raise ValueError(f"invalid degree tree: {bad}")
 
 
-def map_to_tree(m: PlanarMap, trace: list[TraceStep] | None = None
+def map_to_tree(m: PlanarMap, trace: Callable[..., None] | None = None
                 ) -> DegreeTree:
-    """Transform a rooted bipartite planar map into a degree tree."""
+    """Transform a rooted bipartite planar map into a degree tree.
+
+    ``trace``, if given, is called after each step as
+    ``trace(kind, w, current, root, children)`` with the live working map
+    and the live vertex -> children (left to right) mapping; copy them to
+    keep a state."""
     _check_map(m)
     if m.edge_count == 0:
         return DegreeTree(PlaneTree(((),)), ())
@@ -136,7 +125,7 @@ def map_to_tree(m: PlanarMap, trace: list[TraceStep] | None = None
                 w.set_tag(d, 'T', 0)
                 new_child(w.vertex_of(md), 0)
                 scan_from = d
-                _snapshot(trace, 'A1', w, cur, root, kids)
+                kind = 'A1'
             else:
                 # A2: bridge into a bigger component; hop over it
                 e1 = w.next_cw(md)
@@ -148,7 +137,7 @@ def map_to_tree(m: PlanarMap, trace: list[TraceStep] | None = None
                 stack.append(a)
                 cur = behind
                 scan_from = b
-                _snapshot(trace, 'A2', w, cur, root, kids)
+                kind = 'A2'
         else:
             # A3: split off the unexplored edges as the new leftmost child;
             # deleting d merges the face it closes into the explored face
@@ -177,7 +166,9 @@ def map_to_tree(m: PlanarMap, trace: list[TraceStep] | None = None
             stack.append(t_dart)
             cur = child_v
             scan_from = m_dart
-            _snapshot(trace, 'A3', w, cur, root, kids)
+            kind = 'A3'
+        if trace is not None:
+            trace(kind, w, cur, root, kids)
 
         # prepare: next pending edge, backtracking along the tree if needed
         pend = first_map_dart(scan_from)
@@ -185,9 +176,10 @@ def map_to_tree(m: PlanarMap, trace: list[TraceStep] | None = None
             t = stack.pop()
             cur = w.vertex_of(t)
             pend = first_map_dart(t)
-            if pend is None:
-                _snapshot(trace, 'backtrack', w, cur, root, kids)
-        _snapshot(trace, 'prepare', w, cur, root, kids)
+            if pend is None and trace is not None:
+                trace('backtrack', w, cur, root, kids)
+        if trace is not None:
+            trace('prepare', w, cur, root, kids)
         if pend is None:
             break
 
@@ -214,9 +206,12 @@ def map_to_tree(m: PlanarMap, trace: list[TraceStep] | None = None
     return dt
 
 
-def tree_to_map(dt: DegreeTree, trace: list[TraceStep] | None = None
+def tree_to_map(dt: DegreeTree, trace: Callable[..., None] | None = None
                 ) -> PlanarMap:
-    """Transform a degree tree into a rooted bipartite planar map."""
+    """Transform a degree tree into a rooted bipartite planar map.
+
+    ``trace`` is called as in :func:`map_to_tree`, with current None, root
+    0 and the embedded tree's children mapping, which stays fixed."""
     _check_tree(dt)
     if dt.size == 0:
         return edgeless_map()
@@ -242,9 +237,10 @@ def tree_to_map(dt: DegreeTree, trace: list[TraceStep] | None = None
         if node == 0:
             up_dart.setdefault(0, p_dart)
             w.root_corner = p_dart
-    kids_snapshot = {vert[v]: tuple(vert[c] for c in tree.children[v])
-                     for v in range(tree.node_count)}
-    _snapshot(trace, 'embed', w, None, 0, kids_snapshot)
+    if trace is not None:
+        kids = {vert[v]: tuple(vert[c] for c in tree.children[v])
+                for v in range(tree.node_count)}
+        trace('embed', w, None, 0, kids)
 
     for node in tree.postorder():
         if node == 0:
@@ -257,7 +253,7 @@ def tree_to_map(dt: DegreeTree, trace: list[TraceStep] | None = None
             if r != 0:
                 raise RuntimeError(f"leaf {node} has edge label {r}")
             w.set_tag(q, 'M')
-            _snapshot(trace, "A1'", w, None, 0, kids_snapshot)
+            kind = "A1'"
         elif r == 0:
             # A2': close a triangle over the neighbouring component edge
             e_prime = w.prev_cw(q)
@@ -266,7 +262,7 @@ def tree_to_map(dt: DegreeTree, trace: list[TraceStep] | None = None
             a, _ = w.add_edge(('after', p), ('corner', w.mate(e_prime)))
             w.set_tag(a, 'M')
             w.delete_edge(q)
-            _snapshot(trace, "A2'", w, None, 0, kids_snapshot)
+            kind = "A2'"
         else:
             # A3': cut a face of half-degree r out of the outer face,
             # then contract the tree edge
@@ -280,7 +276,9 @@ def tree_to_map(dt: DegreeTree, trace: list[TraceStep] | None = None
                 raise RuntimeError("new face does not close at the stated "
                                    f"half-degree {r}")
             w.contract_edge(p)
-            _snapshot(trace, "A3'", w, None, 0, kids_snapshot)
+            kind = "A3'"
+        if trace is not None:
+            trace(kind, w, None, 0, kids)
 
     if any(w.tag_of(d) != 'M' for d in w.darts()):
         raise RuntimeError("tree_to_map left tree edges unconverted")

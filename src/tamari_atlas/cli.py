@@ -20,14 +20,14 @@ root=<root corner dart or 0> tags=<edge:M or edge:T:label, comma-joined>``.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from contextlib import contextmanager
 from typing import Iterator
 
-from .bijections import (TraceStep, interval_to_map, interval_to_tree,
-                         map_to_interval, map_to_tree, tree_to_interval,
-                         tree_to_map)
+from .bijections import (interval_to_map, interval_to_tree, map_to_interval,
+                         map_to_tree, tree_to_interval, tree_to_map)
 from .dyck import NewInterval, interval_stats
 from .enumeration import (enum_degree_trees, enum_maps_oracle,
                           enum_new_intervals, gf_table, gf_table_lines)
@@ -242,16 +242,19 @@ def _cmd_trace(args, out) -> int:
     fn = map_to_tree if args.src == 'map' else tree_to_map
     dst = 'tree' if args.src == 'map' else 'map'
     for obj_index, (number, line) in enumerate(_read_lines(args.input)):
-        trace: list[TraceStep] = []
-        with _at_line(number):
-            result = fn(_parse_object(args.src, line), trace=trace)
-        for i, step in enumerate(trace):
-            print(f"{i} {step.kind} {tagged_map_code(step.map)}", file=out)
+        steps = itertools.count()
+
+        def show(kind, w, *_):
+            i = next(steps)
+            print(f"{i} {kind} {tagged_map_code(w)}", file=out)
             if args.trace_dir is not None:
                 frame = os.path.join(args.trace_dir,
                                      f"obj{obj_index}_step{i:03d}.dot")
                 with open(frame, 'w') as fh:
-                    fh.write(step.map.to_dot() + '\n')
+                    fh.write(w.to_dot() + '\n')
+
+        with _at_line(number):
+            result = fn(_parse_object(args.src, line), trace=show)
         print(f"result {_serialize(dst, result)}", file=out)
     return 0
 

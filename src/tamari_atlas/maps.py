@@ -145,17 +145,18 @@ _CYCLE_RE = re.compile(r'\(([^()]*)\)')
 
 
 def _parse_cycles(n: int, text: str) -> tuple[int, ...]:
+    # count the points before allocating: n comes from the input and may
+    # be far too large for a list
+    cycles = [[int(t) for t in m.group(1).split()]
+              for m in _CYCLE_RE.finditer(text)]
+    if sum(map(len, cycles)) != n or re.sub(_CYCLE_RE, '', text).strip():
+        raise ValueError(f"cycles {text!r} do not cover 1..{n} exactly")
     perm = [0] * n
-    covered = 0
-    for m in _CYCLE_RE.finditer(text):
-        cyc = [int(t) for t in m.group(1).split()]
+    for cyc in cycles:
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             if not 1 <= a <= n or perm[a - 1]:
                 raise ValueError(f"bad cycle notation {text!r}")
             perm[a - 1] = b
-        covered += len(cyc)
-    if covered != n or re.sub(_CYCLE_RE, '', text).strip():
-        raise ValueError(f"cycles {text!r} do not cover 1..{n} exactly")
     return tuple(perm)
 
 
@@ -370,11 +371,6 @@ class PlanarMap:
         self._label += (0, 0)
         return d1, d2
 
-    def add_edge_between_corners(self, c1: int, c2: int) -> tuple[int, int]:
-        if c2 not in self.face_of(c1):
-            raise ValueError("corners are not on a common face")
-        return self.add_edge(('corner', c1), ('corner', c2))
-
     def _remove_dart(self, d: int):
         v = self._vertex[d]
         before, after = self._prev[d], self._next[d]
@@ -394,11 +390,6 @@ class PlanarMap:
         self._mate[d] = self._mate[m] = 0
         self._remove_dart(d)
         self._remove_dart(m)
-
-    def remove_isolated_vertex(self, v: int):
-        if self._vrep[v]:
-            raise ValueError(f"vertex {v} still has darts")
-        self._color[v] = None
 
     def contract_edge(self, d: int):
         """Contract d's edge, merging its endpoints and preserving the

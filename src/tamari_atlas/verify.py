@@ -15,11 +15,10 @@ from collections import Counter
 from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import permutations as iter_permutations
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Mapping, Sequence
 
-from .bijections import (TraceStep, certificates, interval_to_tree,
-                         map_to_interval, map_to_tree, tree_to_interval,
-                         tree_to_map)
+from .bijections import (certificates, interval_to_tree, map_to_interval,
+                         map_to_tree, tree_to_interval, tree_to_map)
 from .dyck import (NewInterval, bracket_vector, factor_between,
                    interval_stats, rising_contacts)
 from .enumeration import (GfTable, count_formula, enum_degree_trees,
@@ -330,21 +329,23 @@ def check_certificate_nesting(n_max: int) -> CheckResult:
                    f"{count} trees, sizes 0..{n_max}")
 
 
-def _leftmost_branch(kids: dict[int, tuple[int, ...]], root: int) -> list[int]:
+def _leftmost_branch(kids: Mapping[int, Sequence[int]], root: int
+                     ) -> list[int]:
     out = [root]
     while kids.get(out[-1]):
         out.append(kids[out[-1]][0])
     return out
 
 
-def _trace_shape_violation(step: TraceStep) -> str | None:
-    w = step.map
+def _trace_shape_violation(w: PlanarMap, current: int, root: int,
+                           children: Mapping[int, Sequence[int]]
+                           ) -> str | None:
     tree_darts = [d for d in w.darts() if w.tag_of(d) == 'T']
-    tree_vertices = {w.vertex_of(d) for d in tree_darts} | {step.root}
+    tree_vertices = {w.vertex_of(d) for d in tree_darts} | {root}
     if len(tree_darts) != 2 * (len(tree_vertices) - 1):
         return "tree-tagged edges do not form a tree"
-    recorded = set(step.tree_children)
-    for kids in step.tree_children.values():
+    recorded = set(children)
+    for kids in children.values():
         recorded |= set(kids)
     if recorded != tree_vertices:
         return "recorded tree nodes disagree with tree-tagged edges"
@@ -357,7 +358,7 @@ def _trace_shape_violation(step: TraceStep) -> str | None:
             adj.setdefault(a, set()).add(b)
             adj.setdefault(b, set()).add(a)
     seen: set[int] = set()
-    branch = _leftmost_branch(step.tree_children, step.root)
+    branch = _leftmost_branch(children, root)
     deepest_attached = None
     for start in adj:
         if start in seen:
@@ -381,7 +382,7 @@ def _trace_shape_violation(step: TraceStep) -> str | None:
         if deepest_attached is None or \
                 branch.index(node) > branch.index(deepest_attached):
             deepest_attached = node
-    if deepest_attached is not None and step.current != deepest_attached:
+    if deepest_attached is not None and current != deepest_attached:
         return "current vertex is not the deepest attachment"
     return None
 
@@ -389,18 +390,20 @@ def _trace_shape_violation(step: TraceStep) -> str | None:
 def check_trace_shape(n_max: int) -> CheckResult:
     corpora = _corpora()
     fails = []
+    found: list[str | None] = []    # one entry per prepare step of a map
+
+    def on_step(kind, *state):
+        if kind == 'prepare':
+            found.append(_trace_shape_violation(*state))
+
     count = 0
     for n in range(0, n_max + 1):
         for m in corpora.maps(n):
-            trace: list[TraceStep] = []
-            map_to_tree(m, trace=trace)
-            for step in trace:
-                if step.kind != 'prepare':
-                    continue
-                bad = _trace_shape_violation(step)
-                if bad is not None:
-                    fails.append(f"map {m.canonical_code()}: {bad}")
-                count += 1
+            map_to_tree(m, trace=on_step)
+            fails += [f"map {m.canonical_code()}: {bad}" for bad in found
+                      if bad is not None]
+            count += len(found)
+            found.clear()
     return _result('trace-shape', fails,
                    f"{count} prepare steps, sizes 0..{n_max}")
 
@@ -414,13 +417,12 @@ def check_trace_reversal(n_max: int) -> CheckResult:
     advance = {'A1', 'A2', 'A3'}
     for n in range(0, n_max + 1):
         for dt in corpora.trees(n):
-            fwd: list[TraceStep] = []
-            back: list[TraceStep] = []
-            m = tree_to_map(dt, trace=back)
-            map_to_tree(m, trace=fwd)
-            kinds_fwd = [s.kind for s in fwd if s.kind in advance]
-            kinds_back = [s.kind[:-1] for s in back
-                          if s.kind.endswith("'")]
+            fwd: list[str] = []
+            back: list[str] = []
+            m = tree_to_map(dt, trace=lambda kind, *_: back.append(kind))
+            map_to_tree(m, trace=lambda kind, *_: fwd.append(kind))
+            kinds_fwd = [k for k in fwd if k in advance]
+            kinds_back = [k[:-1] for k in back if k.endswith("'")]
             if kinds_fwd != list(reversed(kinds_back)):
                 fails.append(f"tree {dt}: {kinds_fwd} vs "
                              f"reversed {kinds_back}")

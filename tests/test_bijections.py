@@ -1,15 +1,17 @@
 import random
+from collections import Counter
 
 import pytest
 
-from tamari_atlas.bijections import (TraceStep, certificates,
-                                     interval_to_map, interval_to_tree,
-                                     map_to_interval, map_to_tree,
-                                     tree_to_interval, tree_to_map)
+from tamari_atlas.bijections import (certificates, interval_to_map,
+                                     interval_to_tree, map_to_interval,
+                                     map_to_tree, tree_to_interval,
+                                     tree_to_map)
 from tamari_atlas.dyck import DyckPath, NewInterval, interval_stats, \
     rising_contacts
-from tamari_atlas.enumeration import enum_maps_oracle, enum_new_intervals
-from tamari_atlas.maps import from_hypermap, parse_hypermap
+from tamari_atlas.enumeration import (enum_degree_trees, enum_maps_oracle,
+                                      enum_new_intervals)
+from tamari_atlas.maps import PlanarMap, from_hypermap, parse_hypermap
 from tamari_atlas.trees import (DegreeTree, PlaneTree, find_violation,
                                  parse_degree_tree)
 from tamari_atlas.verify import (check_one_face_specialization,
@@ -115,9 +117,34 @@ def test_size_zero_statistics_exception():
 def test_trace_does_not_change_result():
     for n in range(0, 4):
         for m in enum_maps_oracle(n):
-            trace: list[TraceStep] = []
-            assert map_to_tree(m, trace=trace) == map_to_tree(m)
-            assert (len(trace) > 0) == (n > 0)
+            kinds: list[str] = []
+            assert map_to_tree(m, trace=lambda k, *_: kinds.append(k)) == \
+                map_to_tree(m)
+            assert (len(kinds) > 0) == (n > 0)
+
+
+def test_trace_makes_no_per_step_copies(monkeypatch):
+    copies = []
+    plain_copy = PlanarMap.copy
+
+    def counted_copy(self):
+        copies.append(self)
+        return plain_copy(self)
+
+    monkeypatch.setattr(PlanarMap, 'copy', counted_copy)
+    # the edgeless map returns before its working copy, so start at 1
+    for n in range(1, 5):
+        for m in enum_maps_oracle(n):
+            seen = []
+            copies.clear()
+            map_to_tree(m, trace=lambda kind, w, *_: seen.append(w))
+            assert copies == [m]
+            assert seen and all(w is seen[0] for w in seen)
+    for n in range(0, 5):
+        for dt in enum_degree_trees(n):
+            copies.clear()
+            tree_to_map(dt, trace=lambda *_: None)
+            assert copies == []
 
 
 def test_trace_shape_after_every_prepare():
@@ -198,3 +225,40 @@ def test_random_trees_roundtrip_all_directions_at_5000():
         interval = tree_to_interval(dt)
         assert interval.size == 5001
         assert interval_to_tree(interval) == dt
+
+
+def _edge_kinds(dt: DegreeTree) -> tuple[int, int, int]:
+    """Leaf edges, zero-labelled internal edges and positive edges."""
+    leaf = zero = positive = 0
+    for v in range(1, dt.tree.node_count):
+        if dt.label_of(v) > 0:
+            positive += 1
+        elif dt.tree.children[v]:
+            zero += 1
+        else:
+            leaf += 1
+    return leaf, zero, positive
+
+
+def _assert_trace_counts(dt: DegreeTree):
+    back: Counter[str] = Counter()
+    fwd: Counter[str] = Counter()
+    m = tree_to_map(dt, trace=lambda kind, *_: back.update((kind,)))
+    assert m.canonical_code() == tree_to_map(dt).canonical_code()
+    out = map_to_tree(m, trace=lambda kind, *_: fwd.update((kind,)))
+    assert out == map_to_tree(m) == dt
+    assert (fwd['A1'], fwd['A2'], fwd['A3']) == _edge_kinds(out)
+    assert (back["A1'"], back["A2'"], back["A3'"]) == _edge_kinds(dt)
+    assert back['embed'] == (dt.size > 0)
+
+
+def test_trace_counts_cases_up_to_6():
+    for n in range(0, 7):
+        for dt in enum_degree_trees(n):
+            _assert_trace_counts(dt)
+
+
+def test_trace_counts_cases_at_3000():
+    rng = random.Random(6)
+    for _ in range(3):
+        _assert_trace_counts(random_degree_tree(rng, 3000))

@@ -108,6 +108,28 @@ def test_trace_command(tmp_path):
         assert int(idx) == i
         assert rest.startswith("n=")
     assert len(list(trace_dir.iterdir())) == len(lines) - 1
+    assert out == TRACE_DOUBLE_FROM_TREE
+    code, out = run(['trace', '--from', 'map'],
+                    stdin="n=2 sigma=(1 2) alpha=(1 2) root=1\n")
+    assert code == 0
+    assert out == TRACE_DOUBLE_FROM_MAP
+
+
+TRACE_DOUBLE_FROM_TREE = '''\
+0 embed n=2 sigma=(1)(2 3)(4) alpha=(1 2)(3 4) root=1 tags=1:T:1,3:T:0
+1 A1' n=2 sigma=(1)(2 3)(4) alpha=(1 2)(3 4) root=1 tags=1:T:1,3:M
+2 A3' n=2 sigma=(3 5)(4 6) alpha=(3 4)(5 6) root=5 tags=3:M,5:M
+result n=2 sigma=(1 2) alpha=(1 2) root=1
+'''
+
+TRACE_DOUBLE_FROM_MAP = '''\
+0 A3 n=2 sigma=(3 6)(4)(5) alpha=(3 4)(5 6) root=3 tags=3:M,5:T:1
+1 prepare n=2 sigma=(3 6)(4)(5) alpha=(3 4)(5 6) root=3 tags=3:M,5:T:1
+2 A1 n=2 sigma=(3 6)(4)(5) alpha=(3 4)(5 6) root=3 tags=3:T:0,5:T:1
+3 backtrack n=2 sigma=(3 6)(4)(5) alpha=(3 4)(5 6) root=3 tags=3:T:0,5:T:1
+4 prepare n=2 sigma=(3 6)(4)(5) alpha=(3 4)(5 6) root=3 tags=3:T:0,5:T:1
+result (1:(0:()))
+'''
 
 
 def test_verify_command_passes():
@@ -156,6 +178,16 @@ def test_missing_map_field_names_line(capsys):
     assert out == ""
     assert capsys.readouterr().err == \
         "error: line 1: missing field 'alpha'\n"
+
+
+def test_huge_map_size_names_line(capsys):
+    # the cycles are counted before a permutation of size n is allocated
+    code, out = run(['convert', '--from', 'map', '--to', 'tree'],
+                    stdin=f"n={10 ** 19} sigma=(1) alpha=(1) root=1\n")
+    assert code == 1
+    assert out == ""
+    assert capsys.readouterr().err == \
+        f"error: line 1: cycles '(1)' do not cover 1..{10 ** 19} exactly\n"
 
 
 def test_error_names_line_past_blank_and_comment_lines(capsys):

@@ -102,15 +102,14 @@ def test_surgery_delete_sole_edge():
     white = m.vertex_of(m.mate(d))
     m.delete_edge(d)
     assert m.edge_count == 0
-    m.remove_isolated_vertex(white)
-    assert m.vertices() == [m.root_vertex()]
+    assert m.vertex_darts(white) == m.vertex_darts(m.root_vertex()) == []
 
 
 def test_surgery_add_edge_across_face():
     m = build(SINGLE)
     d = m.root_corner
     assert len(m.face_orbits()) == 1
-    m.add_edge_between_corners(d, m.mate(d))
+    m.add_edge(('corner', d), ('corner', m.mate(d)))
     assert m.edge_count == 2
     assert len(m.face_orbits()) == 2
     assert m.is_valid()
