@@ -31,8 +31,10 @@ vertex's rotation, every step takes constant time, so the direction runs
 in near-linear time on random inputs. PlanarMap.is_bridge keeps the
 face-walk definition as the independent reference.
 
-Each direction also checks its own invariants as it goes and raises
-RuntimeError if one fails; a failure means a bug, not bad input.
+A DegreeTree or NewInterval is valid once built; a PlanarMap is
+mutable, so map_to_tree checks its input. Each direction also checks
+its own invariants as it goes and raises RuntimeError if one fails; a
+failure means a bug, not bad input.
 
 The interval side goes through certificates: nodes are processed in
 reverse preorder, and a node with leftmost edge label r sends its
@@ -49,20 +51,8 @@ from typing import Callable
 
 from .dyck import DyckPath, NewInterval, factor_rising_contacts
 from .maps import BLACK, PlanarMap, edgeless_map
-from .trees import (DegreeTree, PlaneTree, dyck_to_plane_tree, find_violation,
+from .trees import (DegreeTree, PlaneTree, dyck_to_plane_tree,
                     plane_tree_to_dyck)
-
-
-def _check_map(m: PlanarMap):
-    bad = m.find_violation()
-    if bad is not None:
-        raise ValueError(f"invalid input map: {bad}")
-
-
-def _check_tree(dt: DegreeTree):
-    bad = find_violation(dt)
-    if bad is not None:
-        raise ValueError(f"invalid degree tree: {bad}")
 
 
 def map_to_tree(m: PlanarMap, trace: Callable[..., None] | None = None
@@ -73,7 +63,9 @@ def map_to_tree(m: PlanarMap, trace: Callable[..., None] | None = None
     ``trace(kind, w, current, root, children)`` with the live working map
     and the live vertex -> children (left to right) mapping; copy them to
     keep a state."""
-    _check_map(m)
+    bad = m.find_violation()
+    if bad is not None:
+        raise ValueError(f"invalid input map: {bad}")
     if m.edge_count == 0:
         return DegreeTree(PlaneTree(((),)), ())
     w = m.copy()
@@ -198,12 +190,11 @@ def map_to_tree(m: PlanarMap, trace: Callable[..., None] | None = None
             children[p].append(idx)
             edge_labels.append(labels[v])
         todo.extend((c, idx) for c in reversed(kids[v]))
-    dt = DegreeTree(PlaneTree(tuple(map(tuple, children))),
-                    tuple(edge_labels))
-    bad = find_violation(dt)
-    if bad is not None:
-        raise RuntimeError(f"map_to_tree built an invalid tree: {bad}")
-    return dt
+    try:
+        return DegreeTree(PlaneTree(tuple(map(tuple, children))),
+                          tuple(edge_labels))
+    except ValueError as exc:
+        raise RuntimeError(f"map_to_tree built an invalid tree: {exc}")
 
 
 def tree_to_map(dt: DegreeTree, trace: Callable[..., None] | None = None
@@ -211,8 +202,7 @@ def tree_to_map(dt: DegreeTree, trace: Callable[..., None] | None = None
     """Transform a degree tree into a rooted bipartite planar map.
 
     ``trace`` is called as in :func:`map_to_tree`, with current None, root
-    0 and the embedded tree's children mapping, which stays fixed."""
-    _check_tree(dt)
+    0 and children None: the tree shrinks into the map as it goes."""
     if dt.size == 0:
         return edgeless_map()
 
@@ -238,9 +228,7 @@ def tree_to_map(dt: DegreeTree, trace: Callable[..., None] | None = None
             up_dart.setdefault(0, p_dart)
             w.root_corner = p_dart
     if trace is not None:
-        kids = {vert[v]: tuple(vert[c] for c in tree.children[v])
-                for v in range(tree.node_count)}
-        trace('embed', w, None, 0, kids)
+        trace('embed', w, None, 0, None)
 
     for node in tree.postorder():
         if node == 0:
@@ -278,7 +266,7 @@ def tree_to_map(dt: DegreeTree, trace: Callable[..., None] | None = None
             w.contract_edge(p)
             kind = "A3'"
         if trace is not None:
-            trace(kind, w, None, 0, kids)
+            trace(kind, w, None, 0, None)
 
     if any(w.tag_of(d) != 'M' for d in w.darts()):
         raise RuntimeError("tree_to_map left tree edges unconverted")
@@ -307,7 +295,6 @@ def certificates(dt: DegreeTree) -> CertificateAssignment:
     before the (r+1)-st black one. Leaves and label-0 nodes certify
     themselves.
     """
-    _check_tree(dt)
     tree = dt.tree
     n1 = tree.node_count
     black = [True] * n1
@@ -361,9 +348,7 @@ def interval_to_tree(interval: NewInterval) -> DegreeTree:
         kids = tree.children[node]
         if kids:
             labels[kids[0] - 1] = contacts[node]
-    dt = DegreeTree(tree, tuple(labels))
-    _check_tree(dt)
-    return dt
+    return DegreeTree(tree, tuple(labels))
 
 
 def map_to_interval(m: PlanarMap) -> NewInterval:

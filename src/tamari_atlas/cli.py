@@ -32,8 +32,7 @@ from .dyck import NewInterval, interval_stats
 from .enumeration import (enum_degree_trees, enum_maps_oracle,
                           enum_new_intervals, gf_table, gf_table_lines)
 from .maps import PlanarMap, cycles_str, from_hypermap, parse_hypermap
-from .trees import degree_tree_to_dot, find_violation, parse_degree_tree, \
-    tree_stats
+from .trees import degree_tree_to_dot, parse_degree_tree, tree_stats
 from .verify import report_lines, verify_suite
 
 
@@ -72,11 +71,7 @@ def _parse_object(kind: str, text: str):
     if kind == 'interval':
         return NewInterval.parse(text)
     if kind == 'tree':
-        dt = parse_degree_tree(text)
-        bad = find_violation(dt)
-        if bad is not None:
-            raise ValueError(f"invalid degree tree: {bad}")
-        return dt
+        return parse_degree_tree(text)
     if kind == 'map':
         return from_hypermap(parse_hypermap(text))
     raise CliError(f"unknown object kind {kind!r}")

@@ -7,7 +7,9 @@ A degree tree adds one non-negative label per non-root node, attached to
 the edge joining it to its parent; canonical storage is this edge
 labeling, the node labeling is always derived from it. A degree tree is
 valid when every non-leftmost edge carries 0 and every leftmost edge
-carries at most the derived label of the child below it.
+carries at most the derived label of the child below it; like the other
+value types, a DegreeTree enforces this when it is built, so every
+DegreeTree in hand is valid.
 
 Text form: ``(1:(0:()))`` is a chain of three nodes with edge labels 1
 and 0 from the root down.
@@ -130,8 +132,9 @@ def plane_tree_to_dyck(tree: PlaneTree) -> DyckPath:
 
 @dataclass(frozen=True)
 class DegreeTree:
-    """Plane tree with an edge labeling; edge_labels[v-1] labels the edge
-    from node v (preorder index, v >= 1) to its parent."""
+    """Valid degree tree: a plane tree with an edge labeling, where
+    edge_labels[v-1] labels the edge from node v (preorder index, v >= 1)
+    to its parent. Building an invalid one raises ValueError."""
 
     tree: PlaneTree
     edge_labels: tuple[int, ...]
@@ -141,6 +144,9 @@ class DegreeTree:
             raise ValueError("need one label per edge")
         if any(x < 0 for x in self.edge_labels):
             raise ValueError("edge labels must be non-negative")
+        bad = find_violation(self)
+        if bad is not None:
+            raise ValueError(f"invalid degree tree: {bad}")
 
     @property
     def size(self) -> int:
@@ -164,11 +170,8 @@ class DegreeTree:
 
 
 def parse_degree_tree(text: str) -> DegreeTree:
-    """Parse the ``(label:subtree ...)`` text form.
-
-    Parsing is permissive about where nonzero labels appear; structural
-    validity is checked separately by :func:`find_violation`.
-    """
+    """Parse the ``(label:subtree ...)`` text form into a valid degree
+    tree; raises ValueError on bad syntax or an invalid labeling."""
     s = ''.join(text.split())
     pos = 0
     children: list[list[int]] = []
@@ -213,7 +216,7 @@ def node_labels(dt: DegreeTree) -> tuple[int, ...]:
     """Derived node labeling: 0 on leaves, and on an internal node with k
     children, k minus the leftmost edge label plus the children's labels.
 
-    The computation is total; validity is a separate check.
+    The computation is total, so the validity check can run it.
     """
     tree = dt.tree
     ell = [0] * tree.node_count
@@ -226,8 +229,9 @@ def node_labels(dt: DegreeTree) -> tuple[int, ...]:
 
 
 def find_violation(dt: DegreeTree) -> str | None:
-    """None if dt is a valid degree tree, else a message naming the first
-    offending edge (by the preorder index of its lower node)."""
+    """None if dt's labeling is valid, else a message naming the first
+    offending edge (by the preorder index of its lower node). The
+    DegreeTree constructor calls it; nothing else needs to."""
     tree = dt.tree
     ell = node_labels(dt)
     for v in range(tree.node_count):
@@ -241,10 +245,6 @@ def find_violation(dt: DegreeTree) -> str | None:
                 return (f"edge to node {c}: label {lab} exceeds child "
                         f"label {ell[c]}")
     return None
-
-
-def is_valid(dt: DegreeTree) -> bool:
-    return find_violation(dt) is None
 
 
 def edge_labels_from_node_labels(tree: PlaneTree,
@@ -264,11 +264,7 @@ def edge_labels_from_node_labels(tree: PlaneTree,
             raise ValueError(f"node {v}: no admissible leftmost label "
                              f"(would need {a})")
         labels[kids[0] - 1] = a
-    dt = DegreeTree(tree, tuple(labels))
-    bad = find_violation(dt)
-    if bad is not None:
-        raise ValueError(f"inconsistent node labeling: {bad}")
-    return dt
+    return DegreeTree(tree, tuple(labels))
 
 
 def degree_tree_to_dot(dt: DegreeTree) -> str:

@@ -537,9 +537,9 @@ def check_map_sanity(n_max: int) -> CheckResult:
 
 
 def verify_suite(n_max: int) -> list[CheckResult]:
-    """Run every check, bounded by n_max (maps capped at 6 edges, trees at
-    6 nodes of depth budget, intervals one size larger). Results come back
-    sorted by check id."""
+    """Run every check, bounded by n_max (maps and trees capped at 6
+    edges, intervals one size larger). Results come back sorted by check
+    id."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     maps_n = min(n_max, 6)

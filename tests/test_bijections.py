@@ -143,8 +143,10 @@ def test_trace_makes_no_per_step_copies(monkeypatch):
     for n in range(0, 5):
         for dt in enum_degree_trees(n):
             copies.clear()
-            tree_to_map(dt, trace=lambda *_: None)
+            children = []
+            tree_to_map(dt, trace=lambda *step: children.append(step[4]))
             assert copies == []
+            assert all(kids is None for kids in children)
 
 
 def test_trace_shape_after_every_prepare():

@@ -1,8 +1,10 @@
 import io
+import sys
 
 import pytest
 
 import tamari_atlas.cli as cli
+import tamari_atlas.trees as trees
 from tamari_atlas.enumeration import enum_maps_oracle
 from tamari_atlas.verify import CheckResult
 
@@ -222,3 +224,22 @@ def test_deep_chain_roundtrips(depth, maximal):
         assert code == 0
         assert back == tree + "\n"
 
+
+@pytest.mark.parametrize('dst', ['map', 'interval'])
+def test_convert_validates_each_tree_once(monkeypatch, dst):
+    # count the tree checks through every module that binds the function
+    plain = trees.find_violation
+    calls = []
+
+    def counted(dt):
+        calls.append(dt)
+        return plain(dt)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith('tamari_atlas') and \
+                getattr(module, 'find_violation', None) is plain:
+            monkeypatch.setattr(module, 'find_violation', counted)
+    code, _ = run(['convert', '--from', 'tree', '--to', dst],
+                  stdin="(1:(0:()))\n")
+    assert code == 0
+    assert len(calls) == 1

@@ -1,4 +1,5 @@
 import contextlib
+import doctest
 import io
 import pathlib
 import runpy
@@ -31,3 +32,9 @@ step trace of tree -> map:
 ''')
     assert "map  -> tree    : (1:(0:()))" in out
     assert "int  -> map     : n=2 sigma=(1 2) alpha=(1 2) root=1" in out
+
+
+def test_readme_examples_run_as_doctests():
+    readme = DEMOS.parent / 'README.md'
+    result = doctest.testfile(str(readme), module_relative=False)
+    assert result.attempted > 0 and result.failed == 0

@@ -91,3 +91,20 @@ def test_only_maps_reads_planar_map_storage():
                  if isinstance(node, ast.Attribute)
                  and node.attr in PLANAR_MAP_FIELDS]
         assert not found, f"{module.name}: PlanarMap storage read at {found}"
+
+
+def test_only_trees_names_the_tree_check():
+    # a DegreeTree validates itself when built, so no other module calls
+    # trees.find_violation; PlanarMap.find_violation is a method and
+    # does not count
+    package = Path(tamari_atlas.__file__).parent
+    for module in sorted(package.glob('*.py')):
+        if module == package / 'trees.py':
+            continue
+        tree = ast.parse(module.read_text(), filename=str(module))
+        found = [node.lineno for node in ast.walk(tree)
+                 if (isinstance(node, ast.Name)
+                     and node.id == 'find_violation')
+                 or (isinstance(node, ast.alias)
+                     and 'find_violation' in (node.name, node.asname))]
+        assert not found, f"{module.name}: find_violation named at {found}"

@@ -2,9 +2,9 @@ import pytest
 
 from tamari_atlas.enumeration import enum_degree_trees
 from tamari_atlas.trees import (DegreeTree, PlaneTree,
-                                edge_labels_from_node_labels, find_violation,
-                                is_valid, node_labels, parse_degree_tree,
-                                tree_from_nested, tree_stats)
+                                edge_labels_from_node_labels, node_labels,
+                                parse_degree_tree, tree_from_nested,
+                                tree_stats)
 
 
 def test_plane_tree_validation():
@@ -44,11 +44,13 @@ def test_node_labels_examples():
 
 
 def test_validate_examples():
-    assert is_valid(parse_degree_tree("(0:())"))
-    assert not is_valid(parse_degree_tree("(1:())"))
-    assert is_valid(parse_degree_tree("(1:(0:()))"))
-    bad = parse_degree_tree("(0:()1:())")
-    assert "non-leftmost" in find_violation(bad)
+    # a DegreeTree checks its labeling when built, so parsing validates
+    parse_degree_tree("(0:())")
+    parse_degree_tree("(1:(0:()))")
+    with pytest.raises(ValueError, match="exceeds"):
+        parse_degree_tree("(1:())")
+    with pytest.raises(ValueError, match="non-leftmost"):
+        parse_degree_tree("(0:()1:())")
 
 
 def test_parser_and_text_form():
@@ -66,6 +68,8 @@ def test_degree_tree_field_validation():
         DegreeTree(tree, ())
     with pytest.raises(ValueError):
         DegreeTree(tree, (-1,))
+    with pytest.raises(ValueError, match="exceeds"):
+        DegreeTree(tree, (1,))
 
 
 def test_edge_labels_from_node_labels_examples():
