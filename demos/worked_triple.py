@@ -13,18 +13,17 @@ from tamari_atlas import (NewInterval, interval_stats, interval_to_map,
                           parse_degree_tree, parse_hypermap,
                           tree_to_interval, tree_to_map)
 from tamari_atlas.cli import tagged_map_code
-from tamari_atlas.maps import from_hypermap
 
-double_edge = from_hypermap(parse_hypermap("n=2 sigma=(1 2) alpha=(1 2) root=1"))
+double_edge = parse_hypermap("n=2 sigma=(1 2) alpha=(1 2) root=1")
 tree = parse_degree_tree("(1:(0:()))")
 interval = NewInterval.parse("uuddud;uuuddd")
 
 print("map  -> tree    :", map_to_tree(double_edge))
 print("map  -> interval:", map_to_interval(double_edge))
-print("tree -> map     :", tree_to_map(tree).canonical_code())
+print("tree -> map     :", tree_to_map(tree))
 print("tree -> interval:", tree_to_interval(tree))
 print("int  -> tree    :", interval_to_tree(interval))
-print("int  -> map     :", interval_to_map(interval).canonical_code())
+print("int  -> map     :", interval_to_map(interval))
 
 print("\nstatistics transported by the bijection:")
 s = double_edge.stats()

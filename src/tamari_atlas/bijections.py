@@ -31,10 +31,12 @@ vertex's rotation, every step takes constant time, so the direction runs
 in near-linear time on random inputs. PlanarMap.is_bridge keeps the
 face-walk definition as the independent reference.
 
-A DegreeTree or NewInterval is valid once built; a PlanarMap is
-mutable, so map_to_tree checks its input. Each direction also checks
-its own invariants as it goes and raises RuntimeError if one fails; a
-failure means a bug, not bad input.
+Maps cross the API as HypermapCodes: map_to_tree builds its working
+PlanarMap from the code, and tree_to_map codes its working map back. A
+HypermapCode, DegreeTree or NewInterval is valid once built, so no
+direction checks its input. Each direction checks its own invariants as
+it goes, the output's validity included, and raises RuntimeError if one
+fails; a failure means a bug, not bad input.
 
 The interval side goes through certificates: nodes are processed in
 reverse preorder, and a node with leftmost edge label r sends its
@@ -50,25 +52,22 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .dyck import DyckPath, NewInterval, factor_rising_contacts
-from .maps import BLACK, PlanarMap, edgeless_map
+from .maps import BLACK, HypermapCode, PlanarMap, from_hypermap
 from .trees import (DegreeTree, PlaneTree, dyck_to_plane_tree,
                     plane_tree_to_dyck)
 
 
-def map_to_tree(m: PlanarMap, trace: Callable[..., None] | None = None
-                ) -> DegreeTree:
+def map_to_tree(code: HypermapCode,
+                trace: Callable[..., None] | None = None) -> DegreeTree:
     """Transform a rooted bipartite planar map into a degree tree.
 
     ``trace``, if given, is called after each step as
-    ``trace(kind, w, current, root, children)`` with the live working map
-    and the live vertex -> children (left to right) mapping; copy them to
-    keep a state."""
-    bad = m.find_violation()
-    if bad is not None:
-        raise ValueError(f"invalid input map: {bad}")
-    if m.edge_count == 0:
+    ``trace(kind, w, current, root, children)`` with the live working
+    PlanarMap and the live vertex -> children (left to right) mapping;
+    copy them to keep a state."""
+    if code.n == 0:
         return DegreeTree(PlaneTree(((),)), ())
-    w = m.copy()
+    w = from_hypermap(code)
     for d in w.darts():
         w.set_tag(d, 'M')
 
@@ -198,13 +197,13 @@ def map_to_tree(m: PlanarMap, trace: Callable[..., None] | None = None
 
 
 def tree_to_map(dt: DegreeTree, trace: Callable[..., None] | None = None
-                ) -> PlanarMap:
+                ) -> HypermapCode:
     """Transform a degree tree into a rooted bipartite planar map.
 
     ``trace`` is called as in :func:`map_to_tree`, with current None, root
     0 and children None: the tree shrinks into the map as it goes."""
     if dt.size == 0:
-        return edgeless_map()
+        return HypermapCode(0, (), (), 0)
 
     # embed the tree in preorder: clockwise rotation at each node is
     # [parent, rightmost child, ..., leftmost child], so a child's dart
@@ -270,12 +269,12 @@ def tree_to_map(dt: DegreeTree, trace: Callable[..., None] | None = None
 
     if any(w.tag_of(d) != 'M' for d in w.darts()):
         raise RuntimeError("tree_to_map left tree edges unconverted")
-    w.clear_tags()
-    w.recolor_bipartite()
-    bad = w.find_violation()
-    if bad is not None:
-        raise RuntimeError(f"tree_to_map built an invalid map: {bad}")
-    return w
+    try:
+        # the code checks itself: permutations, transitivity and genus
+        w.recolor_bipartite()
+        return w.to_hypermap()
+    except ValueError as exc:
+        raise RuntimeError(f"tree_to_map built an invalid map: {exc}")
 
 
 @dataclass(frozen=True)
@@ -351,9 +350,9 @@ def interval_to_tree(interval: NewInterval) -> DegreeTree:
     return DegreeTree(tree, tuple(labels))
 
 
-def map_to_interval(m: PlanarMap) -> NewInterval:
-    return tree_to_interval(map_to_tree(m))
+def map_to_interval(code: HypermapCode) -> NewInterval:
+    return tree_to_interval(map_to_tree(code))
 
 
-def interval_to_map(interval: NewInterval) -> PlanarMap:
+def interval_to_map(interval: NewInterval) -> HypermapCode:
     return tree_to_map(interval_to_tree(interval))

@@ -73,12 +73,8 @@ def _parse_object(kind: str, text: str):
     if kind == 'tree':
         return parse_degree_tree(text)
     if kind == 'map':
-        return from_hypermap(parse_hypermap(text))
+        return parse_hypermap(text)
     raise CliError(f"unknown object kind {kind!r}")
-
-
-def _serialize(kind: str, obj) -> str:
-    return obj.canonical_code() if kind == 'map' else str(obj)
 
 
 def _object_stats(kind: str, obj) -> tuple[int, int, int, int]:
@@ -99,6 +95,8 @@ _CONVERT = {
     ('tree', 'map'): tree_to_map,
     ('map', 'interval'): map_to_interval,
     ('map', 'tree'): map_to_tree,
+    # map text need not be canonical; its working map codes it canonically
+    ('map', 'map'): lambda code: from_hypermap(code).to_hypermap(),
 }
 
 _FAMILY_KIND = {'intervals': 'interval', 'trees': 'tree', 'maps': 'map'}
@@ -184,7 +182,7 @@ def _cmd_enumerate(args, out) -> int:
     else:
         objs = enum_maps_oracle(args.size)
     for obj in objs:
-        line = _serialize(kind, obj)
+        line = str(obj)
         if args.with_stats:
             line += '\t' + ' '.join(map(str, _object_stats(kind, obj)))
         print(line, file=out)
@@ -196,7 +194,7 @@ def _cmd_convert(args, out) -> int:
     for number, line in _read_lines(args.input):
         with _at_line(number):
             result = fn(_parse_object(args.src, line))
-        print(_serialize(args.dst, result), file=out)
+        print(result, file=out)
     return 0
 
 
@@ -226,7 +224,8 @@ def _cmd_render(args, out) -> int:
     for number, line in _read_lines(args.input):
         with _at_line(number):
             obj = _parse_object(args.kind, line)
-        dot = obj.to_dot() if args.kind == 'map' else degree_tree_to_dot(obj)
+        dot = (from_hypermap(obj).to_dot() if args.kind == 'map'
+               else degree_tree_to_dot(obj))
         print(dot, file=out)
     return 0
 
@@ -235,7 +234,6 @@ def _cmd_trace(args, out) -> int:
     if args.trace_dir is not None:
         os.makedirs(args.trace_dir, exist_ok=True)
     fn = map_to_tree if args.src == 'map' else tree_to_map
-    dst = 'tree' if args.src == 'map' else 'map'
     for obj_index, (number, line) in enumerate(_read_lines(args.input)):
         steps = itertools.count()
 
@@ -250,7 +248,7 @@ def _cmd_trace(args, out) -> int:
 
         with _at_line(number):
             result = fn(_parse_object(args.src, line), trace=show)
-        print(f"result {_serialize(dst, result)}", file=out)
+        print(f"result {result}", file=out)
     return 0
 
 

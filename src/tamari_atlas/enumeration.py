@@ -24,8 +24,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .dyck import (DyckPath, NewInterval, bracket_vector, iter_dyck_words,
                    interval_stats)
-from .maps import (HypermapCode, PlanarMap, bfs_edge_order, from_hypermap,
-                   perm_cycles)
+from .maps import HypermapCode, bfs_edge_order, perm_cycles
 from .trees import DegreeTree, PlaneTree, dyck_to_plane_tree
 
 
@@ -161,10 +160,10 @@ def _grow(level: list[tuple[tuple[int, ...], tuple[int, ...]]],
     return sorted(out)
 
 
-def enum_maps_oracle(n: int) -> list[PlanarMap]:
-    """All rooted bipartite planar maps with n edges, one canonically
-    labelled representative per root-preserving isomorphism class, in
-    increasing order of their (sigma, alpha) pair.
+def enum_maps_oracle(n: int) -> list[HypermapCode]:
+    """All rooted bipartite planar maps with n edges, as the canonical
+    code of each root-preserving isomorphism class, in increasing order of
+    their (sigma, alpha) pair.
 
     Independent of the bijections: grows permutation pairs one edge at a
     time from the one-edge map. Every map with n >= 2 edges is a map with
@@ -177,11 +176,11 @@ def enum_maps_oracle(n: int) -> list[PlanarMap]:
     if n < 0:
         raise ValueError("size must be non-negative")
     if n == 0:
-        return [from_hypermap(HypermapCode(0, (), (), 0))]
+        return [HypermapCode(0, (), (), 0)]
     level = [((0, 1), (0, 1))]   # the one-edge map, index 0 unused
     for k in range(2, n + 1):
         level = _grow(level, k)
-    return [from_hypermap(HypermapCode(n, sigma[1:], alpha[1:], 1))
+    return [HypermapCode(n, sigma[1:], alpha[1:], 1)
             for sigma, alpha in level]
 
 
@@ -213,7 +212,7 @@ def gf_tally(family: str, objects: Iterable) -> GfTable:
             key = (obj.size, s.rcont - 1, s.c00, s.c01, s.c11)
         elif family == 'maps':
             s = obj.stats()
-            key = (obj.edge_count, s.outdeg, s.black, s.white, s.face)
+            key = (obj.n, s.outdeg, s.black, s.white, s.face)
         else:
             raise ValueError(f"unknown family {family!r}")
         table[key] = table.get(key, 0) + 1

@@ -1,5 +1,6 @@
 r"""
-Rooted bipartite planar maps as half-edge structures.
+Rooted bipartite planar maps: the HypermapCode value type, and the
+PlanarMap half-edge structure that the bijections work on.
 
 Each edge carries two darts paired by the ``mate`` involution; ``next_cw``
 gives the next dart in clockwise order around the dart's vertex. Corners
@@ -27,8 +28,11 @@ one walker :func:`perm_cycles`. The canonical code relabels edges in the
 order of :func:`bfs_edge_order`, the one breadth-first search over a
 permutation pair, which the map oracle in ``enumeration`` also uses.
 
-Maps are mutable through the surgery primitives and therefore must be
-owned by a single thread at a time; the encodings are immutable values.
+A HypermapCode is how a map crosses the API: like the other families'
+value types it is immutable and checks itself when built, so every one
+in hand is a valid map. A PlanarMap is built from one by
+:func:`from_hypermap`, coded back by ``to_hypermap``, and changed by the
+surgery primitives, so it must be owned by a single thread at a time.
 """
 
 from __future__ import annotations
@@ -98,7 +102,9 @@ def bfs_edge_order(sigma: Sequence[int], alpha: Sequence[int],
 
 @dataclass(frozen=True, slots=True)
 class HypermapCode:
-    """Permutation-pair encoding of a rooted bipartite planar map."""
+    """Rooted bipartite planar map as a permutation pair. Building one
+    that is not a transitive genus-0 pair with its root in range raises
+    ValueError, so every HypermapCode in hand is a valid map."""
 
     n: int
     sigma: tuple[int, ...]
@@ -132,6 +138,20 @@ class HypermapCode:
         return perm_cycles([sigma[a] for a in (0,) + self.alpha],
                            range(1, self.n + 1))
 
+    def stats(self) -> MapStats:
+        """One black vertex per sigma cycle, one white vertex per alpha
+        cycle, one face per face cycle; the outer face is the face cycle
+        through the root edge, whose length is its half-degree. The
+        edgeless map is one black vertex in one face."""
+        if self.n == 0:
+            return MapStats(1, 0, 1, 0)
+        ids = range(1, self.n + 1)
+        faces = self.face_cycles()
+        return MapStats(len(perm_cycles((0,) + self.sigma, ids)),
+                        len(perm_cycles((0,) + self.alpha, ids)),
+                        len(faces),
+                        len(next(c for c in faces if self.root in c)))
+
     def __str__(self) -> str:
         if self.n == 0:
             return "n=0"
@@ -162,12 +182,15 @@ def _parse_cycles(n: int, text: str) -> tuple[int, ...]:
 
 def parse_hypermap(text: str) -> HypermapCode:
     """Parse the hypermap text form; whitespace and newlines both accepted
-    between the fields."""
+    between the fields, each field at most once."""
     parts = re.split(r'\b(n|sigma|alpha|root)=', text)
     if len(parts) < 3 or parts[0].strip():
         raise ValueError(f"malformed map text {text!r}")
-    fields = {parts[i]: parts[i + 1].strip()
-              for i in range(1, len(parts) - 1, 2)}
+    fields: dict[str, str] = {}
+    for name, value in zip(parts[1::2], parts[2::2]):
+        if name in fields:
+            raise ValueError(f"duplicate field {name!r}")
+        fields[name] = value.strip()
 
     def field(name: str) -> str:
         if name not in fields:
@@ -438,10 +461,6 @@ class PlanarMap:
             self._vrep[w] = first
         return w
 
-    def clear_tags(self):
-        self._tag = [None] * len(self._tag)
-        self._label = [0] * len(self._label)
-
     def recolor_bipartite(self):
         """Recolor all vertices by breadth-first 2-coloring from the root
         vertex (black). Fails on odd cycles."""
@@ -460,10 +479,12 @@ class PlanarMap:
             raise ValueError("map is not connected")
         self._color = [colors.get(v) for v in range(len(self._color))]
 
-    # -- validation & statistics --------------------------------------------
+    # -- validation ----------------------------------------------------------
 
     def find_violation(self) -> str | None:
-        """None if this is a valid rooted bipartite planar map."""
+        """None if this is a valid rooted bipartite planar map. For maps
+        built by hand: a map from :func:`from_hypermap` is valid, since
+        its code is."""
         nxt, prv, mate, vertex = (self._next, self._prev, self._mate,
                                   self._vertex)
         color, vrep = self._color, self._vrep
@@ -529,16 +550,6 @@ class PlanarMap:
             return "root vertex is not black"
         return None
 
-    def is_valid(self) -> bool:
-        return self.find_violation() is None
-
-    def stats(self) -> MapStats:
-        black, white = self._color.count(BLACK), self._color.count(WHITE)
-        if not self.edge_count:
-            return MapStats(black, white, 1, 0)
-        return MapStats(black, white, len(self.face_orbits()),
-                        len(self.outer_face()) // 2)
-
     # -- encodings -----------------------------------------------------------
 
     def to_hypermap(self) -> HypermapCode:
@@ -596,14 +607,10 @@ class PlanarMap:
         return '\n'.join(lines)
 
 
-def edgeless_map() -> PlanarMap:
-    return PlanarMap()
-
-
 def from_hypermap(code: HypermapCode) -> PlanarMap:
-    """Half-edge structure of a permutation-pair encoding; black dart of
-    edge e is 2e-1, white dart 2e, and the root corner is the black corner
-    preceding the root edge."""
+    """Working map of a permutation-pair encoding; black dart of edge e is
+    2e-1, white dart 2e, and the root corner is the black corner preceding
+    the root edge."""
     m = PlanarMap()  # its vertex 0 is black, as is the first sigma cycle
     if code.n == 0:
         return m

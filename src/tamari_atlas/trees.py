@@ -247,26 +247,6 @@ def find_violation(dt: DegreeTree) -> str | None:
     return None
 
 
-def edge_labels_from_node_labels(tree: PlaneTree,
-                                 ell: tuple[int, ...]) -> DegreeTree:
-    """Recover the canonical edge labeling from a node labeling."""
-    if len(ell) != tree.node_count:
-        raise ValueError("need one node label per node")
-    labels = [0] * tree.size
-    for v in range(tree.node_count):
-        kids = tree.children[v]
-        if not kids:
-            if ell[v] != 0:
-                raise ValueError(f"leaf {v} has nonzero label {ell[v]}")
-            continue
-        a = len(kids) + sum(ell[c] for c in kids) - ell[v]
-        if not 0 <= a <= ell[kids[0]]:
-            raise ValueError(f"node {v}: no admissible leftmost label "
-                             f"(would need {a})")
-        labels[kids[0] - 1] = a
-    return DegreeTree(tree, tuple(labels))
-
-
 def degree_tree_to_dot(dt: DegreeTree) -> str:
     """Graphviz rendering: nodes by preorder index, edges labeled."""
     lines = ["graph degree_tree {", "  node [shape=circle];"]

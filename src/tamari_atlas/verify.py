@@ -40,8 +40,8 @@ class CheckResult:
 class _Corpora:
     """Each size of each family and each generating-function table,
     built on first use and kept for the lifetime of the object. Maps are
-    kept as their canonical codes and rebuilt on every read, which takes
-    a fraction of the memory of the maps themselves."""
+    the oracle's HypermapCodes; ``maps`` builds a working PlanarMap from
+    each on every read, for the checks that walk darts."""
 
     def __init__(self):
         self._built: dict[tuple, object] = {}
@@ -52,13 +52,7 @@ class _Corpora:
         return self._built[key]
 
     def map_codes(self, n: int) -> list[HypermapCode]:
-        def build():
-            maps = enum_maps_oracle(n)
-            # code the maps from the back, so each is freed once coded
-            codes = [maps.pop().to_hypermap() for _ in range(len(maps))]
-            codes.reverse()
-            return codes
-        return self._get(('maps', n), build)
+        return self._get(('maps', n), lambda: enum_maps_oracle(n))
 
     def maps(self, n: int) -> Iterator[PlanarMap]:
         return map(from_hypermap, self.map_codes(n))
@@ -72,7 +66,7 @@ class _Corpora:
     def gf(self, family: str, max_size: int) -> GfTable:
         """:func:`~tamari_atlas.enumeration.gf_table` over these corpora."""
         if family == 'maps':
-            sizes, objects = range(0, max_size + 1), self.maps
+            sizes, objects = range(0, max_size + 1), self.map_codes
         else:
             sizes, objects = range(1, max_size + 1), self.intervals
         return self._get(('gf', family, max_size), lambda: gf_tally(
@@ -123,10 +117,8 @@ def check_roundtrip_map_tree(n_max: int) -> CheckResult:
                 fails.append(f"tree {dt} not recovered")
             count += 1
         for code in corpora.map_codes(n):
-            text = str(code)
-            if tree_to_map(map_to_tree(from_hypermap(code))
-                           ).canonical_code() != text:
-                fails.append(f"map {text} not recovered")
+            if tree_to_map(map_to_tree(code)) != code:
+                fails.append(f"map {code} not recovered")
             count += 1
     return _result('roundtrip-map-tree', fails,
                    f"{count} objects, sizes 0..{n_max}")
@@ -155,12 +147,12 @@ def check_theorem_stats(n_max: int) -> CheckResult:
     fails = []
     count = 0
     for n in range(1, n_max + 1):
-        for m in corpora.maps(n):
-            ms = m.stats()
-            s = interval_stats(map_to_interval(m))
+        for code in corpora.map_codes(n):
+            ms = code.stats()
+            s = interval_stats(map_to_interval(code))
             if (ms.white, ms.black, ms.face, ms.outdeg) != \
                     (s.c00, s.c01, 1 + s.c11, s.rcont - 1):
-                fails.append(f"map {m.canonical_code()}: {ms} vs {s}")
+                fails.append(f"map {code}: {ms} vs {s}")
             count += 1
     return _result('theorem-stats', fails, f"{count} maps, sizes 1..{n_max}")
 
@@ -214,8 +206,7 @@ def check_oracle_equivalence(n_max: int) -> CheckResult:
     fails = []
     for n in range(0, n_max + 1):
         oracle = {str(code) for code in corpora.map_codes(n)}
-        image = {tree_to_map(dt).canonical_code()
-                 for dt in corpora.trees(n)}
+        image = {str(tree_to_map(dt)) for dt in corpora.trees(n)}
         if oracle != image:
             fails.append(f"size {n}: oracle-only {sorted(oracle - image)}, "
                          f"image-only {sorted(image - oracle)}")
@@ -223,23 +214,16 @@ def check_oracle_equivalence(n_max: int) -> CheckResult:
                    f"canonical-code sets equal for sizes 0..{n_max}")
 
 
-def _internal_half_degrees(m: PlanarMap) -> Counter:
-    outer = frozenset(m.outer_face())
-    out: Counter = Counter()
-    for orbit in m.face_orbits():
-        if frozenset(orbit) != outer:
-            out[len(orbit) // 2] += 1
-    return out
-
-
 def check_face_multiset(n_max: int) -> CheckResult:
     corpora = _corpora()
     fails = []
     count = 0
     for n in range(0, n_max + 1):
-        for m in corpora.maps(n):
-            faces = _internal_half_degrees(m)
-            dt = map_to_tree(m)
+        for code in corpora.map_codes(n):
+            # a face cycle's length is its face's half-degree
+            faces = Counter(len(c) for c in code.face_cycles()
+                            if code.root not in c)
+            dt = map_to_tree(code)
             labels = Counter(x for x in dt.edge_labels if x > 0)
             interval = tree_to_interval(dt)
             contacts: Counter = Counter()
@@ -251,7 +235,7 @@ def check_face_multiset(n_max: int) -> CheckResult:
                     if r > 0:
                         contacts[r] += 1
             if not faces == labels == contacts:
-                fails.append(f"map {m.canonical_code()}: faces {dict(faces)}, "
+                fails.append(f"map {code}: faces {dict(faces)}, "
                              f"labels {dict(labels)}, "
                              f"contacts {dict(contacts)}")
             count += 1
@@ -398,9 +382,9 @@ def check_trace_shape(n_max: int) -> CheckResult:
 
     count = 0
     for n in range(0, n_max + 1):
-        for m in corpora.maps(n):
-            map_to_tree(m, trace=on_step)
-            fails += [f"map {m.canonical_code()}: {bad}" for bad in found
+        for code in corpora.map_codes(n):
+            map_to_tree(code, trace=on_step)
+            fails += [f"map {code}: {bad}" for bad in found
                       if bad is not None]
             count += len(found)
             found.clear()
@@ -472,13 +456,12 @@ def check_one_face_specialization(n_max: int) -> CheckResult:
     fails = []
     count = 0
     for n in range(0, n_max + 1):
-        for m in corpora.maps(n):
-            if m.edge_count > 0 and len(m.face_orbits()) != 1:
+        for code in corpora.map_codes(n):
+            if code.n > 0 and len(code.face_cycles()) != 1:
                 continue
-            dt = map_to_tree(m)
+            dt = map_to_tree(code)
             if any(dt.edge_labels):
-                fails.append(f"map {m.canonical_code()}: labels "
-                             f"{dt.edge_labels}")
+                fails.append(f"map {code}: labels {dt.edge_labels}")
             count += 1
     return _result('one-face-specialization', fails,
                    f"{count} one-face maps, sizes 0..{n_max}")

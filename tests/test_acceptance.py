@@ -15,7 +15,7 @@ from tamari_atlas.dyck import interval_stats
 from tamari_atlas.enumeration import (count_formula, enum_degree_trees,
                                       enum_maps_oracle, enum_new_intervals,
                                       gf_table)
-from tamari_atlas.maps import from_hypermap, parse_hypermap
+from tamari_atlas.maps import parse_hypermap
 from tamari_atlas.verify import (check_certificate_location,
                                  check_certificate_nesting,
                                  check_face_multiset, check_node_label_lemma,
@@ -67,9 +67,8 @@ def test_criterion_2_roundtrips(maps_by_size):
         for dt in enum_degree_trees(n):
             assert map_to_tree(tree_to_map(dt)) == dt
             assert interval_to_tree(tree_to_interval(dt)) == dt
-        for m in maps_by_size[n]:
-            assert tree_to_map(map_to_tree(m)).canonical_code() == \
-                m.canonical_code()
+        for code in maps_by_size[n]:
+            assert tree_to_map(map_to_tree(code)) == code
     for n in range(1, 7):
         for interval in enum_new_intervals(n):
             assert tree_to_interval(interval_to_tree(interval)) == interval
@@ -80,7 +79,7 @@ def test_criterion_2_roundtrips(maps_by_size):
 def test_criterion_3_theorem_statistics(maps_by_size):
     ok = check_theorem_stats(5).ok
     # the size-0 exception must fail exactly as recorded
-    m = from_hypermap(parse_hypermap("n=0"))
+    m = parse_hypermap("n=0")
     ms = m.stats()
     s = interval_stats(map_to_interval(m))
     exception_as_recorded = (

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 import tamari_atlas.cli as cli
+import tamari_atlas.maps as maps
 import tamari_atlas.trees as trees
 from tamari_atlas.enumeration import enum_maps_oracle
 from tamari_atlas.verify import CheckResult
@@ -63,8 +64,8 @@ def test_convert_skips_blank_and_comment_lines():
 
 
 def test_convert_roundtrip_byte_identical_up_to_4():
-    lines = '\n'.join(m.canonical_code()
-                      for n in range(0, 5) for m in enum_maps_oracle(n))
+    lines = '\n'.join(str(code)
+                      for n in range(0, 5) for code in enum_maps_oracle(n))
     code, as_intervals = run(['convert', '--from', 'map', '--to', 'interval'],
                              stdin=lines)
     assert code == 0
@@ -174,12 +175,17 @@ def test_missing_subcommand_rejected():
 
 
 def test_missing_map_field_names_line(capsys):
-    code, out = run(['convert', '--from', 'map', '--to', 'tree'],
-                    stdin="n=2 sigma=(1 2) root=1\n")
-    assert code == 1
-    assert out == ""
-    assert capsys.readouterr().err == \
-        "error: line 1: missing field 'alpha'\n"
+    # a field may be missing or repeated; either rejects the line
+    for text, message in [
+            ("n=2 sigma=(1 2) root=1", "missing field 'alpha'"),
+            ("n=2 n=1 sigma=(1) alpha=(1) root=1", "duplicate field 'n'"),
+            ("n=2 sigma=(1 2) alpha=(1 2) root=1 root=2",
+             "duplicate field 'root'")]:
+        code, out = run(['convert', '--from', 'map', '--to', 'tree'],
+                        stdin=f"n=1 sigma=(1) alpha=(1) root=1\n{text}\n")
+        assert code == 1
+        assert out == "(0:())\n"
+        assert capsys.readouterr().err == f"error: line 2: {message}\n"
 
 
 def test_huge_map_size_names_line(capsys):
@@ -243,3 +249,34 @@ def test_convert_validates_each_tree_once(monkeypatch, dst):
                   stdin="(1:(0:()))\n")
     assert code == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize('src,lines', [
+    ('map', ["n=2 sigma=(1 2) alpha=(1 2) root=1",
+             "n=2 sigma=(2)(1) alpha=(2 1) root=2"]),
+    ('tree', ["(1:(0:()))", "(0:(0:()))"])], ids=['map-tree', 'tree-map'])
+def test_convert_validates_each_map_once(monkeypatch, src, lines):
+    # map -> tree checks the parsed code, tree -> map the code it builds;
+    # neither runs the dart-level check of PlanarMap
+    code_checks, map_checks = [], []
+    plain_code_check = maps.HypermapCode.__post_init__
+    plain_map_check = maps.PlanarMap.find_violation
+
+    def counted_code_check(code):
+        code_checks.append(code)
+        plain_code_check(code)
+
+    def counted_map_check(m):
+        map_checks.append(m)
+        return plain_map_check(m)
+
+    monkeypatch.setattr(maps.HypermapCode, '__post_init__',
+                        counted_code_check)
+    monkeypatch.setattr(maps.PlanarMap, 'find_violation', counted_map_check)
+    dst = 'tree' if src == 'map' else 'map'
+    code, out = run(['convert', '--from', src, '--to', dst],
+                    stdin=''.join(line + '\n' for line in lines))
+    assert code == 0
+    assert len(out.splitlines()) == len(lines)
+    assert len(code_checks) == len(lines)
+    assert map_checks == []

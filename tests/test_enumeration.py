@@ -77,17 +77,17 @@ def test_enum_maps_small_counts():
 
 def test_enum_maps_all_valid_and_canonical():
     for n in range(0, 5):
-        maps = enum_maps_oracle(n)
-        codes = [m.canonical_code() for m in maps]
+        codes = enum_maps_oracle(n)
         assert len(set(codes)) == len(codes)
-        for m in maps:
-            assert m.is_valid()
-            assert str(m.to_hypermap()) == m.canonical_code()
+        for code in codes:
+            m = from_hypermap(code)
+            assert m.find_violation() is None
+            assert m.canonical_code() == str(code)
 
 
 def test_grown_oracle_matches_permutation_scan():
     for n in range(0, 6):
-        grown = [m.canonical_code() for m in enum_maps_oracle(n)]
+        grown = [str(code) for code in enum_maps_oracle(n)]
         assert len(set(grown)) == len(grown)
         assert set(grown) == scan_map_codes(n), n
 
@@ -103,8 +103,7 @@ def test_grown_oracle_counts_match_formulas_up_to_7():
 
 def test_grown_oracle_output_is_sorted_by_pair():
     for n in range(1, 6):
-        pairs = [(c.sigma, c.alpha)
-                 for c in (m.to_hypermap() for m in enum_maps_oracle(n))]
+        pairs = [(c.sigma, c.alpha) for c in enum_maps_oracle(n)]
         assert pairs == sorted(pairs)
 
 
@@ -158,8 +157,8 @@ def test_deterministic_streams():
             [str(i) for i in enum_new_intervals(n + 1)]
         assert [str(t) for t in enum_degree_trees(n)] == \
             [str(t) for t in enum_degree_trees(n)]
-        assert [m.canonical_code() for m in enum_maps_oracle(n)] == \
-            [m.canonical_code() for m in enum_maps_oracle(n)]
+        assert [str(c) for c in enum_maps_oracle(n)] == \
+            [str(c) for c in enum_maps_oracle(n)]
 
 
 def test_counting_agreement_small():

@@ -58,9 +58,13 @@ def _imported_names(tree: ast.Module) -> dict[str, int]:
 
 def test_no_unused_imports_in_package():
     # a name counts as used when the module reads it or re-exports it in
-    # __all__
+    # __all__; the tests and demos are held to the same rule
     package = Path(tamari_atlas.__file__).parent
-    for module in sorted(package.glob('*.py')):
+    tests = Path(__file__).parent
+    modules = [path for folder in (package, tests, tests.parent / 'demos')
+               for path in sorted(folder.glob('*.py'))]
+    assert len({path.parent for path in modules}) == 3
+    for module in modules:
         tree = ast.parse(module.read_text(), filename=str(module))
         used = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name)}
@@ -108,3 +112,15 @@ def test_only_trees_names_the_tree_check():
                  or (isinstance(node, ast.alias)
                      and 'find_violation' in (node.name, node.asname))]
         assert not found, f"{module.name}: find_violation named at {found}"
+
+
+def test_no_package_module_runs_the_map_check():
+    # maps cross the API as HypermapCodes, which check themselves when
+    # built; PlanarMap.find_violation is left for maps built by hand
+    package = Path(tamari_atlas.__file__).parent
+    for module in sorted(package.glob('*.py')):
+        tree = ast.parse(module.read_text(), filename=str(module))
+        found = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and node.attr == 'find_violation']
+        assert not found, f"{module.name}: map check called at {found}"

@@ -5,8 +5,8 @@ from test_bijections import random_degree_tree
 
 from tamari_atlas.bijections import tree_to_map
 from tamari_atlas.enumeration import enum_maps_oracle
-from tamari_atlas.maps import (BLACK, WHITE, HypermapCode, PlanarMap,
-                               edgeless_map, from_hypermap, parse_hypermap)
+from tamari_atlas.maps import (BLACK, WHITE, HypermapCode, MapStats,
+                               PlanarMap, from_hypermap, parse_hypermap)
 from tamari_atlas.verify import check_map_sanity
 
 
@@ -41,16 +41,39 @@ def test_text_form_byte_exact():
             parse_hypermap(bad)
 
 
+def dart_stats(code: HypermapCode) -> MapStats:
+    """Reference statistics, read off the darts of the working map."""
+    m = from_hypermap(code)
+    colors = [m.color(v) for v in m.vertices()]
+    return MapStats(colors.count(BLACK), colors.count(WHITE),
+                    len(m.face_orbits()) or 1, len(m.outer_face()) // 2)
+
+
+def relabel(code: HypermapCode, rng: random.Random) -> HypermapCode:
+    """The same map with its edge ids shuffled."""
+    n = code.n
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    new = {e: perm[e - 1] for e in range(1, n + 1)}
+    sigma = [0] * n
+    alpha = [0] * n
+    for e in range(1, n + 1):
+        sigma[new[e] - 1] = new[code.sigma[e - 1]]
+        alpha[new[e] - 1] = new[code.alpha[e - 1]]
+    return HypermapCode(n, tuple(sigma), tuple(alpha), new[code.root])
+
+
 def test_edgeless_map():
-    m = edgeless_map()
-    assert m.is_valid()
+    m = PlanarMap()
+    assert m.find_violation() is None
     assert m.edge_count == 0
-    assert m.stats() == type(m.stats())(1, 0, 1, 0)
     assert m.canonical_code() == "n=0"
+    code = parse_hypermap("n=0")
+    assert code.stats() == dart_stats(code) == MapStats(1, 0, 1, 0)
 
 
 def test_validation_examples():
-    assert build(SINGLE).is_valid()
+    assert build(SINGLE).find_violation() is None
     # same-colored endpoints
     m = PlanarMap()
     v = m.new_vertex(BLACK)
@@ -70,21 +93,22 @@ def test_face_orbits_examples():
 
 
 def test_stats_examples():
-    assert build(SINGLE).stats() == build(SINGLE).stats().__class__(1, 1, 1, 1)
-    s = build(DOUBLE).stats()
-    assert (s.black, s.white, s.face, s.outdeg) == (1, 1, 2, 1)
-    s = build(PATH).stats()
-    assert (s.black, s.white, s.face, s.outdeg) == (2, 1, 1, 2)
+    for text, expected in [(SINGLE, (1, 1, 1, 1)), (DOUBLE, (1, 1, 2, 1)),
+                           (PATH, (2, 1, 1, 2))]:
+        code = parse_hypermap(text)
+        assert code.stats() == dart_stats(code) == MapStats(*expected)
 
 
 def test_outdeg_matches_code_face_cycle():
-    # half-degree of the outer face = length of the root edge's face cycle
+    # half-degree of the outer face = length of the root edge's face
+    # cycle, on canonical codes and on codes whose root edge is not 1
+    rng = random.Random(4)
     for n in range(1, 5):
-        for m in enum_maps_oracle(n):
-            code = m.to_hypermap()
-            root_cycle = next(c for c in code.face_cycles()
-                              if code.root in c)
-            assert m.stats().outdeg == len(root_cycle)
+        for code in enum_maps_oracle(n):
+            for c in (code, relabel(code, rng)):
+                root_cycle = next(f for f in c.face_cycles() if c.root in f)
+                assert len(from_hypermap(c).outer_face()) == 2 * len(root_cycle)
+                assert c.stats() == dart_stats(c)
 
 
 def test_is_bridge_examples():
@@ -112,7 +136,7 @@ def test_surgery_add_edge_across_face():
     m.add_edge(('corner', d), ('corner', m.mate(d)))
     assert m.edge_count == 2
     assert len(m.face_orbits()) == 2
-    assert m.is_valid()
+    assert m.find_violation() is None
 
 
 def test_surgery_contract():
@@ -145,7 +169,8 @@ def assert_prev_inverts_next(m):
 
 def test_find_violation_rejects_a_corrupted_prev():
     for n in range(1, 4):
-        for m in enum_maps_oracle(n):
+        for code in enum_maps_oracle(n):
+            m = from_hypermap(code)
             for d in m.darts():
                 bad = m.copy()
                 bad._prev[d] = bad.mate(d)
@@ -153,7 +178,8 @@ def test_find_violation_rejects_a_corrupted_prev():
 
 
 def test_prev_cw_inverts_next_cw_after_surgery():
-    for m in enum_maps_oracle(3):
+    for code in enum_maps_oracle(3):
+        m = from_hypermap(code)
         for d in m.darts():
             w = m.copy()
             w.add_edge(('corner', d), ('vertex', w.new_vertex(WHITE)))
@@ -171,37 +197,24 @@ def test_prev_cw_inverts_next_cw_after_surgery():
 
 def test_hypermap_roundtrip_on_canonical_codes():
     for n in range(0, 5):
-        for m in enum_maps_oracle(n):
-            code = m.to_hypermap()
+        for code in enum_maps_oracle(n):
             again = from_hypermap(code)
             assert again.to_hypermap() == code
-            assert again.canonical_code() == m.canonical_code()
+            assert again.canonical_code() == str(code)
 
 
 def test_three_two_edge_maps_distinct():
-    codes = {m.canonical_code() for m in enum_maps_oracle(2)}
+    codes = {str(code) for code in enum_maps_oracle(2)}
     assert len(codes) == 3
 
 
 def test_canonical_code_invariant_under_relabeling():
     rng = random.Random(7)
-    maps = [m for n in range(1, 6) for m in enum_maps_oracle(n)]
-    maps.append(tree_to_map(random_degree_tree(rng, 2000)))
-    for m in maps:
-        code = m.to_hypermap()
-        n = code.n
-        perm = list(range(1, n + 1))
-        rng.shuffle(perm)
-        relabel = {e: perm[e - 1] for e in range(1, n + 1)}
-        sigma = [0] * n
-        alpha = [0] * n
-        for e in range(1, n + 1):
-            sigma[relabel[e] - 1] = relabel[code.sigma[e - 1]]
-            alpha[relabel[e] - 1] = relabel[code.alpha[e - 1]]
-        shuffled = HypermapCode(n, tuple(sigma), tuple(alpha),
-                                relabel[code.root])
-        assert from_hypermap(shuffled).canonical_code() == \
-            m.canonical_code()
+    codes = [code for n in range(1, 6) for code in enum_maps_oracle(n)]
+    codes.append(tree_to_map(random_degree_tree(rng, 2000)))
+    for code in codes:
+        assert from_hypermap(relabel(code, rng)).canonical_code() == \
+            str(code)
 
 
 def test_euler_and_even_faces_up_to_5():

@@ -1,8 +1,7 @@
 import pytest
 
 from tamari_atlas.enumeration import enum_degree_trees
-from tamari_atlas.trees import (DegreeTree, PlaneTree,
-                                edge_labels_from_node_labels, node_labels,
+from tamari_atlas.trees import (DegreeTree, PlaneTree, node_labels,
                                 parse_degree_tree, tree_from_nested,
                                 tree_stats)
 
@@ -70,23 +69,6 @@ def test_degree_tree_field_validation():
         DegreeTree(tree, (-1,))
     with pytest.raises(ValueError, match="exceeds"):
         DegreeTree(tree, (1,))
-
-
-def test_edge_labels_from_node_labels_examples():
-    single = PlaneTree(((),))
-    assert str(edge_labels_from_node_labels(single, (0,))) == "()"
-    chain2 = tree_from_nested([[]])
-    assert str(edge_labels_from_node_labels(chain2, (1, 0))) == "(0:())"
-    chain3 = tree_from_nested([[[]]])
-    assert str(edge_labels_from_node_labels(chain3, (1, 1, 0))) == "(1:(0:()))"
-    with pytest.raises(ValueError):
-        edge_labels_from_node_labels(single, (1,))
-
-
-def test_node_edge_label_roundtrip_up_to_size_6():
-    for n in range(0, 7):
-        for dt in enum_degree_trees(n):
-            assert edge_labels_from_node_labels(dt.tree, node_labels(dt)) == dt
 
 
 def test_tree_stats_examples():
