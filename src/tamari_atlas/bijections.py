@@ -42,7 +42,11 @@ The interval side goes through certificates: nodes are processed in
 reverse preorder, and a node with leftmost edge label r sends its
 certificate forward past r not-yet-consumed nodes; the lower path is the
 concatenation of u d^(multiplicity) over the preorder, the upper path
-wraps the plane-tree Dyck word in one extra up/down pair.
+wraps the plane-tree Dyck word in one extra up/down pair. A node consumes
+the still-black nodes after it nearest-first and then becomes the
+nearest one itself, so they form a stack: pop r, read the certificate
+off the new top, push the node. Every node is pushed and popped at most
+once, so both interval directions are linear on every tree shape.
 """
 
 from __future__ import annotations
@@ -296,28 +300,19 @@ def certificates(dt: DegreeTree) -> CertificateAssignment:
     """
     tree = dt.tree
     n1 = tree.node_count
-    black = [True] * n1
+    black: list[int] = []   # still-black nodes after v, nearest on top
     cert = [0] * n1
     for v in range(n1 - 1, -1, -1):
         kids = tree.children[v]
         r = dt.label_of(kids[0]) if kids else 0
         if r == 0:
             cert[v] = v
-            continue
-        seen = 0
-        stop = v
-        j = v + 1
-        while True:
-            if j >= n1:
-                raise RuntimeError("certificate search ran off the tree")
-            if black[j]:
-                if seen == r:
-                    break
-                seen += 1
-                black[j] = False
-            stop = j
-            j += 1
-        cert[v] = stop
+        elif len(black) <= r:
+            raise RuntimeError("certificate search ran off the tree")
+        else:
+            del black[-r:]
+            cert[v] = black[-1] - 1
+        black.append(v)
     mult = [0] * n1
     for wv in cert:
         mult[wv] += 1

@@ -3,25 +3,26 @@ single pass/fail line on stdout."""
 
 import io
 import time
-from itertools import permutations
 
 import pytest
 
 import tamari_atlas.cli as cli
-from tamari_atlas.bijections import (interval_to_tree, map_to_interval,
-                                     map_to_tree, tree_to_interval,
-                                     tree_to_map)
+from tamari_atlas.bijections import map_to_interval
 from tamari_atlas.dyck import interval_stats
 from tamari_atlas.enumeration import (count_formula, enum_degree_trees,
                                       enum_maps_oracle, enum_new_intervals,
-                                      gf_table)
+                                      gf_table, gf_tally)
 from tamari_atlas.maps import parse_hypermap
 from tamari_atlas.verify import (check_certificate_location,
                                  check_certificate_nesting,
-                                 check_face_multiset, check_node_label_lemma,
+                                 check_corollary_identity,
+                                 check_face_multiset, check_gf_symmetry,
+                                 check_node_label_lemma,
                                  check_one_face_specialization,
                                  check_oracle_equivalence,
                                  check_rising_contact_labels,
+                                 check_roundtrip_map_tree,
+                                 check_roundtrip_tree_interval,
                                  check_theorem_stats, check_trace_shape,
                                  check_upper_bracket_subtrees)
 
@@ -31,17 +32,6 @@ EXPECTED_COUNTS = {2: 1, 3: 3, 4: 12, 5: 56, 6: 288, 7: 1584}
 @pytest.fixture(scope="module")
 def maps_by_size():
     return {n: enum_maps_oracle(n) for n in range(0, 7)}
-
-
-@pytest.fixture(scope="module")
-def gf_tables(maps_by_size):
-    maps_gf = {}
-    for n, maps in maps_by_size.items():
-        for m in maps:
-            s = m.stats()
-            key = (n, s.outdeg, s.black, s.white, s.face)
-            maps_gf[key] = maps_gf.get(key, 0) + 1
-    return maps_gf, gf_table('intervals', 7)
 
 
 def report(name, ok, detail=""):
@@ -62,17 +52,10 @@ def test_criterion_1_counting(maps_by_size):
            f"{elapsed:.1f}s")
 
 
-def test_criterion_2_roundtrips(maps_by_size):
-    for n in range(0, 6):
-        for dt in enum_degree_trees(n):
-            assert map_to_tree(tree_to_map(dt)) == dt
-            assert interval_to_tree(tree_to_interval(dt)) == dt
-        for code in maps_by_size[n]:
-            assert tree_to_map(map_to_tree(code)) == code
-    for n in range(1, 7):
-        for interval in enum_new_intervals(n):
-            assert tree_to_interval(interval_to_tree(interval)) == interval
-    report("roundtrips", True,
+def test_criterion_2_roundtrips():
+    results = [check_roundtrip_map_tree(5), check_roundtrip_tree_interval(5)]
+    bad = [r.line() for r in results if not r.ok]
+    report("roundtrips", not bad, '; '.join(bad) or
            "all four compositions are identities at the stated sizes")
 
 
@@ -91,35 +74,21 @@ def test_criterion_3_theorem_statistics(maps_by_size):
            "identities hold for 1..5 edges; size-0 exception confirmed")
 
 
-def test_criterion_4_generating_functions(gf_tables):
-    maps_gf, ints_gf = gf_tables
-    # t * F_maps = w * F_intervals, coefficient by coefficient up to t^7
-    shifted = {(n + 1, i, j, k, l - 1): c
-               for (n, i, j, k, l), c in maps_gf.items()}
-    identity_ok = shifted == ints_gf
-    # symmetry of the w-shifted interval series in the three vertex-style
-    # variables, root-degree variable set to 1; degree 1 is the size-zero
-    # exception and must stay one-sided
-    table = {}
-    degree1 = {}
-    for (n, i, j, k, l), c in ints_gf.items():
-        target = table if n >= 2 else degree1
-        key = (n, j, k, l + 1)
-        target[key] = target.get(key, 0) + c
-    symmetric_ok = True
-    for perm in permutations(range(3)):
-        permuted = {}
-        for (n, j, k, l), c in table.items():
-            e = (j, k, l)
-            key = (n,) + tuple(e[p] for p in perm)
-            permuted[key] = permuted.get(key, 0) + c
-        if permuted != table:
-            symmetric_ok = False
-    exception_ok = degree1 == {(1, 1, 0, 1): 1}
-    report("generating-functions",
-           identity_ok and symmetric_ok and exception_ok,
-           "identity up to t^7; symmetry for t^2..t^7; t^1 exception "
-           "confirmed one-sided")
+def test_criterion_4_generating_functions(maps_by_size):
+    # t * F_maps = w * F_intervals up to t^7, and the symmetry from t^2
+    results = [check_corollary_identity(6), check_gf_symmetry(6)]
+    # degree 1 is the size-zero exception, which gf-symmetry leaves out:
+    # the edgeless map's coefficient, w-shifted on the interval side, is
+    # one-sided in the three vertex-style variables
+    degree1 = {(j, k, l + 1): c for (n, i, j, k, l), c
+               in gf_table('intervals', 1).items()}
+    size0 = {(j, k, l): c for (n, i, j, k, l), c
+             in gf_tally('maps', maps_by_size[0]).items()}
+    exception_ok = degree1 == size0 == {(1, 0, 1): 1}
+    bad = [r.line() for r in results if not r.ok]
+    report("generating-functions", not bad and exception_ok,
+           '; '.join(bad) or "identity up to t^7; symmetry for t^2..t^7; "
+           "t^1 exception confirmed one-sided")
 
 
 def test_criterion_5_oracle_equivalence():

@@ -2,11 +2,12 @@ import random
 from collections import Counter
 
 import pytest
+from test_cli import chain
 
-from tamari_atlas.bijections import (certificates, interval_to_map,
-                                     interval_to_tree, map_to_interval,
-                                     map_to_tree, tree_to_interval,
-                                     tree_to_map)
+from tamari_atlas.bijections import (CertificateAssignment, certificates,
+                                     interval_to_map, interval_to_tree,
+                                     map_to_interval, map_to_tree,
+                                     tree_to_interval, tree_to_map)
 from tamari_atlas.dyck import DyckPath, NewInterval, interval_stats, \
     rising_contacts
 from tamari_atlas.enumeration import (enum_degree_trees, enum_maps_oracle,
@@ -57,6 +58,62 @@ def test_certificates_examples():
     c = certificates(parse_degree_tree("(1:(0:()))"))
     assert c.certificate == (1, 1, 2)
     assert c.multiplicity == (0, 2, 1)
+
+
+def scan_certificates(dt: DegreeTree) -> CertificateAssignment:
+    """Reference assignment: for each node in reverse preorder, scan
+    forward over the nodes after it, stepping over the red ones, to find
+    the (r+1)-st black node; quadratic on long chains of positive
+    labels."""
+    tree = dt.tree
+    n1 = tree.node_count
+    black = [True] * n1
+    cert = [0] * n1
+    for v in range(n1 - 1, -1, -1):
+        kids = tree.children[v]
+        r = dt.label_of(kids[0]) if kids else 0
+        if r == 0:
+            cert[v] = v
+            continue
+        seen = 0
+        stop = v
+        j = v + 1
+        while True:
+            if j >= n1:
+                raise RuntimeError("certificate search ran off the tree")
+            if black[j]:
+                if seen == r:
+                    break
+                seen += 1
+                black[j] = False
+            stop = j
+            j += 1
+        cert[v] = stop
+    mult = [0] * n1
+    for wv in cert:
+        mult[wv] += 1
+    return CertificateAssignment(tuple(cert), tuple(mult))
+
+
+def test_certificates_match_scan():
+    for n in range(0, 8):
+        for dt in enum_degree_trees(n):
+            assert certificates(dt) == scan_certificates(dt), dt
+    rng = random.Random(1)
+    for _ in range(3):
+        dt = random_degree_tree(rng, 10 ** 4)
+        assert certificates(dt) == scan_certificates(dt)
+    dt = parse_degree_tree(chain(2000, True))
+    assert certificates(dt) == scan_certificates(dt)
+
+
+# scan_certificates steps over every red node and takes minutes on the
+# maximal chain at this depth; map->tree on that chain is still
+# quadratic, so the map direction is left out
+@pytest.mark.parametrize('maximal', [True, False])
+def test_deep_chain_interval_roundtrips(maximal):
+    dt = parse_degree_tree(chain(10 ** 5, maximal))
+    assert interval_to_tree(tree_to_interval(dt)) == dt
 
 
 def test_tree_to_interval_examples():
