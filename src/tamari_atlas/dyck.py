@@ -69,7 +69,7 @@ def match_index(path: DyckPath, i: int) -> int:
             balance -= 1
         else:
             balance += 1
-    raise AssertionError("unbalanced path slipped past validation")
+    raise RuntimeError("unbalanced path slipped past validation")
 
 
 def factor_between(path: DyckPath, i: int) -> DyckPath:

@@ -191,7 +191,7 @@ def count_formula(n: int) -> int:
     num = 3 * 2 ** (n - 2) * math.factorial(2 * n - 2)
     den = math.factorial(n - 1) * math.factorial(n + 1)
     if num % den:
-        raise AssertionError("formula did not divide exactly")
+        raise RuntimeError("formula did not divide exactly")
     return num // den
 
 

@@ -484,7 +484,9 @@ class PlanarMap:
     def find_violation(self) -> str | None:
         """None if this is a valid rooted bipartite planar map. For maps
         built by hand: a map from :func:`from_hypermap` is valid, since
-        its code is."""
+        its code is. Once the storage, colours and root are sound, the
+        map is valid exactly when its code is, so connectivity and
+        genus are left to :class:`HypermapCode`."""
         nxt, prv, mate, vertex = (self._next, self._prev, self._mate,
                                   self._vertex)
         color, vrep = self._color, self._vrep
@@ -514,7 +516,6 @@ class PlanarMap:
             if c == color[vertex[mate[d]]]:
                 return (f"edge at dart {d} joins two "
                         f"{'black' if c == BLACK else 'white'} vertices")
-        # connectivity over vertices, plus the edgeless special case
         vertices = self.vertices()
         isolated = [v for v in vertices if not vrep[v]]
         if not darts:
@@ -527,27 +528,15 @@ class PlanarMap:
             return None
         if isolated:
             return f"isolated vertex {isolated[0]} in a map with edges"
-        seen = [False] * len(color)
-        seen[vertices[0]] = True
-        reached = [vertices[0]]
-        for v in reached:
-            for d in self.vertex_darts(v):
-                u = vertex[mate[d]]
-                if not seen[u]:
-                    seen[u] = True
-                    reached.append(u)
-        if len(reached) != len(vertices):
-            return "map is not connected"
-        edges = len(darts) // 2
-        f_count = len(self.face_orbits())
-        if len(vertices) - edges + f_count != 2:
-            return (f"genus is not 0: V={len(vertices)} E={edges} "
-                    f"F={f_count}")
         root = self.root_corner
         if root is None or not self._is_dart(root):
             return "missing root corner"
         if color[vertex[root]] != BLACK:
             return "root vertex is not black"
+        try:
+            self.to_hypermap()
+        except ValueError as exc:
+            return str(exc)
         return None
 
     # -- encodings -----------------------------------------------------------
@@ -572,6 +561,8 @@ class PlanarMap:
             rot = sigma if color[vertex[d]] == BLACK else alpha
             rot[raw[d]] = raw[nxt[d]]
         order = bfs_edge_order(sigma, alpha, raw[self.root_corner])
+        if len(order) < n:
+            raise ValueError("map is not connected")
         # edge order[i - 1] gets label i
         label = [0] * (n + 1)
         for i, e in enumerate(order, 1):

@@ -11,12 +11,15 @@ carries at most the derived label of the child below it; like the other
 value types, a DegreeTree enforces this when it is built, so every
 DegreeTree in hand is valid.
 
-Text form: ``(1:(0:()))`` is a chain of three nodes with edge labels 1
-and 0 from the root down.
+Text form: the tree's Dyck word in parentheses, with ``LABEL:(`` for
+each up step (LABEL on the edge it walks down) and ``)`` for each down
+step. ``(1:(0:()))`` is a chain of three nodes with edge labels 1 and 0
+from the root down.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .dyck import DyckPath
@@ -29,19 +32,7 @@ class PlaneTree:
     children: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        # children lists must realize the preorder numbering
-        for kids in self.children:
-            for c in kids:
-                if not 0 < c < len(self.children):
-                    raise ValueError("child index out of range")
-        stack = [0]
-        order = []
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            stack.extend(reversed(self.children[v]))
-        if order != list(range(len(self.children))):
-            raise ValueError("children lists do not follow preorder")
+        _subtree_ends(self.children)
 
     @property
     def node_count(self) -> int:
@@ -75,10 +66,8 @@ class PlaneTree:
 
     def subtree_sizes(self) -> tuple[int, ...]:
         """Number of proper descendants of each node."""
-        sizes = [0] * self.node_count
-        for v in reversed(range(self.node_count)):
-            sizes[v] = sum(sizes[c] + 1 for c in self.children[v])
-        return tuple(sizes)
+        return tuple(end - v - 1
+                     for v, end in enumerate(_subtree_ends(self.children)))
 
     def depths(self) -> tuple[int, ...]:
         par = self.parents()
@@ -86,6 +75,25 @@ class PlaneTree:
         for v in range(1, self.node_count):
             dep[v] = dep[par[v]] + 1
         return tuple(dep)
+
+
+def _subtree_ends(children) -> list[int]:
+    """ends[v]: one past the last preorder index in v's subtree. Raises
+    ValueError unless the children lists realize the preorder numbering:
+    in reverse preorder, node v's children must be v+1, then the end of
+    each earlier child's subtree, and the root's must be the last node."""
+    n = len(children)
+    ends = [0] * n
+    for v in reversed(range(n)):
+        nxt = v + 1
+        for c in children[v]:
+            if c != nxt or c >= n:
+                raise ValueError("children lists do not follow preorder")
+            nxt = ends[c]
+        ends[v] = nxt
+    if ends[:1] != [n]:
+        raise ValueError("children lists do not follow preorder")
+    return ends
 
 
 def tree_from_nested(nested) -> PlaneTree:
@@ -117,17 +125,22 @@ def dyck_to_plane_tree(path: DyckPath) -> PlaneTree:
     return PlaneTree(tuple(tuple(k) for k in children))
 
 
-def plane_tree_to_dyck(tree: PlaneTree) -> DyckPath:
-    """Inverse of dyck_to_plane_tree: in preorder, each node enters by an
-    up step after the down steps that climb back to its parent."""
+def _word(tree: PlaneTree, ups, down: str) -> str:
+    """The tree's Dyck word with node v's up step spelled ups[v-1]: in
+    preorder, each node enters after the down steps back to its parent."""
     out: list[str] = []
     height = 0
     depth = tree.depths()
-    for v in range(1, tree.node_count):
-        out.append('d' * (height - depth[v] + 1) + 'u')
+    for v, up in zip(range(1, tree.node_count), ups):
+        out.append(down * (height - depth[v] + 1) + up)
         height = depth[v]
-    out.append('d' * height)
-    return DyckPath(''.join(out))
+    out.append(down * height)
+    return ''.join(out)
+
+
+def plane_tree_to_dyck(tree: PlaneTree) -> DyckPath:
+    """Inverse of dyck_to_plane_tree."""
+    return DyckPath(_word(tree, ['u'] * tree.size, 'd'))
 
 
 @dataclass(frozen=True)
@@ -157,59 +170,26 @@ class DegreeTree:
         return self.edge_labels[v - 1]
 
     def __str__(self) -> str:
-        # in preorder, each node opens after the closers back to its parent
-        parts = ["("]
-        height = 0
-        depth = self.tree.depths()
-        for v in range(1, self.tree.node_count):
-            parts.append(")" * (height - depth[v] + 1)
-                         + f"{self.label_of(v)}:(")
-            height = depth[v]
-        parts.append(")" * (height + 1))
-        return "".join(parts)
+        ups = [f"{x}:(" for x in self.edge_labels]
+        return "(" + _word(self.tree, ups, ")") + ")"
 
 
 def parse_degree_tree(text: str) -> DegreeTree:
-    """Parse the ``(label:subtree ...)`` text form into a valid degree
+    """Parse the text form (whitespace is ignored) into a valid degree
     tree; raises ValueError on bad syntax or an invalid labeling."""
     s = ''.join(text.split())
-    pos = 0
-    children: list[list[int]] = []
-    labels: list[int] = []           # labels[v-1]: edge above node v
-
-    def fail(msg: str):
-        raise ValueError(f"degree tree parse error at {pos}: {msg}")
-
-    def open_node() -> int:
-        nonlocal pos
-        if pos >= len(s) or s[pos] != '(':
-            fail("expected '('")
-        pos += 1
-        children.append([])
-        return len(children) - 1
-
-    path = [open_node()]             # nodes whose ')' is still to come
-    while path:
-        if pos >= len(s):
-            fail("unbalanced parentheses")
-        if s[pos] == ')':
-            pos += 1
-            path.pop()
-            continue
-        start = pos
-        while pos < len(s) and s[pos].isdigit():
-            pos += 1
-        if pos == start or pos >= len(s) or s[pos] != ':':
-            fail("expected 'label:'")
-        labels.append(int(s[start:pos]))
-        pos += 1
-        child = open_node()
-        children[path[-1]].append(child)
-        path.append(child)
-    if pos != len(s):
-        fail("trailing input")
-    tree = PlaneTree(tuple(tuple(k) for k in children))
-    return DegreeTree(tree, tuple(labels))
+    inner = s[1:-1]
+    if (s[:1] != "(" or s[-1:] != ")"
+            or re.sub(r"\d+:\(|\)", "", inner)):
+        raise ValueError("degree tree text must be '(', then 'LABEL:(' "
+                         "and ')' steps, then ')'")
+    try:
+        path = DyckPath(re.sub(r"\d+:\(", "u", inner).replace(")", "d"))
+    except ValueError:
+        raise ValueError("unbalanced parentheses in degree tree "
+                         "text") from None
+    labels = tuple(map(int, re.findall(r"\d+", inner)))
+    return DegreeTree(dyck_to_plane_tree(path), labels)
 
 
 def node_labels(dt: DegreeTree) -> tuple[int, ...]:
@@ -230,8 +210,10 @@ def node_labels(dt: DegreeTree) -> tuple[int, ...]:
 
 def find_violation(dt: DegreeTree) -> str | None:
     """None if dt's labeling is valid, else a message naming the first
-    offending edge (by the preorder index of its lower node). The
-    DegreeTree constructor calls it; nothing else needs to."""
+    offending edge, taking the upper nodes in preorder and each one's
+    edges left to right; the message names the edge by the preorder
+    index of its lower node. The DegreeTree constructor calls it;
+    nothing else needs to."""
     tree = dt.tree
     ell = node_labels(dt)
     for v in range(tree.node_count):

@@ -4,15 +4,25 @@ from pathlib import Path
 import tamari_atlas
 
 
+def _raises_assertion_error(node: ast.AST) -> bool:
+    """``raise AssertionError`` or ``raise AssertionError(...)``."""
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return getattr(exc, 'id', None) == 'AssertionError'
+
+
 def test_no_assert_statements_in_package():
-    # invariants must survive python -O, which strips assert statements
+    # invariants must survive python -O, which strips assert statements,
+    # and a broken invariant raises RuntimeError, not AssertionError
     package = Path(tamari_atlas.__file__).parent
     modules = sorted(package.glob('*.py'))
     assert modules
     for module in modules:
         tree = ast.parse(module.read_text(), filename=str(module))
         found = [node.lineno for node in ast.walk(tree)
-                 if isinstance(node, ast.Assert)]
+                 if isinstance(node, ast.Assert)
+                 or _raises_assertion_error(node)]
         assert not found, f"{module.name}: assert at lines {found}"
 
 

@@ -80,6 +80,22 @@ def test_validation_examples():
     a, _ = m.add_edge(('vertex', m.root_vertex()), ('vertex', v))
     m.root_corner = a
     assert "black vertices" in m.find_violation()
+    # two components, each one edge
+    m = PlanarMap()
+    a, _ = m.add_edge(('vertex', 0), ('vertex', m.new_vertex(WHITE)))
+    m.add_edge(('vertex', m.new_vertex(BLACK)),
+               ('vertex', m.new_vertex(WHITE)))
+    m.root_corner = a
+    assert m.find_violation() == "map is not connected"
+    # three parallel edges in the same cw order around both ends: one
+    # face, so V - E + F = 0, genus 1
+    m = PlanarMap()
+    a, b = m.add_edge(('vertex', 0), ('vertex', m.new_vertex(WHITE)))
+    c, _ = m.add_edge(('after', a), ('corner', b))
+    m.add_edge(('after', c), ('corner', b))
+    m.root_corner = a
+    assert len(m.face_orbits()) == 1
+    assert m.find_violation() == "not genus 0: cycle count 3 != 5"
 
 
 def test_face_orbits_examples():

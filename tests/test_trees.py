@@ -1,9 +1,62 @@
+import itertools
+import os
+import random
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import pytest
 
-from tamari_atlas.enumeration import enum_degree_trees
-from tamari_atlas.trees import (DegreeTree, PlaneTree, node_labels,
-                                parse_degree_tree, tree_from_nested,
-                                tree_stats)
+import tamari_atlas
+from tamari_atlas.enumeration import enum_degree_trees, enum_dyck
+from tamari_atlas.trees import (DegreeTree, PlaneTree, dyck_to_plane_tree,
+                                node_labels, parse_degree_tree,
+                                tree_from_nested, tree_stats)
+
+
+def scan_parse_degree_tree(text: str) -> DegreeTree:
+    """Reference parser: one character at a time with an explicit stack
+    of open nodes. It is the scan the regular-expression parser
+    replaced, kept to test that parser against."""
+    s = ''.join(text.split())
+    pos = 0
+    children: list[list[int]] = []
+    labels: list[int] = []           # labels[v-1]: edge above node v
+
+    def fail(msg: str):
+        raise ValueError(f"degree tree parse error at {pos}: {msg}")
+
+    def open_node() -> int:
+        nonlocal pos
+        if pos >= len(s) or s[pos] != '(':
+            fail("expected '('")
+        pos += 1
+        children.append([])
+        return len(children) - 1
+
+    path = [open_node()]             # nodes whose ')' is still to come
+    while path:
+        if pos >= len(s):
+            fail("unbalanced parentheses")
+        if s[pos] == ')':
+            pos += 1
+            path.pop()
+            continue
+        start = pos
+        while pos < len(s) and s[pos].isdigit():
+            pos += 1
+        if pos == start or pos >= len(s) or s[pos] != ':':
+            fail("expected 'label:'")
+        labels.append(int(s[start:pos]))
+        pos += 1
+        child = open_node()
+        children[path[-1]].append(child)
+        path.append(child)
+    if pos != len(s):
+        fail("trailing input")
+    tree = PlaneTree(tuple(tuple(k) for k in children))
+    return DegreeTree(tree, tuple(labels))
 
 
 def test_plane_tree_validation():
@@ -13,6 +66,45 @@ def test_plane_tree_validation():
         PlaneTree(((2, 1), (), ()))  # children not in preorder
     with pytest.raises(ValueError):
         PlaneTree(((1,), (5,)))
+    with pytest.raises(ValueError):
+        PlaneTree(())  # no root
+
+
+def test_plane_tree_check_ends_on_cyclic_children():
+    # a child list that points back into the tree once made the check
+    # loop forever while its memory grew, so run it where a timeout and
+    # a 1 GiB address-space limit can stop it
+    script = ("import resource\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+              "from tamari_atlas.trees import PlaneTree\n"
+              "for children in [((1,), (1,)), ((1,), (2,), (1,))]:\n"
+              "    try:\n"
+              "        PlaneTree(children)\n"
+              "    except ValueError:\n"
+              "        print('rejected')\n")
+    src = str(Path(tamari_atlas.__file__).parent.parent)
+    done = subprocess.run([sys.executable, '-c', script], timeout=10,
+                          capture_output=True, text=True,
+                          env={**os.environ, 'PYTHONPATH': src})
+    assert done.stdout == "rejected\nrejected\n", done.stderr
+
+
+def test_plane_tree_check_accepts_exactly_the_dyck_trees():
+    # every children tuple on at most 4 nodes whose lists are sequences
+    # of distinct indices (16**4 of them on 4 nodes)
+    for n in range(5):
+        lists = [kids for k in range(n)
+                 for kids in itertools.permutations(range(1, n), k)]
+        accepted = set()
+        for children in itertools.product(lists, repeat=n):
+            try:
+                PlaneTree(children)
+            except ValueError:
+                continue
+            accepted.add(children)
+        expected = ({dyck_to_plane_tree(p).children
+                     for p in enum_dyck(n - 1)} if n else set())
+        assert accepted == expected
 
 
 def test_traversals():
@@ -50,15 +142,67 @@ def test_validate_examples():
         parse_degree_tree("(1:())")
     with pytest.raises(ValueError, match="non-leftmost"):
         parse_degree_tree("(0:()1:())")
+    # the edges to nodes 2 and 3 are both bad; the check takes the upper
+    # nodes in preorder, so it names the root's second edge first
+    tree = PlaneTree(((1, 3), (2,), (), ()))
+    with pytest.raises(ValueError, match="edge to node 3: non-leftmost"):
+        DegreeTree(tree, (0, 1, 1))
 
 
 def test_parser_and_text_form():
     for text in ["()", "(0:())", "(1:(0:()))", "(0:()0:())"]:
         assert str(parse_degree_tree(text)) == text
     assert str(parse_degree_tree(" ( 1 : ( 0 : ( ) ) ) ")) == "(1:(0:()))"
-    for bad in ["", "(", "()x", "(:())", "(1())"]:
+    for bad in BAD_TEXTS:
         with pytest.raises(ValueError):
             parse_degree_tree(bad)
+
+
+BAD_TEXTS = ["", "(", "()x", "(:())", "(1())", "(0:())(0:())", "(0:()))",
+             "())("]
+
+
+def test_parser_memory_is_a_few_copies_of_the_text():
+    # the grammar check keeps no per-character backtracking state, so
+    # rejecting a long grammatical but unbalanced text costs a few
+    # copies of it, not tens of bytes per character
+    text = "(" + "0:(" * 10**5 + ")"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="unbalanced"):
+            parse_degree_tree(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * len(text)
+
+
+def parse_or_error(parse, text):
+    try:
+        return parse(text)
+    except ValueError:
+        return ValueError
+
+
+def test_parser_matches_scan():
+    texts = [str(dt) for n in range(8) for dt in enum_degree_trees(n)]
+    for text in texts:
+        assert str(parse_degree_tree(text)) == text
+    rng = random.Random(10)
+    mutants = []
+    for _ in range(20000):
+        text = rng.choice(texts)
+        i = rng.randrange(len(text))
+        ch = rng.choice("()0123456789: ")
+        mutants.append(rng.choice([text[:i] + ch + text[i:],        # insert
+                                   text[:i] + text[i + 1:],         # delete
+                                   text[:i] + ch + text[i + 1:]]))  # replace
+    outcomes = set()
+    for text in texts + BAD_TEXTS + mutants:
+        got = parse_or_error(parse_degree_tree, text)
+        assert got == parse_or_error(scan_parse_degree_tree, text), text
+        outcomes.add(got is ValueError)
+    assert outcomes == {False, True}
 
 
 def test_degree_tree_field_validation():
