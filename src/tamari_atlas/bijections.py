@@ -28,8 +28,8 @@ marking it explored: an edge is a bridge when the face across it is
 explored, and A3 reads its label as half the input degree of the face
 across it, then flags that face. Apart from scans of the current
 vertex's rotation, every step takes constant time, so the direction runs
-in near-linear time on random inputs. PlanarMap.is_bridge keeps the
-face-walk definition as the independent reference.
+in near-linear time on random inputs. verify's bridge-agreement checks
+each decision through ``trace``, by a cut test on the live working map.
 
 Maps cross the API as HypermapCodes: map_to_tree builds its working
 PlanarMap from the code, and tree_to_map codes its working map back. A

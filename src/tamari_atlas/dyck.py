@@ -35,9 +35,9 @@ class DyckPath:
             else:
                 raise ValueError(f"invalid step {ch!r}, expected 'u' or 'd'")
             if height < 0:
-                raise ValueError(f"path {self.steps!r} falls below the x-axis")
+                raise ValueError("path falls below the x-axis")
         if height != 0:
-            raise ValueError(f"path {self.steps!r} does not end on the x-axis")
+            raise ValueError("path does not end on the x-axis")
 
     @property
     def size(self) -> int:
@@ -184,8 +184,7 @@ class NewInterval:
 
     def __post_init__(self):
         if not is_new_interval(self.lower, self.upper):
-            raise ValueError(
-                f"[{self.lower}; {self.upper}] is not a new interval")
+            raise ValueError("the two paths do not form a new interval")
 
     @property
     def size(self) -> int:
@@ -198,7 +197,7 @@ class NewInterval:
     def parse(text: str) -> "NewInterval":
         parts = text.strip().split(';')
         if len(parts) != 2:
-            raise ValueError(f"expected '<lower>;<upper>', got {text!r}")
+            raise ValueError("expected '<lower>;<upper>'")
         return NewInterval(DyckPath(parts[0]), DyckPath(parts[1]))
 
 

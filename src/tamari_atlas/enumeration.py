@@ -12,9 +12,9 @@ the new edge into every black and white corner (or onto a new vertex of
 either colour), keeps the genus-0 pairs by their cycle count, and
 deduplicates them by their canonical relabelling, in the manner of
 McKay's canonical augmentation ("Isomorph-free exhaustive generation",
-1998). Both it and ``PlanarMap.canonical_code`` label edges with the one
-breadth-first search of ``maps.bfs_edge_order``, so the oracle shares
-code with the maps module only.
+1998). Both it and ``PlanarMap.canonical_code`` relabel edges with
+``maps.canonical_pair``, so the oracle shares code with the maps module
+only.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .dyck import (DyckPath, NewInterval, bracket_vector, iter_dyck_words,
                    interval_stats)
-from .maps import HypermapCode, bfs_edge_order, perm_cycles
+from .maps import HypermapCode, canonical_pair, perm_cycles
 from .trees import DegreeTree, PlaneTree, dyck_to_plane_tree
 
 
@@ -151,12 +151,7 @@ def _grow(level: list[tuple[tuple[int, ...], tuple[int, ...]]],
                 faces = [s[x] for x in a]
                 if c_s + c_a + len(perm_cycles(faces, ids)) != k + 2:
                     continue
-                order = bfs_edge_order(s, a, 1)
-                label = [0] * (k + 1)
-                for i, e in enumerate(order, 1):
-                    label[e] = i
-                out.add(((0, *(label[s[e]] for e in order)),
-                         (0, *(label[a[e]] for e in order))))
+                out.add(canonical_pair(s, a, 1))
     return sorted(out)
 
 
@@ -170,8 +165,8 @@ def enum_maps_oracle(n: int) -> list[HypermapCode]:
     n - 1 edges plus a non-root edge whose deletion keeps it connected,
     so growing every canonical pair of size n - 1 by every insertion of
     edge n reaches every map; the results are relabelled by
-    :func:`~tamari_atlas.maps.bfs_edge_order` (the search behind every
-    canonical code) and deduplicated by the relabelled pair.
+    :func:`~tamari_atlas.maps.canonical_pair` (the relabelling behind
+    every canonical code) and deduplicated by the relabelled pair.
     """
     if n < 0:
         raise ValueError("size must be non-negative")

@@ -24,9 +24,9 @@ faces correspond to orbits of e -> sigma(alpha(e)). Its text form is
 including fixed points, and the edgeless map written ``n=0``.
 
 Every orbit of a permutation, over edge ids or over darts, comes from the
-one walker :func:`perm_cycles`. The canonical code relabels edges in the
-order of :func:`bfs_edge_order`, the one breadth-first search over a
-permutation pair, which the map oracle in ``enumeration`` also uses.
+one walker :func:`perm_cycles`. The canonical code and the map oracle in
+``enumeration`` relabel edges with :func:`canonical_pair`, in the order
+of :func:`bfs_edge_order`, the one breadth-first search over a pair.
 
 A HypermapCode is how a map crosses the API: like the other families'
 value types it is immutable and checks itself when built, so every one
@@ -100,6 +100,20 @@ def bfs_edge_order(sigma: Sequence[int], alpha: Sequence[int],
     return order
 
 
+def canonical_pair(sigma: Sequence[int], alpha: Sequence[int], root: int
+                   ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The pair relabelled in its :func:`bfs_edge_order` from ``root``,
+    indexed by edge with index 0 unused; ValueError if not transitive."""
+    order = bfs_edge_order(sigma, alpha, root)
+    if len(order) < len(sigma) - 1:
+        raise ValueError("map is not connected")
+    label = [0] * len(sigma)
+    for i, e in enumerate(order, 1):
+        label[e] = i
+    return ((0, *(label[sigma[e]] for e in order)),
+            (0, *(label[alpha[e]] for e in order)))
+
+
 @dataclass(frozen=True, slots=True)
 class HypermapCode:
     """Rooted bipartite planar map as a permutation pair. Building one
@@ -116,7 +130,7 @@ class HypermapCode:
             raise ValueError("permutations must act on {1..n}")
         for p in (self.sigma, self.alpha):
             if sorted(p) != list(range(1, self.n + 1)):
-                raise ValueError(f"not a permutation of 1..{self.n}: {p}")
+                raise ValueError(f"not a permutation of 1..{self.n}")
         if self.n == 0:
             if self.root != 0:
                 raise ValueError("edgeless code has root=0")
@@ -170,12 +184,13 @@ def _parse_cycles(n: int, text: str) -> tuple[int, ...]:
     cycles = [[int(t) for t in m.group(1).split()]
               for m in _CYCLE_RE.finditer(text)]
     if sum(map(len, cycles)) != n or re.sub(_CYCLE_RE, '', text).strip():
-        raise ValueError(f"cycles {text!r} do not cover 1..{n} exactly")
+        shown = text if len(text) <= 40 else text[:37] + '...'
+        raise ValueError(f"cycles {shown!r} do not cover 1..{n} exactly")
     perm = [0] * n
     for cyc in cycles:
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             if not 1 <= a <= n or perm[a - 1]:
-                raise ValueError(f"bad cycle notation {text!r}")
+                raise ValueError(f"bad cycle notation at point {a}")
             perm[a - 1] = b
     return tuple(perm)
 
@@ -185,7 +200,7 @@ def parse_hypermap(text: str) -> HypermapCode:
     between the fields, each field at most once."""
     parts = re.split(r'\b(n|sigma|alpha|root)=', text)
     if len(parts) < 3 or parts[0].strip():
-        raise ValueError(f"malformed map text {text!r}")
+        raise ValueError("malformed map text")
     fields: dict[str, str] = {}
     for name, value in zip(parts[1::2], parts[2::2]):
         if name in fields:
@@ -286,9 +301,6 @@ class PlanarMap:
             x = self._next[x]
         return out
 
-    def degree(self, v: int) -> int:
-        return len(self.vertex_darts(v))
-
     def root_vertex(self) -> int:
         if self.root_corner is None:
             # the edgeless map keeps its single vertex
@@ -296,9 +308,6 @@ class PlanarMap:
         return self._vertex[self.root_corner]
 
     # -- edge tags ---------------------------------------------------------
-
-    def edge_key(self, d: int) -> int:
-        return min(d, self._mate[d])
 
     def set_tag(self, d: int, tag: str, label: int = 0):
         m = self._mate[d]
@@ -343,12 +352,6 @@ class PlanarMap:
 
     def _is_dart(self, d: int) -> bool:
         return 0 < d < len(self._mate) and self._mate[d] != 0
-
-    def is_bridge(self, d: int) -> bool:
-        """True iff both darts of d's edge lie in the same face orbit."""
-        if not self._is_dart(d):
-            raise KeyError(f"unknown dart {d}")
-        return self._mate[d] in self.face_of(d)
 
     # -- surgery -----------------------------------------------------------
 
@@ -560,15 +563,8 @@ class PlanarMap:
         for d in self.darts():
             rot = sigma if color[vertex[d]] == BLACK else alpha
             rot[raw[d]] = raw[nxt[d]]
-        order = bfs_edge_order(sigma, alpha, raw[self.root_corner])
-        if len(order) < n:
-            raise ValueError("map is not connected")
-        # edge order[i - 1] gets label i
-        label = [0] * (n + 1)
-        for i, e in enumerate(order, 1):
-            label[e] = i
-        return HypermapCode(n, tuple(label[sigma[e]] for e in order),
-                            tuple(label[alpha[e]] for e in order), 1)
+        sigma, alpha = canonical_pair(sigma, alpha, raw[self.root_corner])
+        return HypermapCode(n, sigma[1:], alpha[1:], 1)
 
     def canonical_code(self) -> str:
         """Root-preserving isomorphism invariant."""

@@ -15,7 +15,7 @@ from collections import Counter
 from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import permutations as iter_permutations
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .bijections import (certificates, interval_to_tree, map_to_interval,
                          map_to_tree, tree_to_interval, tree_to_map)
@@ -40,8 +40,7 @@ class CheckResult:
 class _Corpora:
     """Each size of each family and each generating-function table,
     built on first use and kept for the lifetime of the object. Maps are
-    the oracle's HypermapCodes; ``maps`` builds a working PlanarMap from
-    each on every read, for the checks that walk darts."""
+    the oracle's HypermapCodes."""
 
     def __init__(self):
         self._built: dict[tuple, object] = {}
@@ -53,9 +52,6 @@ class _Corpora:
 
     def map_codes(self, n: int) -> list[HypermapCode]:
         return self._get(('maps', n), lambda: enum_maps_oracle(n))
-
-    def maps(self, n: int) -> Iterator[PlanarMap]:
-        return map(from_hypermap, self.map_codes(n))
 
     def trees(self, n: int) -> list[DegreeTree]:
         return self._get(('trees', n), lambda: enum_degree_trees(n))
@@ -313,12 +309,27 @@ def check_certificate_nesting(n_max: int) -> CheckResult:
                    f"{count} trees, sizes 0..{n_max}")
 
 
-def _leftmost_branch(kids: Mapping[int, Sequence[int]], root: int
-                     ) -> list[int]:
-    out = [root]
-    while kids.get(out[-1]):
-        out.append(kids[out[-1]][0])
-    return out
+def _reached(w: PlanarMap, start: int, crosses: Callable[[int], bool]
+             ) -> set[int]:
+    """Vertices of w reached from ``start`` along the darts that
+    ``crosses`` admits; the one vertex search of the checks."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        for d in w.vertex_darts(frontier.pop()):
+            y = w.vertex_of(w.mate(d))
+            if y not in seen and crosses(d):
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
+def separates(w: PlanarMap, d: int) -> bool:
+    """Cut test: a vertex search from one end of d's edge that does not
+    cross the edge misses the other end."""
+    m = w.mate(d)
+    return w.vertex_of(m) not in _reached(w, w.vertex_of(d),
+                                          lambda x: x not in (d, m))
 
 
 def _trace_shape_violation(w: PlanarMap, current: int, root: int,
@@ -328,33 +339,20 @@ def _trace_shape_violation(w: PlanarMap, current: int, root: int,
     tree_vertices = {w.vertex_of(d) for d in tree_darts} | {root}
     if len(tree_darts) != 2 * (len(tree_vertices) - 1):
         return "tree-tagged edges do not form a tree"
-    recorded = set(children)
-    for kids in children.values():
-        recorded |= set(kids)
+    recorded = set(children).union(*children.values())
     if recorded != tree_vertices:
         return "recorded tree nodes disagree with tree-tagged edges"
 
     # connected components of the map-tagged edges
-    adj: dict[int, set[int]] = {}
-    for d in w.darts():
-        if w.tag_of(d) == 'M':
-            a, b = w.vertex_of(d), w.vertex_of(w.mate(d))
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
     seen: set[int] = set()
-    branch = _leftmost_branch(children, root)
+    branch = [root]
+    while children.get(branch[-1]):
+        branch.append(children[branch[-1]][0])
     deepest_attached = None
-    for start in adj:
-        if start in seen:
+    for d in w.darts():
+        if w.tag_of(d) != 'M' or w.vertex_of(d) in seen:
             continue
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            x = frontier.pop()
-            for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    frontier.append(y)
+        comp = _reached(w, w.vertex_of(d), lambda x: w.tag_of(x) == 'M')
         seen |= comp
         attach = comp & tree_vertices
         if len(attach) != 1:
@@ -468,38 +466,41 @@ def check_one_face_specialization(n_max: int) -> CheckResult:
 
 
 def check_bridge_agreement(n_max: int) -> CheckResult:
+    """Each advance step of map_to_tree against its live working map just
+    before it: A1 or A2 exactly when the cut test finds the pending edge a
+    bridge, else A3 labelled half the length of the face across it. The
+    pending edge: the root corner's, then the map dart after a tree dart."""
     corpora = _corpora()
     fails = []
     count = 0
+    want: list[str | int] = []  # per pending edge: 'bridge' or half-degree
+    got: list[str | int] = []   # per step: 'bridge' or the new edge's label
+
+    def decide(w: PlanarMap, d: int) -> str | int:
+        return ('bridge' if separates(w, d)
+                else len(w.face_of(w.mate(d))) // 2)
+
+    def on_step(kind, w, cur, root, children):
+        if kind == 'prepare':   # the pending edge follows a tree dart
+            want.extend(decide(w, d) for d in w.vertex_darts(cur)
+                        if (w.tag_of(w.prev_cw(d)), w.tag_of(d)) == ('T', 'M'))
+        elif kind == 'A3':   # the new tree edge is the one at cur
+            got.extend(w.edge_label(x) for x in w.vertex_darts(cur)
+                       if w.tag_of(x) == 'T')
+        elif kind != 'backtrack':
+            got.append('bridge')
+
     for n in range(1, n_max + 1):
-        for m in corpora.maps(n):
-            for d in m.darts():
-                by_face = m.is_bridge(d)
-                cut = m.copy()
-                e = cut.edge_key(d)
-                cut.delete_edge(d)
-                comp = 0
-                seen: set[int] = set()
-                for v in cut.vertices():
-                    if v in seen:
-                        continue
-                    comp += 1
-                    frontier = [v]
-                    seen.add(v)
-                    while frontier:
-                        x = frontier.pop()
-                        for dd in cut.vertex_darts(x):
-                            y = cut.vertex_of(cut.mate(dd))
-                            if y not in seen:
-                                seen.add(y)
-                                frontier.append(y)
-                by_cut = comp > 1
-                if by_face != by_cut:
-                    fails.append(f"map {m.canonical_code()} edge {e}: "
-                                 f"face {by_face}, cut {by_cut}")
-                count += 1
+        for code in corpora.map_codes(n):
+            first = from_hypermap(code)
+            want[:] = [decide(first, first.root_corner)]
+            got.clear()
+            map_to_tree(code, trace=on_step)
+            if got != want:
+                fails.append(f"map {code}: steps {got}, expected {want}")
+            count += len(got)
     return _result('bridge-agreement', fails,
-                   f"{count} darts, sizes 1..{n_max}")
+                   f"{count} steps, sizes 1..{n_max}")
 
 
 def check_map_sanity(n_max: int) -> CheckResult:
@@ -508,7 +509,7 @@ def check_map_sanity(n_max: int) -> CheckResult:
     fails = []
     count = 0
     for n in range(0, n_max + 1):
-        for m in corpora.maps(n):
+        for m in map(from_hypermap, corpora.map_codes(n)):
             faces = m.face_orbits()
             v = len(m.vertices()) or 1
             if v - m.edge_count + (len(faces) or 1) != 2:
@@ -519,36 +520,35 @@ def check_map_sanity(n_max: int) -> CheckResult:
     return _result('map-sanity', fails, f"{count} maps, sizes 0..{n_max}")
 
 
+# each check's size cap, in the order the suite runs them
+_CAPS = {
+    'counting': 6, 'roundtrip-map-tree': 5, 'roundtrip-tree-interval': 5,
+    'theorem-stats': 5, 'corollary-identity': 6, 'gf-symmetry': 6,
+    'oracle-equivalence': 5, 'face-multiset': 5, 'node-label-lemma': 6,
+    'certificate-location': 6, 'certificate-nesting': 6, 'trace-shape': 4,
+    'trace-reversal': 4, 'rising-contact-labels': 6,
+    'upper-bracket-subtrees': 6, 'one-face-specialization': 6,
+    'bridge-agreement': 5, 'map-sanity': 6,
+}
+
+
 def verify_suite(n_max: int) -> list[CheckResult]:
-    """Run every check, bounded by n_max (maps and trees capped at 6
-    edges, intervals one size larger). Results come back sorted by check
-    id."""
+    """Run each check up to min(n_max, its cap), intervals one size larger;
+    a check that raises ValueError or RuntimeError (a bijection's
+    self-check) fails with the error. Results come sorted by check id."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    maps_n = min(n_max, 6)
-    tree_n = min(n_max, 6)
+    results = []
     token = _SUITE_CORPORA.set(_Corpora())
     try:
-        results = [
-            check_counting(maps_n),
-            check_roundtrip_map_tree(min(maps_n, 5)),
-            check_roundtrip_tree_interval(min(tree_n, 5)),
-            check_theorem_stats(min(maps_n, 5)),
-            check_corollary_identity(maps_n),
-            check_gf_symmetry(maps_n),
-            check_oracle_equivalence(min(maps_n, 5)),
-            check_face_multiset(min(maps_n, 5)),
-            check_node_label_lemma(tree_n),
-            check_certificate_location(tree_n),
-            check_certificate_nesting(tree_n),
-            check_trace_shape(min(maps_n, 4)),
-            check_trace_reversal(min(tree_n, 4)),
-            check_rising_contact_labels(tree_n),
-            check_upper_bracket_subtrees(tree_n),
-            check_one_face_specialization(maps_n),
-            check_bridge_agreement(min(maps_n, 5)),
-            check_map_sanity(maps_n),
-        ]
+        for check_id, cap in _CAPS.items():
+            # looked up by name, so that a wrapper bound here is what runs
+            check = globals()['check_' + check_id.replace('-', '_')]
+            try:
+                results.append(check(min(n_max, cap)))
+            except (RuntimeError, ValueError) as exc:
+                results.append(CheckResult(
+                    check_id, False, f"raised {type(exc).__name__}: {exc}"))
     finally:
         _SUITE_CORPORA.reset(token)
     return sorted(results, key=lambda r: r.check_id)

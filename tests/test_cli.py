@@ -208,6 +208,28 @@ def test_error_names_line_past_blank_and_comment_lines(capsys):
         assert capsys.readouterr().err.startswith("error: line 4: ")
 
 
+# one bad line of about 10**4 steps or edges per message that once
+# quoted the whole line
+_EDGES = ' '.join(map(str, range(1, 5000)))
+
+
+@pytest.mark.parametrize('src,line', [
+    ('interval', 'du' * 5000 + ';ud'),
+    ('interval', 'u' * 10 ** 4 + ';ud'),
+    ('interval', 'ud' * 5000 + ';' + 'ud' * 5000),
+    ('map', f"n=5000 sigma=({_EDGES}) alpha=(1) root=1"),
+    ('map', f"x n=5000 sigma=({_EDGES}) alpha=({_EDGES}) root=1")],
+    ids=['falls-below', 'off-axis', 'not-new', 'cycles-cover', 'malformed'])
+def test_long_bad_line_gets_a_short_error(capsys, src, line):
+    code, out = run(['convert', '--from', src, '--to', 'tree'],
+                    stdin=line + '\n')
+    assert code == 1
+    assert out == ''
+    err = capsys.readouterr().err
+    assert err.startswith('error: line 1: ')
+    assert len(err.encode()) < 300, err[:100]
+
+
 def chain(depth, maximal):
     """A path of the given depth; with ``maximal`` each leftmost label is
     as large as allowed, which is 1 everywhere but on the bottom edge."""

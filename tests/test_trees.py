@@ -13,6 +13,7 @@ from tamari_atlas.enumeration import enum_degree_trees, enum_dyck
 from tamari_atlas.trees import (DegreeTree, PlaneTree, dyck_to_plane_tree,
                                 node_labels, parse_degree_tree,
                                 tree_from_nested, tree_stats)
+from tamari_atlas.verify import check_node_label_lemma
 
 
 def scan_parse_degree_tree(text: str) -> DegreeTree:
@@ -230,13 +231,4 @@ def test_stats_sum_and_label_lemma_up_to_size_7():
         for dt in enum_degree_trees(n):
             s = tree_stats(dt)
             assert s.lnode + s.znode + s.pnode == n + 1
-            ell = node_labels(dt)
-            sizes = dt.tree.subtree_sizes()
-            acc = [0] * dt.tree.node_count
-            for v in reversed(range(dt.tree.node_count)):
-                acc[v] = sum(acc[c] + dt.label_of(c)
-                             for c in dt.tree.children[v])
-            for v in range(dt.tree.node_count):
-                assert ell[v] == sizes[v] - acc[v]
-                assert ell[v] >= 0
-                assert (ell[v] == 0) == (sizes[v] == 0)
+    assert check_node_label_lemma(7).ok

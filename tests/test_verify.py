@@ -1,8 +1,11 @@
+import importlib
+import io
+import pathlib
 from collections import Counter
 
 import pytest
 
-from tamari_atlas import verify
+from tamari_atlas import cli, verify
 from tamari_atlas.verify import report_lines, verify_suite
 
 
@@ -38,3 +41,40 @@ def test_suite_builds_each_map_size_once_per_call(monkeypatch):
     # nothing is kept between calls: a second call builds every size again
     assert all(r.ok for r in verify_suite(6))
     assert built == {n: 2 for n in range(0, 7)}
+
+
+def test_check_that_raises_fails_and_the_rest_run(monkeypatch, capsys):
+    # a bijection's self-check raising inside the checks that call it
+    def broken(code, trace=None):
+        raise RuntimeError("map_to_tree left map edges unconverted")
+
+    monkeypatch.setattr(verify, 'map_to_tree', broken)
+    results = verify_suite(3)
+    assert len(results) == 18
+    failed = {r.check_id: r.detail for r in results if not r.ok}
+    assert set(failed) == {
+        'bridge-agreement', 'face-multiset', 'one-face-specialization',
+        'roundtrip-map-tree', 'trace-reversal', 'trace-shape'}
+    assert set(failed.values()) == {
+        "raised RuntimeError: map_to_tree left map edges unconverted"}
+    out = io.StringIO()
+    assert cli.run(['verify', '--max-size', '2'], out=out) == 2
+    assert out.getvalue().count('FAIL ') == 6
+    assert capsys.readouterr().err == ''
+
+
+def test_check_ids_are_the_check_functions_and_the_traced_list(monkeypatch):
+    # a traced benchmark run looks each id up as verify.check_<id> and
+    # raises LookupError on a missing one
+    ids = [r.check_id for r in verify_suite(1)]
+    functions = sorted(name[len('check_'):].replace('_', '-')
+                       for name, value in vars(verify).items()
+                       if name.startswith('check_') and callable(value))
+    assert ids == functions
+    monkeypatch.syspath_prepend(
+        str(pathlib.Path(__file__).resolve().parent.parent / 'bench'))
+    spans = importlib.import_module('spans')
+    workloads = importlib.import_module('workloads')
+    assert ids == sorted(spans.VERIFY_CHECK_IDS)
+    assert len(spans.VERIFY_CHECK_IDS) == 18
+    assert len(ids) == workloads.VERIFY_CHECKS
