@@ -222,6 +222,8 @@ def gf_table(family: str, max_size: int) -> GfTable:
         sizes, enum = range(0, max_size + 1), enum_maps_oracle
     else:
         raise ValueError(f"unknown family {family!r}")
+    if max_size < sizes.start:
+        raise ValueError(f"{family} need size >= {sizes.start}")
     return gf_tally(family, (obj for n in sizes for obj in enum(n)))
 
 

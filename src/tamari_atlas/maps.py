@@ -213,7 +213,11 @@ def parse_hypermap(text: str) -> HypermapCode:
         return fields[name]
 
     n = int(field('n'))
+    if n < 0:
+        raise ValueError("n must be non-negative")
     if n == 0:
+        if len(fields) > 1:
+            raise ValueError("the edgeless map is written 'n=0' alone")
         return HypermapCode(0, (), (), 0)
     return HypermapCode(n,
                         _parse_cycles(n, field('sigma')),
@@ -344,11 +348,6 @@ class PlanarMap:
             orbit.append(x)
             x = self.face_next(x)
         return orbit
-
-    def outer_face(self) -> list[int]:
-        if self.root_corner is None:
-            return []
-        return self.face_of(self.root_corner)
 
     def _is_dart(self, d: int) -> bool:
         return 0 < d < len(self._mate) and self._mate[d] != 0

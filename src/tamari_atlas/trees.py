@@ -50,9 +50,6 @@ class PlaneTree:
                 par[c] = v
         return tuple(par)
 
-    def preorder(self) -> list[int]:
-        return list(range(self.node_count))
-
     def postorder(self) -> list[int]:
         # the reverse of "node, then its subtrees right to left"
         out: list[int] = []

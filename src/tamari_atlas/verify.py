@@ -7,6 +7,10 @@ between the three families and the closed formula, the statistic
 identities and generating-function symmetry, the oracle-vs-bijection set
 equality, the structural lemmas behind the bijections, and the face
 half-degree multiset identity.
+
+Most checks test one object at a time through :func:`_each`: a failure
+names its object, even when a bijection raises on it, and a pass counts
+the objects of each family with the sizes they were read at.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from collections import Counter
 from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import permutations as iter_permutations
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .bijections import (certificates, interval_to_tree, map_to_interval,
                          map_to_tree, tree_to_interval, tree_to_map)
@@ -50,7 +54,7 @@ class _Corpora:
             self._built[key] = build()
         return self._built[key]
 
-    def map_codes(self, n: int) -> list[HypermapCode]:
+    def maps(self, n: int) -> list[HypermapCode]:
         return self._get(('maps', n), lambda: enum_maps_oracle(n))
 
     def trees(self, n: int) -> list[DegreeTree]:
@@ -62,7 +66,7 @@ class _Corpora:
     def gf(self, family: str, max_size: int) -> GfTable:
         """:func:`~tamari_atlas.enumeration.gf_table` over these corpora."""
         if family == 'maps':
-            sizes, objects = range(0, max_size + 1), self.map_codes
+            sizes, objects = range(0, max_size + 1), self.maps
         else:
             sizes, objects = range(1, max_size + 1), self.intervals
         return self._get(('gf', family, max_size), lambda: gf_tally(
@@ -86,16 +90,44 @@ def _result(check_id: str, failures: list[str], detail_ok: str) -> CheckResult:
     return CheckResult(check_id, True, detail_ok)
 
 
+def _each(check_id: str, test: Callable[[object], Iterable[str]],
+          *sources: tuple[str, range],
+          keep: Callable[[object], bool] = lambda obj: True) -> CheckResult:
+    """Run ``test`` on every object that ``keep`` admits of each source, a
+    family of the shared corpora ('maps', 'trees' or 'intervals') and a
+    range of sizes. The test yields the object's problems; a ValueError or
+    RuntimeError it raises is the object's one problem, and the other
+    objects still run. A failure names its object; a pass counts the
+    objects tested of each source."""
+    corpora = _corpora()
+    fails: list[str] = []
+    counts = []
+    for family, sizes in sources:
+        count = 0
+        for n in sizes:
+            for obj in getattr(corpora, family)(n):
+                if not keep(obj):
+                    continue
+                try:
+                    problems = list(test(obj))
+                except (RuntimeError, ValueError) as exc:
+                    problems = [f"raised {type(exc).__name__}: {exc}"]
+                # the family's singular names the object
+                fails += [f"{family[:-1]} {obj}: {p}" for p in problems]
+                count += 1
+        counts.append(
+            f"{count} {family}, sizes {sizes.start}..{sizes.stop - 1}")
+    return _result(check_id, fails, '; '.join(counts))
+
+
 def check_counting(n_max: int) -> CheckResult:
     corpora = _corpora()
     fails = []
-    total = 0
     for n in range(1, n_max + 1):
         expected = count_formula(n + 1)
         # maps first: their oracle's list is the largest transient object
-        maps = len(corpora.map_codes(n))
+        maps = len(corpora.maps(n))
         got = (len(corpora.intervals(n + 1)), len(corpora.trees(n)), maps)
-        total += 1
         if got != (expected, expected, expected):
             fails.append(f"size {n}: formula {expected}, "
                          f"(intervals, trees, maps) = {got}")
@@ -103,54 +135,38 @@ def check_counting(n_max: int) -> CheckResult:
                    f"three families and formula agree for sizes 1..{n_max}")
 
 
+def _round_trip(to_other: Callable, to_tree: Callable) -> Callable:
+    """Test that a tree, or an object of the other family, comes back
+    through the two bijections."""
+    def test(obj) -> Iterable[str]:
+        there, back = ((to_other, to_tree) if isinstance(obj, DegreeTree)
+                       else (to_tree, to_other))
+        if back(there(obj)) != obj:
+            yield "not recovered"
+    return test
+
+
 def check_roundtrip_map_tree(n_max: int) -> CheckResult:
-    corpora = _corpora()
-    fails = []
-    count = 0
-    for n in range(0, n_max + 1):
-        for dt in corpora.trees(n):
-            if map_to_tree(tree_to_map(dt)) != dt:
-                fails.append(f"tree {dt} not recovered")
-            count += 1
-        for code in corpora.map_codes(n):
-            if tree_to_map(map_to_tree(code)) != code:
-                fails.append(f"map {code} not recovered")
-            count += 1
-    return _result('roundtrip-map-tree', fails,
-                   f"{count} objects, sizes 0..{n_max}")
+    sizes = range(0, n_max + 1)
+    return _each('roundtrip-map-tree', _round_trip(tree_to_map, map_to_tree),
+                 ('trees', sizes), ('maps', sizes))
 
 
 def check_roundtrip_tree_interval(n_max: int) -> CheckResult:
-    corpora = _corpora()
-    fails = []
-    count = 0
-    for n in range(0, n_max + 1):
-        for dt in corpora.trees(n):
-            if interval_to_tree(tree_to_interval(dt)) != dt:
-                fails.append(f"tree {dt} not recovered")
-            count += 1
-    for n in range(1, n_max + 2):
-        for interval in corpora.intervals(n):
-            if tree_to_interval(interval_to_tree(interval)) != interval:
-                fails.append(f"interval {interval} not recovered")
-            count += 1
-    return _result('roundtrip-tree-interval', fails,
-                   f"{count} objects, tree sizes 0..{n_max}")
+    return _each('roundtrip-tree-interval',
+                 _round_trip(tree_to_interval, interval_to_tree),
+                 ('trees', range(0, n_max + 1)),
+                 ('intervals', range(1, n_max + 2)))
 
 
 def check_theorem_stats(n_max: int) -> CheckResult:
-    corpora = _corpora()
-    fails = []
-    count = 0
-    for n in range(1, n_max + 1):
-        for code in corpora.map_codes(n):
-            ms = code.stats()
-            s = interval_stats(map_to_interval(code))
-            if (ms.white, ms.black, ms.face, ms.outdeg) != \
-                    (s.c00, s.c01, 1 + s.c11, s.rcont - 1):
-                fails.append(f"map {code}: {ms} vs {s}")
-            count += 1
-    return _result('theorem-stats', fails, f"{count} maps, sizes 1..{n_max}")
+    def test(code: HypermapCode) -> Iterable[str]:
+        ms = code.stats()
+        s = interval_stats(map_to_interval(code))
+        if (ms.white, ms.black, ms.face, ms.outdeg) != \
+                (s.c00, s.c01, 1 + s.c11, s.rcont - 1):
+            yield f"{ms} vs {s}"
+    return _each('theorem-stats', test, ('maps', range(1, n_max + 1)))
 
 
 def check_corollary_identity(n_max: int) -> CheckResult:
@@ -201,7 +217,7 @@ def check_oracle_equivalence(n_max: int) -> CheckResult:
     corpora = _corpora()
     fails = []
     for n in range(0, n_max + 1):
-        oracle = {str(code) for code in corpora.map_codes(n)}
+        oracle = {str(code) for code in corpora.maps(n)}
         image = {str(tree_to_map(dt)) for dt in corpora.trees(n)}
         if oracle != image:
             fails.append(f"size {n}: oracle-only {sorted(oracle - image)}, "
@@ -211,102 +227,75 @@ def check_oracle_equivalence(n_max: int) -> CheckResult:
 
 
 def check_face_multiset(n_max: int) -> CheckResult:
-    corpora = _corpora()
-    fails = []
-    count = 0
-    for n in range(0, n_max + 1):
-        for code in corpora.map_codes(n):
-            # a face cycle's length is its face's half-degree
-            faces = Counter(len(c) for c in code.face_cycles()
-                            if code.root not in c)
-            dt = map_to_tree(code)
-            labels = Counter(x for x in dt.edge_labels if x > 0)
-            interval = tree_to_interval(dt)
-            contacts: Counter = Counter()
-            for node in range(dt.tree.node_count):
-                kids = dt.tree.children[node]
-                if kids:
-                    r = rising_contacts(
-                        factor_between(interval.lower, node + 1))
-                    if r > 0:
-                        contacts[r] += 1
-            if not faces == labels == contacts:
-                fails.append(f"map {code}: faces {dict(faces)}, "
-                             f"labels {dict(labels)}, "
-                             f"contacts {dict(contacts)}")
-            count += 1
-    return _result('face-multiset', fails, f"{count} maps, sizes 0..{n_max}")
+    def test(code: HypermapCode) -> Iterable[str]:
+        # a face cycle's length is its face's half-degree
+        faces = Counter(len(c) for c in code.face_cycles()
+                        if code.root not in c)
+        dt = map_to_tree(code)
+        labels = Counter(x for x in dt.edge_labels if x > 0)
+        interval = tree_to_interval(dt)
+        contacts: Counter = Counter()
+        for node in range(dt.tree.node_count):
+            kids = dt.tree.children[node]
+            if kids:
+                r = rising_contacts(factor_between(interval.lower, node + 1))
+                if r > 0:
+                    contacts[r] += 1
+        if not faces == labels == contacts:
+            yield (f"faces {dict(faces)}, labels {dict(labels)}, "
+                   f"contacts {dict(contacts)}")
+    return _each('face-multiset', test, ('maps', range(0, n_max + 1)))
 
 
 def check_node_label_lemma(n_max: int) -> CheckResult:
-    corpora = _corpora()
-    fails = []
-    count = 0
-    for n in range(0, n_max + 1):
-        for dt in corpora.trees(n):
-            ell = node_labels(dt)
-            sizes = dt.tree.subtree_sizes()
-            subtree_label_sum = [0] * dt.tree.node_count
-            for v in reversed(range(dt.tree.node_count)):
-                subtree_label_sum[v] = sum(
-                    subtree_label_sum[c] + dt.label_of(c)
-                    for c in dt.tree.children[v])
-            for v in range(dt.tree.node_count):
-                if ell[v] != sizes[v] - subtree_label_sum[v]:
-                    fails.append(f"tree {dt} node {v}: label {ell[v]} != "
-                                 f"{sizes[v]} - {subtree_label_sum[v]}")
-                if ell[v] < 0 or (ell[v] == 0) != (sizes[v] == 0):
-                    fails.append(f"tree {dt} node {v}: positivity violated")
-            count += 1
-    return _result('node-label-lemma', fails,
-                   f"{count} trees, sizes 0..{n_max}")
+    def test(dt: DegreeTree) -> Iterable[str]:
+        ell = node_labels(dt)
+        sizes = dt.tree.subtree_sizes()
+        subtree_label_sum = [0] * dt.tree.node_count
+        for v in reversed(range(dt.tree.node_count)):
+            subtree_label_sum[v] = sum(
+                subtree_label_sum[c] + dt.label_of(c)
+                for c in dt.tree.children[v])
+        for v in range(dt.tree.node_count):
+            if ell[v] != sizes[v] - subtree_label_sum[v]:
+                yield (f"node {v}: label {ell[v]} != "
+                       f"{sizes[v]} - {subtree_label_sum[v]}")
+            if ell[v] < 0 or (ell[v] == 0) != (sizes[v] == 0):
+                yield f"node {v}: positivity violated"
+    return _each('node-label-lemma', test, ('trees', range(0, n_max + 1)))
 
 
 def check_certificate_location(n_max: int) -> CheckResult:
-    corpora = _corpora()
-    fails = []
-    count = 0
-    for n in range(0, n_max + 1):
-        for dt in corpora.trees(n):
-            cert = certificates(dt).certificate
-            sizes = dt.tree.subtree_sizes()
-            for v in range(dt.tree.node_count):
-                w = cert[v]
-                if w == v:
-                    continue
-                kids = dt.tree.children[v]
-                if not kids:
-                    fails.append(f"tree {dt}: leaf {v} certified by {w}")
-                    continue
-                first = kids[0]
-                last = first + sizes[first]
-                if not first <= w < last:
-                    fails.append(f"tree {dt}: certificate {w} of {v} outside "
-                                 f"leftmost subtree [{first}, {last}]")
-            count += 1
-    return _result('certificate-location', fails,
-                   f"{count} trees, sizes 0..{n_max}")
+    def test(dt: DegreeTree) -> Iterable[str]:
+        cert = certificates(dt).certificate
+        sizes = dt.tree.subtree_sizes()
+        for v in range(dt.tree.node_count):
+            w = cert[v]
+            if w == v:
+                continue
+            kids = dt.tree.children[v]
+            if not kids:
+                yield f"leaf {v} certified by {w}"
+                continue
+            first = kids[0]
+            last = first + sizes[first]
+            if not first <= w < last:
+                yield (f"certificate {w} of {v} outside "
+                       f"leftmost subtree [{first}, {last}]")
+    return _each('certificate-location', test, ('trees', range(0, n_max + 1)))
 
 
 def check_certificate_nesting(n_max: int) -> CheckResult:
-    corpora = _corpora()
-    fails = []
-    count = 0
-    for n in range(0, n_max + 1):
-        for dt in corpora.trees(n):
-            cert = certificates(dt).certificate
-            n1 = dt.tree.node_count
-            for v in range(n1):
-                for v2 in range(v + 1, n1):
-                    if v2 < cert[v] < cert[v2]:
-                        fails.append(f"tree {dt}: crossing certificates "
-                                     f"at {v}, {v2}")
-                    if v2 != cert[v2] and cert[v] == v2:
-                        fails.append(f"tree {dt}: node {v2} is both a "
-                                     f"certifier target and forwards")
-            count += 1
-    return _result('certificate-nesting', fails,
-                   f"{count} trees, sizes 0..{n_max}")
+    def test(dt: DegreeTree) -> Iterable[str]:
+        cert = certificates(dt).certificate
+        n1 = dt.tree.node_count
+        for v in range(n1):
+            for v2 in range(v + 1, n1):
+                if v2 < cert[v] < cert[v2]:
+                    yield f"crossing certificates at {v}, {v2}"
+                if v2 != cert[v2] and cert[v] == v2:
+                    yield f"node {v2} is both a certifier target and forwards"
+    return _each('certificate-nesting', test, ('trees', range(0, n_max + 1)))
 
 
 def _reached(w: PlanarMap, start: int, crosses: Callable[[int], bool]
@@ -370,99 +359,68 @@ def _trace_shape_violation(w: PlanarMap, current: int, root: int,
 
 
 def check_trace_shape(n_max: int) -> CheckResult:
-    corpora = _corpora()
-    fails = []
-    found: list[str | None] = []    # one entry per prepare step of a map
+    def test(code: HypermapCode) -> Iterable[str]:
+        found: list[str | None] = []    # one entry per prepare step
 
-    def on_step(kind, *state):
-        if kind == 'prepare':
-            found.append(_trace_shape_violation(*state))
+        def on_step(kind, *state):
+            if kind == 'prepare':
+                found.append(_trace_shape_violation(*state))
 
-    count = 0
-    for n in range(0, n_max + 1):
-        for code in corpora.map_codes(n):
-            map_to_tree(code, trace=on_step)
-            fails += [f"map {code}: {bad}" for bad in found
-                      if bad is not None]
-            count += len(found)
-            found.clear()
-    return _result('trace-shape', fails,
-                   f"{count} prepare steps, sizes 0..{n_max}")
+        map_to_tree(code, trace=on_step)
+        yield from (bad for bad in found if bad is not None)
+    return _each('trace-shape', test, ('maps', range(0, n_max + 1)))
 
 
 def check_trace_reversal(n_max: int) -> CheckResult:
     """Advance steps of the map direction, reversed, match the tree
     direction's steps case for case."""
-    corpora = _corpora()
-    fails = []
-    count = 0
     advance = {'A1', 'A2', 'A3'}
-    for n in range(0, n_max + 1):
-        for dt in corpora.trees(n):
-            fwd: list[str] = []
-            back: list[str] = []
-            m = tree_to_map(dt, trace=lambda kind, *_: back.append(kind))
-            map_to_tree(m, trace=lambda kind, *_: fwd.append(kind))
-            kinds_fwd = [k for k in fwd if k in advance]
-            kinds_back = [k[:-1] for k in back if k.endswith("'")]
-            if kinds_fwd != list(reversed(kinds_back)):
-                fails.append(f"tree {dt}: {kinds_fwd} vs "
-                             f"reversed {kinds_back}")
-            count += 1
-    return _result('trace-reversal', fails,
-                   f"{count} trees, sizes 0..{n_max}")
+
+    def test(dt: DegreeTree) -> Iterable[str]:
+        fwd: list[str] = []
+        back: list[str] = []
+        m = tree_to_map(dt, trace=lambda kind, *_: back.append(kind))
+        map_to_tree(m, trace=lambda kind, *_: fwd.append(kind))
+        kinds_fwd = [k for k in fwd if k in advance]
+        kinds_back = [k[:-1] for k in back if k.endswith("'")]
+        if kinds_fwd != list(reversed(kinds_back)):
+            yield f"{kinds_fwd} vs reversed {kinds_back}"
+    return _each('trace-reversal', test, ('trees', range(0, n_max + 1)))
 
 
 def check_rising_contact_labels(n_max: int) -> CheckResult:
-    corpora = _corpora()
-    fails = []
-    count = 0
-    for n in range(0, n_max + 1):
-        for dt in corpora.trees(n):
-            interval = tree_to_interval(dt)
-            for node in range(dt.tree.node_count):
-                kids = dt.tree.children[node]
-                if not kids:
-                    continue
-                r = rising_contacts(factor_between(interval.lower, node + 1))
-                if r != dt.label_of(kids[0]):
-                    fails.append(f"tree {dt} node {node}: contacts {r}, "
-                                 f"label {dt.label_of(kids[0])}")
-                count += 1
-    return _result('rising-contact-labels', fails,
-                   f"{count} leftmost edges, sizes 0..{n_max}")
+    def test(dt: DegreeTree) -> Iterable[str]:
+        interval = tree_to_interval(dt)
+        for node in range(dt.tree.node_count):
+            kids = dt.tree.children[node]
+            if not kids:
+                continue
+            r = rising_contacts(factor_between(interval.lower, node + 1))
+            if r != dt.label_of(kids[0]):
+                yield (f"node {node}: contacts {r}, "
+                       f"label {dt.label_of(kids[0])}")
+    return _each('rising-contact-labels', test,
+                 ('trees', range(0, n_max + 1)))
 
 
 def check_upper_bracket_subtrees(n_max: int) -> CheckResult:
-    corpora = _corpora()
-    fails = []
-    count = 0
-    for n in range(0, n_max + 1):
-        for dt in corpora.trees(n):
-            interval = tree_to_interval(dt)
-            vq = bracket_vector(interval.upper)
-            expect = dt.tree.subtree_sizes()
-            if vq != expect:
-                fails.append(f"tree {dt}: brackets {vq}, expected {expect}")
-            count += 1
-    return _result('upper-bracket-subtrees', fails,
-                   f"{count} intervals, sizes 0..{n_max}")
+    def test(dt: DegreeTree) -> Iterable[str]:
+        vq = bracket_vector(tree_to_interval(dt).upper)
+        expect = dt.tree.subtree_sizes()
+        if vq != expect:
+            yield f"brackets {vq}, expected {expect}"
+    return _each('upper-bracket-subtrees', test,
+                 ('trees', range(0, n_max + 1)))
 
 
 def check_one_face_specialization(n_max: int) -> CheckResult:
-    corpora = _corpora()
-    fails = []
-    count = 0
-    for n in range(0, n_max + 1):
-        for code in corpora.map_codes(n):
-            if code.n > 0 and len(code.face_cycles()) != 1:
-                continue
-            dt = map_to_tree(code)
-            if any(dt.edge_labels):
-                fails.append(f"map {code}: labels {dt.edge_labels}")
-            count += 1
-    return _result('one-face-specialization', fails,
-                   f"{count} one-face maps, sizes 0..{n_max}")
+    def test(code: HypermapCode) -> Iterable[str]:
+        labels = map_to_tree(code).edge_labels
+        if any(labels):
+            yield f"labels {labels}"
+    return _each('one-face-specialization', test,
+                 ('maps', range(0, n_max + 1)),
+                 keep=lambda code: code.n == 0 or len(code.face_cycles()) == 1)
 
 
 def check_bridge_agreement(n_max: int) -> CheckResult:
@@ -470,9 +428,6 @@ def check_bridge_agreement(n_max: int) -> CheckResult:
     before it: A1 or A2 exactly when the cut test finds the pending edge a
     bridge, else A3 labelled half the length of the face across it. The
     pending edge: the root corner's, then the map dart after a tree dart."""
-    corpora = _corpora()
-    fails = []
-    count = 0
     want: list[str | int] = []  # per pending edge: 'bridge' or half-degree
     got: list[str | int] = []   # per step: 'bridge' or the new edge's label
 
@@ -490,34 +445,27 @@ def check_bridge_agreement(n_max: int) -> CheckResult:
         elif kind != 'backtrack':
             got.append('bridge')
 
-    for n in range(1, n_max + 1):
-        for code in corpora.map_codes(n):
-            first = from_hypermap(code)
-            want[:] = [decide(first, first.root_corner)]
-            got.clear()
-            map_to_tree(code, trace=on_step)
-            if got != want:
-                fails.append(f"map {code}: steps {got}, expected {want}")
-            count += len(got)
-    return _result('bridge-agreement', fails,
-                   f"{count} steps, sizes 1..{n_max}")
+    def test(code: HypermapCode) -> Iterable[str]:
+        first = from_hypermap(code)
+        want[:] = [decide(first, first.root_corner)]
+        got.clear()
+        map_to_tree(code, trace=on_step)
+        if got != want:
+            yield f"steps {got}, expected {want}"
+    return _each('bridge-agreement', test, ('maps', range(1, n_max + 1)))
 
 
 def check_map_sanity(n_max: int) -> CheckResult:
     """Euler relation and even face degrees on every enumerated map."""
-    corpora = _corpora()
-    fails = []
-    count = 0
-    for n in range(0, n_max + 1):
-        for m in map(from_hypermap, corpora.map_codes(n)):
-            faces = m.face_orbits()
-            v = len(m.vertices()) or 1
-            if v - m.edge_count + (len(faces) or 1) != 2:
-                fails.append(f"map {m.canonical_code()}: Euler fails")
-            if any(len(orbit) % 2 for orbit in faces):
-                fails.append(f"map {m.canonical_code()}: odd face degree")
-            count += 1
-    return _result('map-sanity', fails, f"{count} maps, sizes 0..{n_max}")
+    def test(code: HypermapCode) -> Iterable[str]:
+        m = from_hypermap(code)
+        faces = m.face_orbits()
+        v = len(m.vertices()) or 1
+        if v - m.edge_count + (len(faces) or 1) != 2:
+            yield "Euler fails"
+        if any(len(orbit) % 2 for orbit in faces):
+            yield "odd face degree"
+    return _each('map-sanity', test, ('maps', range(0, n_max + 1)))
 
 
 # each check's size cap, in the order the suite runs them
@@ -533,9 +481,10 @@ _CAPS = {
 
 
 def verify_suite(n_max: int) -> list[CheckResult]:
-    """Run each check up to min(n_max, its cap), intervals one size larger;
-    a check that raises ValueError or RuntimeError (a bijection's
-    self-check) fails with the error. Results come sorted by check id."""
+    """Run each check up to min(n_max, its cap), intervals one size larger.
+    A check fails with an error raised outside its objects, such as an
+    enumerator's while building a corpus, and the other checks still run.
+    Results come sorted by check id."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     results = []
@@ -554,5 +503,5 @@ def verify_suite(n_max: int) -> list[CheckResult]:
     return sorted(results, key=lambda r: r.check_id)
 
 
-def report_lines(results: list[CheckResult]) -> list[str]:
+def report_lines(results: list[CheckResult]) -> Iterable[str]:
     return [r.line() for r in results]

@@ -88,6 +88,16 @@ def test_gf_command():
     assert out == "0 0 1 0 1 1\n"
 
 
+@pytest.mark.parametrize('family,size', [('maps', -5), ('intervals', 0)])
+def test_gf_rejects_sizes_with_no_family(capsys, family, size):
+    code, out = run(['gf', '--family', family, '--max-size', str(size)])
+    assert code == 1
+    assert out == ''
+    least = 0 if family == 'maps' else 1
+    assert capsys.readouterr().err == \
+        f"error: {family} need size >= {least}\n"
+
+
 def test_render_dot():
     code, out = run(['render', '--format', 'dot', '--kind', 'map'],
                     stdin="n=1 sigma=(1) alpha=(1) root=1\n")
@@ -228,6 +238,19 @@ def test_long_bad_line_gets_a_short_error(capsys, src, line):
     err = capsys.readouterr().err
     assert err.startswith('error: line 1: ')
     assert len(err.encode()) < 300, err[:100]
+
+
+@pytest.mark.parametrize('line,message', [
+    ('n=-1', "n must be non-negative"),
+    ('n=-1 sigma=() alpha=() root=1', "n must be non-negative"),
+    ('n=0 sigma=(1 2) root=7', "the edgeless map is written 'n=0' alone")],
+    ids=['negative', 'negative-with-fields', 'edgeless-with-fields'])
+def test_map_text_reads_n_first(capsys, line, message):
+    code, out = run(['convert', '--from', 'map', '--to', 'tree'],
+                    stdin=line + '\n')
+    assert code == 1
+    assert out == ''
+    assert capsys.readouterr().err == f"error: line 1: {message}\n"
 
 
 def chain(depth, maximal):

@@ -134,3 +134,26 @@ def test_no_package_module_runs_the_map_check():
                  if isinstance(node, ast.Attribute)
                  and node.attr == 'find_violation']
         assert not found, f"{module.name}: map check called at {found}"
+
+
+def test_only_the_verify_driver_and_suite_catch():
+    # each check yields its objects' problems to verify._each, which
+    # catches per object; verify_suite catches what is raised outside
+    # an object
+    module = Path(tamari_atlas.__file__).parent / 'verify.py'
+    tree = ast.parse(module.read_text(), filename=str(module))
+    catching = {fn.name for fn in ast.walk(tree)
+                if isinstance(fn, ast.FunctionDef)
+                and any(isinstance(node, ast.Try) for node in ast.walk(fn))}
+    assert catching == {'_each', 'verify_suite'}
+
+
+def test_modules_parse_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10
+    root = Path(__file__).parent.parent
+    for folder in ('src', 'tests', 'demos'):
+        modules = sorted((root / folder).rglob('*.py'))
+        assert modules, folder
+        for module in modules:
+            ast.parse(module.read_text(), filename=str(module),
+                      feature_version=(3, 10))

@@ -109,13 +109,14 @@ def test_plane_tree_check_accepts_exactly_the_dyck_trees():
 
 
 def test_traversals():
+    # nodes are numbered in preorder
     single = PlaneTree(((),))
-    assert single.preorder() == [0]
+    assert range(single.node_count) == range(1)
     assert single.postorder() == [0]
     chain = tree_from_nested([[[]]])
-    assert chain.preorder() == list(reversed(chain.postorder()))
+    assert list(range(chain.node_count)) == list(reversed(chain.postorder()))
     cherry = tree_from_nested([[], []])
-    assert cherry.preorder() == [0, 1, 2]
+    assert cherry.children[0] == tuple(range(1, cherry.node_count))
     assert cherry.postorder() == [1, 2, 0]
     assert cherry.subtree_sizes() == (2, 0, 0)
 

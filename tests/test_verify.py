@@ -1,11 +1,15 @@
 import importlib
 import io
 import pathlib
+import re
 from collections import Counter
 
 import pytest
 
 from tamari_atlas import cli, verify
+from tamari_atlas.enumeration import enum_maps_oracle
+from tamari_atlas.maps import parse_hypermap
+from tamari_atlas.trees import parse_degree_tree
 from tamari_atlas.verify import report_lines, verify_suite
 
 
@@ -55,12 +59,48 @@ def test_check_that_raises_fails_and_the_rest_run(monkeypatch, capsys):
     assert set(failed) == {
         'bridge-agreement', 'face-multiset', 'one-face-specialization',
         'roundtrip-map-tree', 'trace-reversal', 'trace-shape'}
-    assert set(failed.values()) == {
-        "raised RuntimeError: map_to_tree left map edges unconverted"}
+    # each failure names the object it was checking
+    parse = {'map': parse_hypermap, 'tree': parse_degree_tree}
+    for detail in failed.values():
+        for failure in detail.split('; '):
+            found = re.fullmatch(r"(map|tree) (.+): raised RuntimeError: "
+                                 r"map_to_tree left map edges unconverted",
+                                 failure)
+            assert found, failure
+            family, text = found.groups()
+            assert str(parse[family](text)) == text
     out = io.StringIO()
     assert cli.run(['verify', '--max-size', '2'], out=out) == 2
     assert out.getvalue().count('FAIL ') == 6
     assert capsys.readouterr().err == ''
+
+
+def test_one_object_that_raises_is_named_and_the_rest_run(monkeypatch):
+    real = verify.map_to_tree
+    bad = parse_hypermap("n=2 sigma=(1 2) alpha=(1 2) root=1")
+    seen = []
+
+    def broken_on_one(code, trace=None):
+        seen.append(code)
+        if code == bad:
+            raise RuntimeError("map_to_tree left map edges unconverted")
+        return real(code, trace=trace)
+
+    monkeypatch.setattr(verify, 'map_to_tree', broken_on_one)
+    error = "raised RuntimeError: map_to_tree left map edges unconverted"
+    # the checks over trees meet the map as the image of its tree
+    on_map, on_tree = f"map {bad}: {error}", f"tree {real(bad)}: {error}"
+    results = verify_suite(3)
+    assert len(results) == 18
+    failed = {r.check_id: r.detail for r in results if not r.ok}
+    assert failed == {
+        'bridge-agreement': on_map, 'face-multiset': on_map,
+        'roundtrip-map-tree': f"{on_tree}; {on_map}",
+        'trace-reversal': on_tree, 'trace-shape': on_map}
+    # every map after the broken one is still tested
+    seen.clear()
+    assert not verify.check_face_multiset(3).ok
+    assert seen == [code for n in range(4) for code in enum_maps_oracle(n)]
 
 
 def test_check_ids_are_the_check_functions_and_the_traced_list(monkeypatch):
