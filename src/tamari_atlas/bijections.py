@@ -14,7 +14,8 @@ tree edge to the vertex behind it (A2); a non-bridge triggers a vertex
 split, with the half holding the unexplored map edges becoming the new
 leftmost child and the half-degree of the face that the edge closes
 becoming the edge label (A3). tree_to_map runs the exact inverse cases in
-postorder.
+postorder, on vertices coloured as they are made: leaves white, the rest
+black (A3' merges a node into its parent; both are black).
 
 map_to_tree never walks a face. The tree grows inside one face of the
 'M' part, the explored face: at first the outer face, and then also
@@ -56,7 +57,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .dyck import DyckPath, NewInterval, factor_rising_contacts
-from .maps import BLACK, HypermapCode, PlanarMap, from_hypermap
+from .maps import BLACK, WHITE, HypermapCode, PlanarMap, from_hypermap
 from .trees import (DegreeTree, PlaneTree, dyck_to_plane_tree,
                     plane_tree_to_dyck)
 
@@ -151,7 +152,7 @@ def map_to_tree(code: HypermapCode,
             if any(w.tag_of(x) != 'T' for x in rotated[len(arc):]):
                 raise RuntimeError("map darts are not contiguous at the "
                                    f"current vertex {cur}")
-            child_v = w.split_vertex(cur, arc, w.color(cur))
+            child_v = w.split_vertex(cur, arc)
             place_tree = (('corner', rotated[len(arc)])
                           if len(arc) < len(rotated) else ('vertex', cur))
             t_dart, m_dart = w.add_edge(place_tree, ('corner', d))
@@ -209,26 +210,21 @@ def tree_to_map(dt: DegreeTree, trace: Callable[..., None] | None = None
     if dt.size == 0:
         return HypermapCode(0, (), (), 0)
 
-    # embed the tree in preorder: clockwise rotation at each node is
-    # [parent, rightmost child, ..., leftmost child], so a child's dart
-    # goes right after the node's parent dart; the root has none, and its
-    # later children follow the dart of its first child instead
-    w = PlanarMap()
+    # embed the tree in preorder, vertex id = node: clockwise rotation at
+    # each node is [parent, rightmost child, ..., leftmost child], so a
+    # child's dart goes right after the node's parent dart; the root has
+    # none, and its later children follow the dart of its first child
+    # instead
+    w = PlanarMap()     # its vertex 0, the root, is black
     tree = dt.tree
-    parents = tree.parents()
-    vert: dict[int, int] = {0: 0}
-    up_dart: dict[int, int] = {}    # node -> dart at node toward its parent
-    for child in range(1, tree.node_count):
-        node = parents[child]
-        cv = w.new_vertex(BLACK)
-        place = (('after', up_dart[node]) if node in up_dart
-                 else ('vertex', vert[node]))
-        p_dart, c_dart = w.add_edge(place, ('vertex', cv))
+    up_dart = [0] * tree.node_count     # node -> dart at node toward parent
+    for child, node in enumerate(tree.parents()[1:], 1):
+        place = ('after', up_dart[node]) if up_dart[node] else ('vertex', 0)
+        cv = w.new_vertex(BLACK if tree.children[child] else WHITE)
+        p_dart, up_dart[child] = w.add_edge(place, ('vertex', cv))
         w.set_tag(p_dart, 'T', dt.label_of(child))
-        vert[child] = cv
-        up_dart[child] = c_dart
         if node == 0:
-            up_dart.setdefault(0, p_dart)
+            up_dart[0] = up_dart[0] or p_dart
             w.root_corner = p_dart
     if trace is not None:
         trace('embed', w, None, 0, None)
@@ -274,8 +270,8 @@ def tree_to_map(dt: DegreeTree, trace: Callable[..., None] | None = None
     if any(w.tag_of(d) != 'M' for d in w.darts()):
         raise RuntimeError("tree_to_map left tree edges unconverted")
     try:
-        # the code checks itself: permutations, transitivity and genus
-        w.recolor_bipartite()
+        # the code checks itself: permutations (which a miscoloured edge
+        # breaks), transitivity and genus
         return w.to_hypermap()
     except ValueError as exc:
         raise RuntimeError(f"tree_to_map built an invalid map: {exc}")

@@ -9,7 +9,7 @@ in increasing order of their canonical (sigma, alpha) pair. The map
 enumerator is independent of the bijections: it grows permutation pairs
 acting on edge ids one edge at a time from the one-edge map, inserting
 the new edge into every black and white corner (or onto a new vertex of
-either colour), keeps the genus-0 pairs by their cycle count, and
+either colour), keeps the genus-0 pairs (only chords walk faces), and
 deduplicates them by their canonical relabelling, in the manner of
 McKay's canonical augmentation ("Isomorph-free exhaustive generation",
 1998). Both it and ``PlanarMap.canonical_code`` relabel edges with
@@ -20,6 +20,7 @@ only.
 from __future__ import annotations
 
 import math
+from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .dyck import (DyckPath, NewInterval, bracket_vector, iter_dyck_words,
@@ -137,21 +138,19 @@ def _grow(level: list[tuple[tuple[int, ...], tuple[int, ...]]],
 
     Edge k goes into each black corner or onto a new black vertex, and
     into each white corner or onto a new white vertex, never with both
-    ends new. A result is kept when it has genus 0 by its cycle count,
-    relabelled by its breadth-first edge order and deduplicated."""
+    ends new. A pendant edge keeps the parent's genus 0, a chord keeps it
+    if it splits a face; results are relabelled by BFS and deduplicated."""
     ids = range(1, k + 1)
     out = set()
     for sigma, alpha in level:
-        alphas = [(a, len(perm_cycles(a, ids))) for a in _insertions(alpha, k)]
-        for s in _insertions(sigma, k):
-            c_s = len(perm_cycles(s, ids))
-            for a, c_a in alphas:
-                if s[k] == k and a[k] == k:   # both ends new: disconnected
+        faces = len(perm_cycles([sigma[x] for x in alpha], range(1, k)))
+        for s, a in product(_insertions(sigma, k), _insertions(alpha, k)):
+            if s[k] != k and a[k] != k:   # a chord
+                if len(perm_cycles([s[x] for x in a], ids)) != faces + 1:
                     continue
-                faces = [s[x] for x in a]
-                if c_s + c_a + len(perm_cycles(faces, ids)) != k + 2:
-                    continue
-                out.add(canonical_pair(s, a, 1))
+            elif s[k] == k and a[k] == k:   # both ends new: disconnected
+                continue
+            out.add(canonical_pair(s, a, 1))
     return sorted(out)
 
 

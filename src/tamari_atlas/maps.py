@@ -178,10 +178,17 @@ class HypermapCode:
 _CYCLE_RE = re.compile(r'\(([^()]*)\)')
 
 
+def _number(what: str, text: str) -> int:
+    value = int(text)
+    if str(value) != text:   # "+", "_", a leading zero or a non-ASCII digit
+        raise ValueError(f"{what} {text[:20]!r} is not one of 0, 1, 2, ...")
+    return value
+
+
 def _parse_cycles(n: int, text: str) -> tuple[int, ...]:
     # count the points before allocating: n comes from the input and may
     # be far too large for a list
-    cycles = [[int(t) for t in m.group(1).split()]
+    cycles = [[_number('cycle point', t) for t in m.group(1).split()]
               for m in _CYCLE_RE.finditer(text)]
     if sum(map(len, cycles)) != n or re.sub(_CYCLE_RE, '', text).strip():
         shown = text if len(text) <= 40 else text[:37] + '...'
@@ -212,7 +219,7 @@ def parse_hypermap(text: str) -> HypermapCode:
             raise ValueError(f"missing field {name!r}")
         return fields[name]
 
-    n = int(field('n'))
+    n = _number('n', field('n'))
     if n < 0:
         raise ValueError("n must be non-negative")
     if n == 0:
@@ -222,7 +229,7 @@ def parse_hypermap(text: str) -> HypermapCode:
     return HypermapCode(n,
                         _parse_cycles(n, field('sigma')),
                         _parse_cycles(n, field('alpha')),
-                        int(field('root')))
+                        _number('root', field('root')))
 
 
 @dataclass(frozen=True)
@@ -441,15 +448,15 @@ class PlanarMap:
         self._color[y] = None
         return x
 
-    def split_vertex(self, v: int, arc: list[int], color: int) -> int:
+    def split_vertex(self, v: int, arc: list[int]) -> int:
         """Detach the contiguous cw arc of darts from v onto a fresh vertex
-        of the given color; the arc may be empty. Returns the new vertex."""
+        of v's colour; the arc may be empty. Returns the new vertex."""
         nxt, prv, vertex = self._next, self._prev, self._vertex
         if (len(set(arc)) != len(arc)
                 or not all(self._is_dart(d) and vertex[d] == v for d in arc)
                 or any(nxt[a] != b for a, b in zip(arc, arc[1:]))):
             raise ValueError("darts do not form a contiguous cw arc")
-        w = self.new_vertex(color)
+        w = self.new_vertex(self._color[v])
         if arc:
             first, last = arc[0], arc[-1]
             before, after = prv[first], nxt[last]
@@ -462,24 +469,6 @@ class PlanarMap:
                 self._vrep[v] = after if after != first else 0
             self._vrep[w] = first
         return w
-
-    def recolor_bipartite(self):
-        """Recolor all vertices by breadth-first 2-coloring from the root
-        vertex (black). Fails on odd cycles."""
-        root = self.root_vertex()
-        colors = {root: BLACK}
-        queue = [root]
-        for v in queue:
-            for d in self.vertex_darts(v):
-                u = self._vertex[self._mate[d]]
-                if u not in colors:
-                    colors[u] = 1 - colors[v]
-                    queue.append(u)
-                elif colors[u] == colors[v]:
-                    raise ValueError("map is not bipartite")
-        if len(colors) != len(self.vertices()):
-            raise ValueError("map is not connected")
-        self._color = [colors.get(v) for v in range(len(self._color))]
 
     # -- validation ----------------------------------------------------------
 

@@ -176,16 +176,16 @@ def parse_degree_tree(text: str) -> DegreeTree:
     tree; raises ValueError on bad syntax or an invalid labeling."""
     s = ''.join(text.split())
     inner = s[1:-1]
-    if (s[:1] != "(" or s[-1:] != ")"
-            or re.sub(r"\d+:\(|\)", "", inner)):
+    step = r"(?:0|[1-9][0-9]*):\("     # a label prints as it is read
+    if s[:1] != "(" or s[-1:] != ")" or re.sub(step + r"|\)", "", inner):
         raise ValueError("degree tree text must be '(', then 'LABEL:(' "
-                         "and ')' steps, then ')'")
+                         "and ')' steps, then ')', LABEL one of 0, 1, 2, ...")
     try:
-        path = DyckPath(re.sub(r"\d+:\(", "u", inner).replace(")", "d"))
+        path = DyckPath(re.sub(step, "u", inner).replace(")", "d"))
     except ValueError:
         raise ValueError("unbalanced parentheses in degree tree "
                          "text") from None
-    labels = tuple(map(int, re.findall(r"\d+", inner)))
+    labels = tuple(map(int, re.findall(r"[0-9]+", inner)))
     return DegreeTree(dyck_to_plane_tree(path), labels)
 
 

@@ -85,9 +85,10 @@ def _corpora() -> _Corpora:
 
 
 def _result(check_id: str, failures: list[str], detail_ok: str) -> CheckResult:
-    if failures:
-        return CheckResult(check_id, False, '; '.join(failures[:3]))
-    return CheckResult(check_id, True, detail_ok)
+    if not failures:
+        return CheckResult(check_id, True, detail_ok)
+    more = [f"and {len(failures) - 3} more"] if len(failures) > 3 else []
+    return CheckResult(check_id, False, '; '.join(failures[:3] + more))
 
 
 def _each(check_id: str, test: Callable[[object], Iterable[str]],

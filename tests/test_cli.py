@@ -219,7 +219,8 @@ def test_error_names_line_past_blank_and_comment_lines(capsys):
 
 
 # one bad line of about 10**4 steps or edges per message that once
-# quoted the whole line
+# quoted the whole line, then numbers that were once accepted and printed
+# back differently: a sign, leading zeros, non-ASCII digits
 _EDGES = ' '.join(map(str, range(1, 5000)))
 
 
@@ -228,8 +229,15 @@ _EDGES = ' '.join(map(str, range(1, 5000)))
     ('interval', 'u' * 10 ** 4 + ';ud'),
     ('interval', 'ud' * 5000 + ';' + 'ud' * 5000),
     ('map', f"n=5000 sigma=({_EDGES}) alpha=(1) root=1"),
-    ('map', f"x n=5000 sigma=({_EDGES}) alpha=({_EDGES}) root=1")],
-    ids=['falls-below', 'off-axis', 'not-new', 'cycles-cover', 'malformed'])
+    ('map', f"x n=5000 sigma=({_EDGES}) alpha=({_EDGES}) root=1"),
+    ('map', "n=01 sigma=(+1) alpha=(1) root=1"),
+    ('map', "n=1 sigma=(1) alpha=(1) root=+1"),
+    ('map', "n=\u0661 sigma=(\u0661) alpha=(1) root=1"),
+    ('tree', "(00:())"),
+    ('tree', "(\u0662:(\u0660:()\u0660:()))")],
+    ids=['falls-below', 'off-axis', 'not-new', 'cycles-cover', 'malformed',
+         'padded-signed-map', 'signed-root', 'arabic-indic-map',
+         'padded-label', 'arabic-indic-tree'])
 def test_long_bad_line_gets_a_short_error(capsys, src, line):
     code, out = run(['convert', '--from', src, '--to', 'tree'],
                     stdin=line + '\n')

@@ -4,12 +4,12 @@ from itertools import permutations
 import pytest
 
 from tamari_atlas.dyck import NewInterval, bracket_vector
-from tamari_atlas.enumeration import (count_formula, enum_degree_trees,
-                                      enum_dyck, enum_maps_oracle,
-                                      enum_new_intervals, gf_table,
-                                      gf_table_lines)
-from tamari_atlas.maps import (HypermapCode, bfs_edge_order, from_hypermap,
-                               perm_cycles)
+from tamari_atlas.enumeration import (_grow, _insertions, count_formula,
+                                      enum_degree_trees, enum_dyck,
+                                      enum_maps_oracle, enum_new_intervals,
+                                      gf_table, gf_table_lines)
+from tamari_atlas.maps import (HypermapCode, bfs_edge_order, canonical_pair,
+                               from_hypermap, perm_cycles)
 
 
 def scan_map_codes(n):
@@ -90,6 +90,35 @@ def test_grown_oracle_matches_permutation_scan():
         grown = [str(code) for code in enum_maps_oracle(n)]
         assert len(set(grown)) == len(grown)
         assert set(grown) == scan_map_codes(n), n
+
+
+def whole_pair_grow(level, k):
+    """Reference growth step: keeps a candidate by the genus-0 cycle count
+    of its whole pair (sigma, alpha and face cycles), without using the
+    parent's genus."""
+    ids = range(1, k + 1)
+    out = set()
+    for sigma, alpha in level:
+        alphas = [(a, len(perm_cycles(a, ids))) for a in _insertions(alpha, k)]
+        for s in _insertions(sigma, k):
+            c_s = len(perm_cycles(s, ids))
+            for a, c_a in alphas:
+                if s[k] == k and a[k] == k:   # both ends new: disconnected
+                    continue
+                faces = [s[x] for x in a]
+                if c_s + c_a + len(perm_cycles(faces, ids)) != k + 2:
+                    continue
+                out.add(canonical_pair(s, a, 1))
+    return sorted(out)
+
+
+def test_growth_step_matches_whole_pair_reference_up_to_7():
+    level = [((0, 1), (0, 1))]   # the one-edge map
+    for k in range(2, 8):
+        grown = _grow(level, k)
+        assert grown == whole_pair_grow(level, k)
+        level = grown
+    assert len(level) == 9152
 
 
 def test_grown_oracle_counts_match_formulas_up_to_7():

@@ -164,7 +164,7 @@ def test_surgery_contract():
     m = build(PATH)
     d = m.root_corner
     with pytest.raises(ValueError):
-        m.split_vertex(m.vertex_of(d), [d, d], BLACK)
+        m.split_vertex(m.vertex_of(d), [d, d])
     kept = m.contract_edge(d)
     assert len(m.vertex_darts(kept)) == 1
     assert m.edge_count == 1
@@ -175,10 +175,11 @@ def test_split_vertex_and_rejoin():
     mid = m.vertex_of(m.mate(m.root_corner))
     darts = m.vertex_darts(mid)
     assert len(darts) == 2
-    w = m.split_vertex(mid, [darts[0]], WHITE)
+    w = m.split_vertex(mid, [darts[0]])
+    assert m.color(w) == m.color(mid)
     assert len(m.vertex_darts(w)) == len(m.vertex_darts(mid)) == 1
     with pytest.raises(ValueError):
-        m.split_vertex(mid, [999], WHITE)
+        m.split_vertex(mid, [999])
 
 
 def assert_prev_inverts_next(m):
@@ -207,7 +208,7 @@ def test_prev_cw_inverts_next_cw_after_surgery():
             a, _ = w.add_edge(('after', d), ('vertex', w.new_vertex(BLACK)))
             assert_prev_inverts_next(w)
             v = w.vertex_of(d)
-            w.split_vertex(v, w.vertex_darts(v, start=d)[:2], BLACK)
+            w.split_vertex(v, w.vertex_darts(v, start=d)[:2])
             assert_prev_inverts_next(w)
             w.contract_edge(d)
             assert_prev_inverts_next(w)

@@ -9,10 +9,13 @@ from pathlib import Path
 import pytest
 
 import tamari_atlas
+from tamari_atlas.bijections import tree_to_map
 from tamari_atlas.enumeration import enum_degree_trees, enum_dyck
-from tamari_atlas.trees import (DegreeTree, PlaneTree, dyck_to_plane_tree,
-                                node_labels, parse_degree_tree,
-                                tree_from_nested, tree_stats)
+from tamari_atlas.maps import MapStats
+from tamari_atlas.trees import (DegreeTree, PlaneTree, TreeStats,
+                                dyck_to_plane_tree, node_labels,
+                                parse_degree_tree, tree_from_nested,
+                                tree_stats)
 from tamari_atlas.verify import check_node_label_lemma
 
 
@@ -45,10 +48,12 @@ def scan_parse_degree_tree(text: str) -> DegreeTree:
             path.pop()
             continue
         start = pos
-        while pos < len(s) and s[pos].isdigit():
+        while pos < len(s) and s[pos] in '0123456789':
             pos += 1
         if pos == start or pos >= len(s) or s[pos] != ':':
             fail("expected 'label:'")
+        if s[start] == '0' and pos - start > 1:
+            fail("label with a leading zero")
         labels.append(int(s[start:pos]))
         pos += 1
         child = open_node()
@@ -161,7 +166,8 @@ def test_parser_and_text_form():
 
 
 BAD_TEXTS = ["", "(", "()x", "(:())", "(1())", "(0:())(0:())", "(0:()))",
-             "())("]
+             "())(", "(00:())", "(01:(0:()))", "(+1:(0:()))",
+             "(\u0662:(\u0660:()\u0660:()))"]
 
 
 def test_parser_memory_is_a_few_copies_of_the_text():
@@ -232,4 +238,15 @@ def test_stats_sum_and_label_lemma_up_to_size_7():
         for dt in enum_degree_trees(n):
             s = tree_stats(dt)
             assert s.lnode + s.znode + s.pnode == n + 1
+            # the colour rule tree_to_map builds by: leaves are its white
+            # vertices, zero nodes its black ones
+            if n > 0:
+                assert tree_to_map(dt).stats() == MapStats(
+                    black=s.znode, white=s.lnode, face=s.pnode + 1,
+                    outdeg=s.rlabel)
+    # the one exception: the one-node tree is a leaf, but the edgeless map
+    # is a single black vertex
+    assert tree_stats(parse_degree_tree("()")) == TreeStats(1, 0, 0, 0)
+    assert tree_to_map(parse_degree_tree("()")).stats() == MapStats(
+        black=1, white=0, face=1, outdeg=0)
     assert check_node_label_lemma(7).ok
