@@ -6,26 +6,25 @@ All generators are deterministic: Dyck paths come out in lexicographic
 order ('d' < 'u'), intervals in lower-major order over path pairs, degree
 trees grouped by underlying tree with label choices ascending, and maps
 in increasing order of their canonical (sigma, alpha) pair. The map
-enumerator is independent of the bijections: it grows permutation pairs
-acting on edge ids one edge at a time from the one-edge map, inserting
+enumerator is independent of the bijections: it grows canonical
+permutation pairs one edge at a time from the one-edge map, inserting
 the new edge into every black and white corner (or onto a new vertex of
-either colour), keeps the genus-0 pairs (only chords walk faces), and
-deduplicates them by their canonical relabelling, in the manner of
-McKay's canonical augmentation ("Isomorph-free exhaustive generation",
-1998). Both it and ``PlanarMap.canonical_code`` relabel edges with
-``maps.canonical_pair``, so the oracle shares code with the maps module
-only.
+either colour), and keeps a genus-0 result exactly when the new edge is
+its last breadth-first edge. That is McKay's canonical augmentation
+("Isomorph-free exhaustive generation", 1998): each map is grown once,
+from its canonical parent, so nothing is relabelled or deduplicated. It
+shares only ``perm_cycles``, ``bfs_edge_order`` and ``HypermapCode``
+with the maps module.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .dyck import (DyckPath, NewInterval, bracket_vector, iter_dyck_words,
                    interval_stats)
-from .maps import HypermapCode, canonical_pair, perm_cycles
+from .maps import HypermapCode, bfs_edge_order, perm_cycles
 from .trees import DegreeTree, PlaneTree, dyck_to_plane_tree
 
 
@@ -138,19 +137,28 @@ def _grow(level: list[tuple[tuple[int, ...], tuple[int, ...]]],
 
     Edge k goes into each black corner or onto a new black vertex, and
     into each white corner or onto a new white vertex, never with both
-    ends new. A pendant edge keeps the parent's genus 0, a chord keeps it
-    if it splits a face; results are relabelled by BFS and deduplicated."""
-    ids = range(1, k + 1)
-    out = set()
+    ends new. A pendant edge keeps genus 0, a chord keeps it if its two
+    corners lie on one face of the parent. A pair is kept when k is its
+    last BFS edge; it is then canonical and grown once, from its
+    canonical parent (itself minus edge k)."""
+    out = []
     for sigma, alpha in level:
-        faces = len(perm_cycles([sigma[x] for x in alpha], range(1, k)))
-        for s, a in product(_insertions(sigma, k), _insertions(alpha, k)):
-            if s[k] != k and a[k] != k:   # a chord
-                if len(perm_cycles([s[x] for x in a], ids)) != faces + 1:
+        # label corners by face: the step e -> sigma[alpha[e]] passes the
+        # white corner after e and the black corner after alpha[e]
+        black, white = [0] * k, [0] * k
+        for face, cyc in enumerate(perm_cycles([sigma[x] for x in alpha],
+                                               range(1, k))):
+            for e in cyc:
+                white[e] = black[alpha[e]] = face
+        alphas = _insertions(alpha, k)
+        for b, s in enumerate(_insertions(sigma, k), 1):
+            for w, a in enumerate(alphas, 1):
+                if b == w == k:   # both ends new: disconnected
                     continue
-            elif s[k] == k and a[k] == k:   # both ends new: disconnected
-                continue
-            out.add(canonical_pair(s, a, 1))
+                if b < k and w < k and black[b] != white[w]:
+                    continue   # a chord across two faces
+                if bfs_edge_order(s, a, 1)[-1] == k:
+                    out.append((tuple(s), tuple(a)))
     return sorted(out)
 
 
@@ -159,14 +167,14 @@ def enum_maps_oracle(n: int) -> list[HypermapCode]:
     code of each root-preserving isomorphism class, in increasing order of
     their (sigma, alpha) pair.
 
-    Independent of the bijections: grows permutation pairs one edge at a
-    time from the one-edge map. Every map with n >= 2 edges is a map with
-    n - 1 edges plus a non-root edge whose deletion keeps it connected,
-    so growing every canonical pair of size n - 1 by every insertion of
-    edge n reaches every map; the results are relabelled by
-    :func:`~tamari_atlas.maps.canonical_pair` (the relabelling behind
-    every canonical code) and deduplicated by the relabelled pair.
-    """
+    Independent of the bijections, by McKay's canonical augmentation. A
+    map's canonical parent is the map minus its last edge in
+    :func:`~tamari_atlas.maps.bfs_edge_order`: that edge either discovered
+    its far end, which has no other edge, or reached a vertex queued
+    earlier, so the parent is connected and every other edge keeps its
+    BFS place. Growing each canonical pair of size n - 1 by each
+    insertion of edge n, and keeping the pairs whose last BFS edge is n,
+    yields every map once, already canonically labelled."""
     if n < 0:
         raise ValueError("size must be non-negative")
     if n == 0:

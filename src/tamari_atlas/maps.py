@@ -25,8 +25,8 @@ including fixed points, and the edgeless map written ``n=0``.
 
 Every orbit of a permutation, over edge ids or over darts, comes from the
 one walker :func:`perm_cycles`. The canonical code and the map oracle in
-``enumeration`` relabel edges with :func:`canonical_pair`, in the order
-of :func:`bfs_edge_order`, the one breadth-first search over a pair.
+``enumeration`` number edges in the order of :func:`bfs_edge_order`, the
+one breadth-first search over a pair.
 
 A HypermapCode is how a map crosses the API: like the other families'
 value types it is immutable and checks itself when built, so every one
@@ -100,20 +100,6 @@ def bfs_edge_order(sigma: Sequence[int], alpha: Sequence[int],
     return order
 
 
-def canonical_pair(sigma: Sequence[int], alpha: Sequence[int], root: int
-                   ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The pair relabelled in its :func:`bfs_edge_order` from ``root``,
-    indexed by edge with index 0 unused; ValueError if not transitive."""
-    order = bfs_edge_order(sigma, alpha, root)
-    if len(order) < len(sigma) - 1:
-        raise ValueError("map is not connected")
-    label = [0] * len(sigma)
-    for i, e in enumerate(order, 1):
-        label[e] = i
-    return ((0, *(label[sigma[e]] for e in order)),
-            (0, *(label[alpha[e]] for e in order)))
-
-
 @dataclass(frozen=True, slots=True)
 class HypermapCode:
     """Rooted bipartite planar map as a permutation pair. Building one
@@ -179,8 +165,14 @@ _CYCLE_RE = re.compile(r'\(([^()]*)\)')
 
 
 def _number(what: str, text: str) -> int:
-    value = int(text)
-    if str(value) != text:   # "+", "_", a leading zero or a non-ASCII digit
+    try:
+        value = int(text)
+    except ValueError:
+        if text.isascii() and text.isdigit():
+            raise   # more digits than int() converts; its message says so
+        value = None
+    # "+", "_", a leading zero, a non-ASCII digit or no number at all
+    if str(value) != text:
         raise ValueError(f"{what} {text[:20]!r} is not one of 0, 1, 2, ...")
     return value
 
@@ -192,12 +184,14 @@ def _parse_cycles(n: int, text: str) -> tuple[int, ...]:
               for m in _CYCLE_RE.finditer(text)]
     if sum(map(len, cycles)) != n or re.sub(_CYCLE_RE, '', text).strip():
         shown = text if len(text) <= 40 else text[:37] + '...'
-        raise ValueError(f"cycles {shown!r} do not cover 1..{n} exactly")
+        raise ValueError(f"cycles {shown!r} do not cover "
+                         f"1..{str(n)[:20]} exactly")
     perm = [0] * n
     for cyc in cycles:
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             if not 1 <= a <= n or perm[a - 1]:
-                raise ValueError(f"bad cycle notation at point {a}")
+                raise ValueError("bad cycle notation at point "
+                                 f"{str(a)[:20]}")
             perm[a - 1] = b
     return tuple(perm)
 
@@ -551,8 +545,12 @@ class PlanarMap:
         for d in self.darts():
             rot = sigma if color[vertex[d]] == BLACK else alpha
             rot[raw[d]] = raw[nxt[d]]
-        sigma, alpha = canonical_pair(sigma, alpha, raw[self.root_corner])
-        return HypermapCode(n, sigma[1:], alpha[1:], 1)
+        order = bfs_edge_order(sigma, alpha, raw[self.root_corner])
+        if len(order) < n:
+            raise ValueError("map is not connected")
+        label = dict(zip(order, range(1, n + 1)))
+        return HypermapCode(n, tuple(label[sigma[e]] for e in order),
+                            tuple(label[alpha[e]] for e in order), 1)
 
     def canonical_code(self) -> str:
         """Root-preserving isomorphism invariant."""

@@ -172,8 +172,11 @@ class DegreeTree:
 
 
 def parse_degree_tree(text: str) -> DegreeTree:
-    """Parse the text form (whitespace is ignored) into a valid degree
-    tree; raises ValueError on bad syntax or an invalid labeling."""
+    """Parse the text form (whitespace is ignored, except inside a label)
+    into a valid degree tree; raises ValueError on bad syntax or an
+    invalid labeling."""
+    if re.search(r"[0-9]\s+[0-9]", text):
+        raise ValueError("whitespace inside a label in degree tree text")
     s = ''.join(text.split())
     inner = s[1:-1]
     step = r"(?:0|[1-9][0-9]*):\("     # a label prints as it is read
@@ -219,10 +222,10 @@ def find_violation(dt: DegreeTree) -> str | None:
             lab = dt.label_of(c)
             if pos > 0 and lab != 0:
                 return (f"edge to node {c}: non-leftmost edge has "
-                        f"label {lab}, expected 0")
+                        f"label {str(lab)[:20]}, expected 0")
             if pos == 0 and lab > ell[c]:
-                return (f"edge to node {c}: label {lab} exceeds child "
-                        f"label {ell[c]}")
+                return (f"edge to node {c}: label {str(lab)[:20]} exceeds "
+                        f"child label {str(ell[c])[:20]}")
     return None
 
 

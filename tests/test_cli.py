@@ -234,10 +234,17 @@ _EDGES = ' '.join(map(str, range(1, 5000)))
     ('map', "n=1 sigma=(1) alpha=(1) root=+1"),
     ('map', "n=\u0661 sigma=(\u0661) alpha=(1) root=1"),
     ('tree', "(00:())"),
-    ('tree', "(\u0662:(\u0660:()\u0660:()))")],
+    ('tree', "(\u0662:(\u0660:()\u0660:()))"),
+    ('tree', f"({'1' * 4000}:())"),
+    ('tree', f"(0:({'1' * 4000}:()))"),
+    ('map', f"n=1 sigma=({'1' * 4000}) alpha=(1) root=1"),
+    ('map', f"n={'1' * 4000} sigma=(1) alpha=(1) root=1"),
+    ('map', "n=1 sigma=(1) alpha=(1) root=1 extra")],
     ids=['falls-below', 'off-axis', 'not-new', 'cycles-cover', 'malformed',
          'padded-signed-map', 'signed-root', 'arabic-indic-map',
-         'padded-label', 'arabic-indic-tree'])
+         'padded-label', 'arabic-indic-tree', 'huge-label-tree',
+         'huge-label-below', 'huge-point-map', 'huge-size-map',
+         'trailing-root-text'])
 def test_long_bad_line_gets_a_short_error(capsys, src, line):
     code, out = run(['convert', '--from', src, '--to', 'tree'],
                     stdin=line + '\n')
@@ -259,6 +266,25 @@ def test_map_text_reads_n_first(capsys, line, message):
     assert code == 1
     assert out == ''
     assert capsys.readouterr().err == f"error: line 1: {message}\n"
+
+
+@pytest.mark.parametrize('src,line,message', [
+    ('tree', "(1 0:(" + "0:()" * 10 + "))",
+     "whitespace inside a label in degree tree text"),
+    ('map', "n=1 sigma=(1) alpha=(1) root=1 extra",
+     "root '1 extra' is not one of 0, 1, 2, ..."),
+    ('map', f"n=1 sigma=({'1' * 4000}) alpha=(1) root=1",
+     f"bad cycle notation at point {'1' * 20}")],
+    ids=['space-in-label', 'trailing-root-text', 'huge-point'])
+def test_bad_number_message(capsys, src, line, message):
+    # whitespace may not split a label; a quoted number is cut at 20
+    # characters
+    first = "(0:())" if src == 'tree' else "n=1 sigma=(1) alpha=(1) root=1"
+    code, out = run(['convert', '--from', src, '--to', 'tree'],
+                    stdin=f"{first}\n{line}\n")
+    assert code == 1
+    assert out == "(0:())\n"
+    assert capsys.readouterr().err == f"error: line 2: {message}\n"
 
 
 def chain(depth, maximal):

@@ -8,8 +8,8 @@ from tamari_atlas.enumeration import (_grow, _insertions, count_formula,
                                       enum_degree_trees, enum_dyck,
                                       enum_maps_oracle, enum_new_intervals,
                                       gf_table, gf_table_lines)
-from tamari_atlas.maps import (HypermapCode, bfs_edge_order, canonical_pair,
-                               from_hypermap, perm_cycles)
+from tamari_atlas.maps import (HypermapCode, bfs_edge_order, from_hypermap,
+                               perm_cycles)
 
 
 def scan_map_codes(n):
@@ -108,7 +108,9 @@ def whole_pair_grow(level, k):
                 faces = [s[x] for x in a]
                 if c_s + c_a + len(perm_cycles(faces, ids)) != k + 2:
                     continue
-                out.add(canonical_pair(s, a, 1))
+                code = from_hypermap(HypermapCode(
+                    k, tuple(s[1:]), tuple(a[1:]), 1)).to_hypermap()
+                out.add(((0, *code.sigma), (0, *code.alpha)))
     return sorted(out)
 
 
@@ -119,6 +121,27 @@ def test_growth_step_matches_whole_pair_reference_up_to_7():
         assert grown == whole_pair_grow(level, k)
         level = grown
     assert len(level) == 9152
+
+
+def delete_last_edge(perm, n):
+    """The permutation of 1..n with n removed from its cycle."""
+    out = list(perm[:n])
+    if perm[n] != n:
+        out[perm.index(n)] = perm[n]
+    return out
+
+
+def test_each_map_has_one_canonical_parent():
+    # deleting edge n leaves a connected pair whose BFS order is still
+    # 1..n-1, and that pair is a map of the previous level
+    for n in range(2, 7):
+        parents = set(enum_maps_oracle(n - 1))
+        for code in enum_maps_oracle(n):
+            sigma = delete_last_edge((0, *code.sigma), n)
+            alpha = delete_last_edge((0, *code.alpha), n)
+            assert bfs_edge_order(sigma, alpha, 1) == list(range(1, n))
+            assert HypermapCode(n - 1, tuple(sigma[1:]), tuple(alpha[1:]),
+                                1) in parents
 
 
 def test_grown_oracle_counts_match_formulas_up_to_7():

@@ -23,7 +23,11 @@ def scan_parse_degree_tree(text: str) -> DegreeTree:
     """Reference parser: one character at a time with an explicit stack
     of open nodes. It is the scan the regular-expression parser
     replaced, kept to test that parser against."""
-    s = ''.join(text.split())
+    words = text.split()
+    if any(a[-1] in '0123456789' and b[0] in '0123456789'
+           for a, b in zip(words, words[1:])):
+        raise ValueError("whitespace between two digits")
+    s = ''.join(words)
     pos = 0
     children: list[list[int]] = []
     labels: list[int] = []           # labels[v-1]: edge above node v
@@ -167,7 +171,7 @@ def test_parser_and_text_form():
 
 BAD_TEXTS = ["", "(", "()x", "(:())", "(1())", "(0:())(0:())", "(0:()))",
              "())(", "(00:())", "(01:(0:()))", "(+1:(0:()))",
-             "(\u0662:(\u0660:()\u0660:()))"]
+             "(\u0662:(\u0660:()\u0660:()))", "(1 0:(0:()))"]
 
 
 def test_parser_memory_is_a_few_copies_of_the_text():

@@ -8,7 +8,7 @@ import pytest
 
 from tamari_atlas import cli, verify
 from tamari_atlas.enumeration import enum_maps_oracle
-from tamari_atlas.maps import parse_hypermap
+from tamari_atlas.maps import PlanarMap, parse_hypermap
 from tamari_atlas.trees import parse_degree_tree
 from tamari_atlas.verify import report_lines, verify_suite
 
@@ -125,3 +125,27 @@ def test_check_ids_are_the_check_functions_and_the_traced_list(monkeypatch):
     assert ids == sorted(spans.VERIFY_CHECK_IDS)
     assert len(spans.VERIFY_CHECK_IDS) == 18
     assert len(ids) == workloads.VERIFY_CHECKS
+
+
+def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
+    # a traced benchmark run looks each traced function up by name, so
+    # deleting or renaming one breaks it while the rest of tier 1 passes
+    monkeypatch.syspath_prepend(
+        str(pathlib.Path(__file__).resolve().parent.parent / 'bench'))
+    spans = importlib.import_module('spans')
+
+    def traced():
+        return ([cli.run] + [vars(PlanarMap)[f] for f in spans.MAP_METHODS]
+                + [getattr(importlib.import_module(f'tamari_atlas.{m}'), f)
+                   for m, f in spans.LAYER_FUNCTIONS])
+
+    originals = traced()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert cli.run(['verify', '--max-size', '3'], io.StringIO()) == 0
+    finally:
+        tracer.uninstall()
+    assert 'enumeration.enum_maps_oracle' in {s[0] for s in tracer.spans}
+    assert traced() == originals
+    assert verify.enum_maps_oracle is enum_maps_oracle
