@@ -58,8 +58,7 @@ from typing import Callable
 
 from .dyck import DyckPath, NewInterval, factor_rising_contacts
 from .maps import BLACK, WHITE, HypermapCode, PlanarMap, from_hypermap
-from .trees import (DegreeTree, PlaneTree, dyck_to_plane_tree,
-                    plane_tree_to_dyck)
+from .trees import DegreeTree, PlaneTree, dyck_to_plane_tree, tree_word
 
 
 def map_to_tree(code: HypermapCode,
@@ -73,17 +72,10 @@ def map_to_tree(code: HypermapCode,
     if code.n == 0:
         return DegreeTree(PlaneTree(((),)), ())
     w = from_hypermap(code)
-    for d in w.darts():
-        w.set_tag(d, 'M')
-
+    w.tag_all('M')
     # faces of the input, flagged once merged into the explored face
     # (see the module docstring)
-    face: dict[int, int] = {}       # dart -> its face in the input
-    degree: list[int] = []          # face -> its degree in the input
-    for orbit in w.face_orbits():
-        for x in orbit:
-            face[x] = len(degree)
-        degree.append(len(orbit))
+    face, degree = w.faces()
     explored = [False] * len(degree)
     explored[face[w.root_corner]] = True
 
@@ -256,7 +248,9 @@ def tree_to_map(dt: DegreeTree, trace: Callable[..., None] | None = None
             d0 = w.next_cw(q)
             if d0 == q:
                 raise RuntimeError(f"node {node} has no component edge")
-            target = w.corner_walk_cw(d0, 2 * r - 1)
+            target = d0
+            for _ in range(2 * r - 1):
+                target = w.face_next(target)
             a, _ = w.add_edge(('corner', d0), ('corner', target))
             w.set_tag(a, 'M')
             if len(w.face_of(d0)) != 2 * r:
@@ -319,7 +313,7 @@ def tree_to_interval(dt: DegreeTree) -> NewInterval:
     """Degree tree of size n to new interval of size n + 1."""
     mult = certificates(dt).multiplicity
     lower = ''.join('u' + 'd' * mult[v] for v in range(dt.tree.node_count))
-    upper = 'u' + plane_tree_to_dyck(dt.tree).steps + 'd'
+    upper = 'u' + tree_word(dt.tree, 'u' * dt.size, 'd') + 'd'
     return NewInterval(DyckPath(lower), DyckPath(upper))
 
 
@@ -334,8 +328,7 @@ def interval_to_tree(interval: NewInterval) -> DegreeTree:
     tree = dyck_to_plane_tree(DyckPath(interval.upper.steps[1:-1]))
     contacts = factor_rising_contacts(interval.lower)
     labels = [0] * tree.size
-    for node in range(tree.node_count):
-        kids = tree.children[node]
+    for node, kids in enumerate(tree.children):
         if kids:
             labels[kids[0] - 1] = contacts[node]
     return DegreeTree(tree, tuple(labels))

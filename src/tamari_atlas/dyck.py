@@ -74,28 +74,24 @@ def match_index(path: DyckPath, i: int) -> int:
 
 def factor_between(path: DyckPath, i: int) -> DyckPath:
     """The Dyck factor strictly between up step i and its match."""
-    ups = path.up_positions()
-    if not 1 <= i <= len(ups):
-        raise IndexError(f"up-step index {i} out of range 1..{len(ups)}")
-    j = match_index(path, i)
-    return DyckPath(path.steps[ups[i - 1]:j - 1])
+    j = match_index(path, i)    # checks i
+    return DyckPath(path.steps[path.up_positions()[i - 1]:j - 1])
 
 
 def bracket_vector(path: DyckPath) -> tuple[int, ...]:
     """V_P(i) = size of the factor matched by up step i, for i = 1..n.
 
-    One stack pass: a down step closes the innermost open up step.
+    One stack pass: a down step closes the innermost open up step. An up
+    step at 0-based position p from height h has (p + h) / 2 before it.
     """
     out = [0] * path.size
-    open_ups: list[tuple[int, int]] = []    # (up-step index, position)
-    i = 0
+    open_ups: list[int] = []    # positions of the open up steps
     for pos, ch in enumerate(path.steps):
         if ch == 'u':
-            open_ups.append((i, pos))
-            i += 1
+            open_ups.append(pos)
         else:
-            j, start = open_ups.pop()
-            out[j] = (pos - start - 1) // 2
+            start = open_ups.pop()
+            out[(start + len(open_ups)) // 2] = (pos - start - 1) // 2
     return tuple(out)
 
 
@@ -106,15 +102,14 @@ def factor_rising_contacts(path: DyckPath) -> tuple[int, ...]:
     when i is the innermost open up step at that moment, so one stack pass
     counts them all.
     """
-    out = [0] * path.size
-    open_ups: list[int] = []
-    i = 0
+    out: list[int] = []
+    open_ups: list[int] = []    # indices of the open up steps
     for ch in path.steps:
         if ch == 'u':
             if open_ups:
                 out[open_ups[-1]] += 1
-            open_ups.append(i)
-            i += 1
+            open_ups.append(len(out))
+            out.append(0)
         else:
             open_ups.pop()
     return tuple(out)
@@ -161,18 +156,9 @@ def is_new_interval(lower: DyckPath, upper: DyckPath) -> bool:
         raise ValueError("interval components must have equal size")
     if n == 0:
         raise ValueError("intervals are defined for size >= 1")
-    vp = bracket_vector(lower)
-    vq = bracket_vector(upper)
-    if any(a > b for a, b in zip(vp, vq)):
-        return False
-    if vq[0] != n - 1:  # first up step of Q matches the final down step
-        return False
-    for i in range(n):
-        if vq[i] > 0:
-            nxt = vq[i + 1] if i + 1 < n else 0
-            if vp[i] > nxt:
-                return False
-    return True
+    vp, vq = bracket_vector(lower), bracket_vector(upper)
+    return vq[0] == n - 1 and all(a <= b and (b == 0 or a <= c)
+                                  for a, b, c in zip(vp, vq, vq[1:] + (0,)))
 
 
 @dataclass(frozen=True)
@@ -217,20 +203,14 @@ def interval_stats(interval: NewInterval) -> IntervalStats:
     The pair (1,0) cannot occur in a valid interval; finding one means the
     input was corrupted, and is reported as an error.
     """
-    tp = type_word(interval.lower)
-    tq = type_word(interval.upper)
-    c00 = c01 = c11 = 0
-    for i, (a, b) in enumerate(zip(tp, tq)):
-        if (a, b) == ('0', '0'):
-            c00 += 1
-        elif (a, b) == ('0', '1'):
-            c01 += 1
-        elif (a, b) == ('1', '1'):
-            c11 += 1
-        else:
-            raise ValueError(f"type pair (1,0) at index {i + 1}: "
-                             "not a valid new interval")
-    return IntervalStats(c00, c01, c11, rising_contacts(interval.lower))
+    pairs = list(zip(type_word(interval.lower), type_word(interval.upper)))
+    if ('1', '0') in pairs:
+        raise ValueError(f"type pair (1,0) at index "
+                         f"{pairs.index(('1', '0')) + 1}: "
+                         "not a valid new interval")
+    return IntervalStats(pairs.count(('0', '0')), pairs.count(('0', '1')),
+                         pairs.count(('1', '1')),
+                         rising_contacts(interval.lower))
 
 
 def iter_dyck_words(n: int) -> Iterator[str]:

@@ -110,13 +110,9 @@ def enum_degree_trees(n: int) -> list[DegreeTree]:
     """All degree trees of size n."""
     if n < 0:
         raise ValueError("size must be non-negative")
-    out = []
-    for word in iter_dyck_words(n):
-        tree = dyck_to_plane_tree(DyckPath(word))
-        for labs, _ in _label_choices(tree):
-            out.append(DegreeTree(tree, tuple(labs.get(v, 0)
-                                              for v in range(1, n + 1))))
-    return out
+    trees = [dyck_to_plane_tree(DyckPath(w)) for w in iter_dyck_words(n)]
+    return [DegreeTree(tree, tuple(labs.get(v, 0) for v in range(1, n + 1)))
+            for tree in trees for labs, _ in _label_choices(tree)]
 
 
 def _insertions(perm: Sequence[int], k: int) -> list[list[int]]:

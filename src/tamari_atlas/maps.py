@@ -23,10 +23,11 @@ faces correspond to orbits of e -> sigma(alpha(e)). Its text form is
 ``n=<n> sigma=<cycles> alpha=<cycles> root=<edge>``, with disjoint cycles
 including fixed points, and the edgeless map written ``n=0``.
 
-Every orbit of a permutation, over edge ids or over darts, comes from the
-one walker :func:`perm_cycles`. The canonical code and the map oracle in
-``enumeration`` number edges in the order of :func:`bfs_edge_order`, the
-one breadth-first search over a pair.
+Every orbit listed, over edge ids or over darts, comes from the one walker
+:func:`perm_cycles`; the code's check only counts cycles, and
+``PlanarMap.faces`` only numbers faces. The canonical code and the map
+oracle in ``enumeration`` number edges in the order of
+:func:`bfs_edge_order`, the one breadth-first search over a pair.
 
 A HypermapCode is how a map crosses the API: like the other families'
 value types it is immutable and checks itself when built, so every one
@@ -100,6 +101,22 @@ def bfs_edge_order(sigma: Sequence[int], alpha: Sequence[int],
     return order
 
 
+def _cycle_count(perm: Sequence[int], seen: bytearray, k: int) -> int:
+    """Number of cycles of perm (index 0 unused), marking their points k
+    in seen, which holds no k yet; ValueError unless perm permutes 1..n."""
+    n = len(perm) - 1
+    count = 0
+    for start in range(1, n + 1):
+        x = start
+        count += seen[x] != k
+        while seen[x] != k:     # a new cycle: walk it
+            seen[x] = k
+            x = perm[x]
+            if not 0 < x <= n or seen[x] == k and x != start:
+                raise ValueError(f"not a permutation of 1..{n}")
+    return count
+
+
 @dataclass(frozen=True, slots=True)
 class HypermapCode:
     """Rooted bipartite planar map as a permutation pair. Building one
@@ -112,25 +129,23 @@ class HypermapCode:
     root: int
 
     def __post_init__(self):
-        if self.n < 0 or len(self.sigma) != self.n or len(self.alpha) != self.n:
+        n = self.n
+        if n < 0 or len(self.sigma) != n or len(self.alpha) != n:
             raise ValueError("permutations must act on {1..n}")
-        for p in (self.sigma, self.alpha):
-            if sorted(p) != list(range(1, self.n + 1)):
-                raise ValueError(f"not a permutation of 1..{self.n}")
-        if self.n == 0:
+        sigma, alpha = (0,) + self.sigma, (0,) + self.alpha
+        seen = bytearray(n + 1)     # the walks below mark it 1, 2, 3
+        c = _cycle_count(sigma, seen, 1) + _cycle_count(alpha, seen, 2)
+        if n == 0:
             if self.root != 0:
                 raise ValueError("edgeless code has root=0")
             return
-        if not 1 <= self.root <= self.n:
+        if not 1 <= self.root <= n:
             raise ValueError("root edge out of range")
-        sigma, alpha = (0,) + self.sigma, (0,) + self.alpha
-        if len(bfs_edge_order(sigma, alpha, self.root)) < self.n:
+        if len(bfs_edge_order(sigma, alpha, self.root)) < n:
             raise ValueError("permutation pair is not transitive")
-        ids = range(1, self.n + 1)
-        c = (len(perm_cycles(sigma, ids)) + len(perm_cycles(alpha, ids))
-             + len(self.face_cycles()))
-        if c != self.n + 2:
-            raise ValueError(f"not genus 0: cycle count {c} != {self.n + 2}")
+        c += _cycle_count([sigma[a] for a in alpha], seen, 3)
+        if c != n + 2:
+            raise ValueError(f"not genus 0: cycle count {c} != {n + 2}")
 
     def face_cycles(self) -> list[list[int]]:
         """Orbits of e -> sigma(alpha(e)), one per face."""
@@ -162,6 +177,8 @@ class HypermapCode:
 
 
 _CYCLE_RE = re.compile(r'\(([^()]*)\)')
+_FIELD_RE = re.compile(r'\b(n|sigma|alpha|root)=')
+_ODD_POINT = re.compile(r'[^0-9()\s]|(?<![0-9])0[0-9]')
 
 
 def _number(what: str, text: str) -> int:
@@ -172,17 +189,20 @@ def _number(what: str, text: str) -> int:
             raise   # more digits than int() converts; its message says so
         value = None
     # "+", "_", a leading zero, a non-ASCII digit or no number at all
-    if str(value) != text:
+    if value is None or str(value) != text:
         raise ValueError(f"{what} {text[:20]!r} is not one of 0, 1, 2, ...")
     return value
 
 
 def _parse_cycles(n: int, text: str) -> tuple[int, ...]:
+    # in bulk unless the text holds a character no point 1, 2, ... prints,
+    # or a leading zero: such text is rejected, its error worded by _number
+    number = (int if not _ODD_POINT.search(text)
+              else lambda point: _number('cycle point', point))
+    cycles = [list(map(number, m.split())) for m in _CYCLE_RE.findall(text)]
     # count the points before allocating: n comes from the input and may
     # be far too large for a list
-    cycles = [[_number('cycle point', t) for t in m.group(1).split()]
-              for m in _CYCLE_RE.finditer(text)]
-    if sum(map(len, cycles)) != n or re.sub(_CYCLE_RE, '', text).strip():
+    if sum(map(len, cycles)) != n or _CYCLE_RE.sub('', text).strip():
         shown = text if len(text) <= 40 else text[:37] + '...'
         raise ValueError(f"cycles {shown!r} do not cover "
                          f"1..{str(n)[:20]} exactly")
@@ -199,7 +219,7 @@ def _parse_cycles(n: int, text: str) -> tuple[int, ...]:
 def parse_hypermap(text: str) -> HypermapCode:
     """Parse the hypermap text form; whitespace and newlines both accepted
     between the fields, each field at most once."""
-    parts = re.split(r'\b(n|sigma|alpha|root)=', text)
+    parts = _FIELD_RE.split(text)
     if len(parts) < 3 or parts[0].strip():
         raise ValueError("malformed map text")
     fields: dict[str, str] = {}
@@ -314,6 +334,11 @@ class PlanarMap:
 
     # -- edge tags ---------------------------------------------------------
 
+    def tag_all(self, tag: str):
+        """Tag every edge as set_tag(d, tag) would."""
+        self._tag = [tag if m else None for m in self._mate]
+        self._label = [0] * len(self._mate)
+
     def set_tag(self, d: int, tag: str, label: int = 0):
         m = self._mate[d]
         self._tag[d] = self._tag[m] = tag
@@ -331,16 +356,21 @@ class PlanarMap:
         """Next corner clockwise along the boundary of d's face."""
         return self._next[self._mate[d]]
 
-    def corner_walk_cw(self, d: int, k: int) -> int:
-        if k < 0:
-            raise ValueError("walk length must be non-negative")
-        for _ in range(k):
-            d = self.face_next(d)
-        return d
-
-    def face_orbits(self) -> list[list[int]]:
-        nxt = self._next
-        return perm_cycles([nxt[m] for m in self._mate], self.darts())
+    def faces(self) -> tuple[list[int], list[int]]:
+        """Faces numbered in the order of their least dart: the face of
+        each dart (-1 for a deleted one) and the degree of each face."""
+        nxt, mate = self._next, self._mate
+        face = [-1] * len(mate)
+        degree: list[int] = []
+        for d, m in enumerate(mate):
+            if m and face[d] < 0:
+                x, k = d, 0
+                while face[x] < 0:
+                    face[x] = len(degree)
+                    x = nxt[mate[x]]
+                    k += 1
+                degree.append(k)
+        return face, degree
 
     def face_of(self, d: int) -> list[int]:
         orbit = [d]
@@ -349,9 +379,6 @@ class PlanarMap:
             orbit.append(x)
             x = self.face_next(x)
         return orbit
-
-    def _is_dart(self, d: int) -> bool:
-        return 0 < d < len(self._mate) and self._mate[d] != 0
 
     # -- surgery -----------------------------------------------------------
 
@@ -446,18 +473,22 @@ class PlanarMap:
         """Detach the contiguous cw arc of darts from v onto a fresh vertex
         of v's colour; the arc may be empty. Returns the new vertex."""
         nxt, prv, vertex = self._next, self._prev, self._vertex
-        if (len(set(arc)) != len(arc)
-                or not all(self._is_dart(d) and vertex[d] == v for d in arc)
-                or any(nxt[a] != b for a, b in zip(arc, arc[1:]))):
+        # one walk from a live first dart of v, with no wrap back to it
+        x = first = arc[0] if arc else 0
+        ok = not arc or (0 < first < len(nxt) and self._mate[first] != 0
+                         and vertex[first] == v)
+        for d in arc[1:] if ok else ():
+            x = nxt[x]
+            ok = ok and d == x != first
+        if not ok:
             raise ValueError("darts do not form a contiguous cw arc")
         w = self.new_vertex(self._color[v])
         if arc:
-            first, last = arc[0], arc[-1]
-            before, after = prv[first], nxt[last]
+            before, after = prv[first], nxt[x]   # x: the last dart
             for d in arc:
                 vertex[d] = w
-            nxt[before], nxt[last] = after, first
-            prv[after], prv[first] = before, last
+            nxt[before], nxt[x] = after, first
+            prv[after], prv[first] = before, x
             if vertex[self._vrep[v]] == w:
                 # after == first when the arc is the whole rotation
                 self._vrep[v] = after if after != first else 0
@@ -514,7 +545,7 @@ class PlanarMap:
         if isolated:
             return f"isolated vertex {isolated[0]} in a map with edges"
         root = self.root_corner
-        if root is None or not self._is_dart(root):
+        if root is None or not 0 < root < size or not mate[root]:
             return "missing root corner"
         if color[vertex[root]] != BLACK:
             return "root vertex is not black"
@@ -548,7 +579,9 @@ class PlanarMap:
         order = bfs_edge_order(sigma, alpha, raw[self.root_corner])
         if len(order) < n:
             raise ValueError("map is not connected")
-        label = dict(zip(order, range(1, n + 1)))
+        label = [0] * (n + 1)
+        for i, e in enumerate(order, 1):
+            label[e] = i
         return HypermapCode(n, tuple(label[sigma[e]] for e in order),
                             tuple(label[alpha[e]] for e in order), 1)
 

@@ -66,13 +66,6 @@ class PlaneTree:
         return tuple(end - v - 1
                      for v, end in enumerate(_subtree_ends(self.children)))
 
-    def depths(self) -> tuple[int, ...]:
-        par = self.parents()
-        dep = [0] * self.node_count
-        for v in range(1, self.node_count):
-            dep[v] = dep[par[v]] + 1
-        return tuple(dep)
-
 
 def _subtree_ends(children) -> list[int]:
     """ends[v]: one past the last preorder index in v's subtree. Raises
@@ -109,35 +102,41 @@ def tree_from_nested(nested) -> PlaneTree:
 
 def dyck_to_plane_tree(path: DyckPath) -> PlaneTree:
     """Plane tree whose preorder depth evolution is the height profile."""
+    return _plane_tree(path.steps.split('u')[:-1], 'd')
+
+
+def _plane_tree(steps: list[str], down: str) -> PlaneTree:
+    """The plane tree whose node v >= 1 enters, in preorder, after the
+    down steps in steps[v-1]; ValueError if they close the root early."""
     children: list[list[int]] = [[]]
-    stack = [0]
-    for ch in path.steps:
-        if ch == 'u':
-            idx = len(children)
-            children.append([])
-            children[stack[-1]].append(idx)
-            stack.append(idx)
-        else:
-            stack.pop()
-    return PlaneTree(tuple(tuple(k) for k in children))
+    path = [0]      # path[h]: the open node at height h
+    h = 0
+    for step in steps:
+        h -= step.count(down)
+        if h < 0:
+            raise ValueError("unbalanced parentheses in degree tree text")
+        children[path[h]].append(len(children))
+        h += 1
+        path[h:] = [len(children)]
+        children.append([])
+    return PlaneTree(tuple(map(tuple, children)))
 
 
-def _word(tree: PlaneTree, ups, down: str) -> str:
+def tree_word(tree: PlaneTree, ups, down: str) -> str:
     """The tree's Dyck word with node v's up step spelled ups[v-1]: in
     preorder, each node enters after the down steps back to its parent."""
-    out: list[str] = []
-    height = 0
-    depth = tree.depths()
-    for v, up in zip(range(1, tree.node_count), ups):
-        out.append(down * (height - depth[v] + 1) + up)
-        height = depth[v]
-    out.append(down * height)
-    return ''.join(out)
+    depth = [0] * tree.node_count
+    for v, kids in enumerate(tree.children):
+        for c in kids:
+            depth[c] = depth[v] + 1
+    return (''.join([down * (a - b + 1) + up
+                     for a, b, up in zip(depth, depth[1:], ups)])
+            + down * depth[-1])
 
 
 def plane_tree_to_dyck(tree: PlaneTree) -> DyckPath:
     """Inverse of dyck_to_plane_tree."""
-    return DyckPath(_word(tree, ['u'] * tree.size, 'd'))
+    return DyckPath(tree_word(tree, 'u' * tree.size, 'd'))
 
 
 @dataclass(frozen=True)
@@ -152,7 +151,7 @@ class DegreeTree:
     def __post_init__(self):
         if len(self.edge_labels) != self.tree.size:
             raise ValueError("need one label per edge")
-        if any(x < 0 for x in self.edge_labels):
+        if min(self.edge_labels, default=0) < 0:
             raise ValueError("edge labels must be non-negative")
         bad = find_violation(self)
         if bad is not None:
@@ -168,28 +167,30 @@ class DegreeTree:
 
     def __str__(self) -> str:
         ups = [f"{x}:(" for x in self.edge_labels]
-        return "(" + _word(self.tree, ups, ")") + ")"
+        return "(" + tree_word(self.tree, ups, ")") + ")"
+
+
+_SPACED_LABEL = re.compile(r"[0-9]\s+[0-9]")
+_STEP = re.compile(r"(?:0|[1-9][0-9]*):\(|\)")   # a label prints as read
+_LABEL = re.compile(r"[0-9]+")
 
 
 def parse_degree_tree(text: str) -> DegreeTree:
     """Parse the text form (whitespace is ignored, except inside a label)
     into a valid degree tree; raises ValueError on bad syntax or an
     invalid labeling."""
-    if re.search(r"[0-9]\s+[0-9]", text):
+    if _SPACED_LABEL.search(text):
         raise ValueError("whitespace inside a label in degree tree text")
     s = ''.join(text.split())
-    inner = s[1:-1]
-    step = r"(?:0|[1-9][0-9]*):\("     # a label prints as it is read
-    if s[:1] != "(" or s[-1:] != ")" or re.sub(step + r"|\)", "", inner):
+    if s[:1] != "(" or s[-1:] != ")" or _STEP.sub("", s[1:-1]):
         raise ValueError("degree tree text must be '(', then 'LABEL:(' "
                          "and ')' steps, then ')', LABEL one of 0, 1, 2, ...")
-    try:
-        path = DyckPath(re.sub(step, "u", inner).replace(")", "d"))
-    except ValueError:
-        raise ValueError("unbalanced parentheses in degree tree "
-                         "text") from None
-    labels = tuple(map(int, re.findall(r"[0-9]+", inner)))
-    return DegreeTree(dyck_to_plane_tree(path), labels)
+    # count first, so unbalanced text is rejected before any work per
+    # node; the text before each '(' after the first is ')' * k, 'LABEL:'
+    if s.count("(") != s.count(")"):
+        raise ValueError("unbalanced parentheses in degree tree text")
+    return DegreeTree(_plane_tree(s[1:-1].split("(")[:-1], ")"),
+                      tuple(map(int, _LABEL.findall(s))))
 
 
 def node_labels(dt: DegreeTree) -> tuple[int, ...]:
@@ -198,14 +199,7 @@ def node_labels(dt: DegreeTree) -> tuple[int, ...]:
 
     The computation is total, so the validity check can run it.
     """
-    tree = dt.tree
-    ell = [0] * tree.node_count
-    for v in reversed(range(tree.node_count)):
-        kids = tree.children[v]
-        if kids:
-            ell[v] = (len(kids) - dt.label_of(kids[0])
-                      + sum(ell[c] for c in kids))
-    return tuple(ell)
+    return tuple(_label_pass(dt)[0])
 
 
 def find_violation(dt: DegreeTree) -> str | None:
@@ -214,19 +208,33 @@ def find_violation(dt: DegreeTree) -> str | None:
     edges left to right; the message names the edge by the preorder
     index of its lower node. The DegreeTree constructor calls it;
     nothing else needs to."""
-    tree = dt.tree
-    ell = node_labels(dt)
-    for v in range(tree.node_count):
-        kids = tree.children[v]
-        for pos, c in enumerate(kids):
-            lab = dt.label_of(c)
-            if pos > 0 and lab != 0:
-                return (f"edge to node {c}: non-leftmost edge has "
-                        f"label {str(lab)[:20]}, expected 0")
-            if pos == 0 and lab > ell[c]:
-                return (f"edge to node {c}: label {str(lab)[:20]} exceeds "
-                        f"child label {str(ell[c])[:20]}")
-    return None
+    return _label_pass(dt)[1]
+
+
+def _label_pass(dt: DegreeTree) -> tuple[list[int], str | None]:
+    """node_labels and find_violation in one reverse-preorder pass: each
+    node's label, then a check of its edges. A fault found at a node
+    replaces those found after it, so the one kept comes first."""
+    children = dt.tree.children
+    label = (0,) + dt.edge_labels       # label[c]: the edge above node c
+    ell = [0] * len(children)
+    bad = None
+    for v in range(len(children) - 1, -1, -1):
+        kids = children[v]
+        if kids:
+            first = kids[0]
+            total = len(kids) - label[first]
+            for c in reversed(kids):
+                total += ell[c]
+                if label[c] and c != first:
+                    bad = (f"edge to node {c}: non-leftmost edge has "
+                           f"label {str(label[c])[:20]}, expected 0")
+            ell[v] = total
+            if label[first] > ell[first]:
+                bad = (f"edge to node {first}: label "
+                       f"{str(label[first])[:20]} exceeds child label "
+                       f"{str(ell[first])[:20]}")
+    return ell, bad
 
 
 def degree_tree_to_dot(dt: DegreeTree) -> str:
@@ -253,14 +261,8 @@ class TreeStats:
 
 
 def tree_stats(dt: DegreeTree) -> TreeStats:
-    tree = dt.tree
-    lnode = znode = pnode = 0
-    for v in range(tree.node_count):
-        kids = tree.children[v]
-        if not kids:
-            lnode += 1
-        elif dt.label_of(kids[0]) == 0:
-            znode += 1
-        else:
-            pnode += 1
-    return TreeStats(lnode, znode, pnode, node_labels(dt)[0])
+    # the leftmost edge label of each internal node
+    firsts = [dt.label_of(kids[0]) for kids in dt.tree.children if kids]
+    zero = firsts.count(0)
+    return TreeStats(dt.tree.node_count - len(firsts), zero,
+                     len(firsts) - zero, node_labels(dt)[0])

@@ -195,19 +195,15 @@ def check_gf_symmetry(n_max: int) -> CheckResult:
     coefficient is the size-zero map exception and stays one-sided)."""
     corpora = _corpora()
     ints_gf = corpora.gf('intervals', n_max + 1)
-    table: dict[tuple[int, int, int, int], int] = {}
+    table: Counter = Counter()
     for (n, i, j, k, l), c in ints_gf.items():
-        if n < 2:
-            continue
-        key = (n, j, k, l + 1)
-        table[key] = table.get(key, 0) + c
+        if n >= 2:
+            table[n, j, k, l + 1] += c
     fails = []
     for perm in iter_permutations(range(3)):
-        permuted: dict[tuple[int, int, int, int], int] = {}
-        for (n, j, k, l), c in table.items():
-            exps = (j, k, l)
-            key = (n,) + tuple(exps[p] for p in perm)
-            permuted[key] = permuted.get(key, 0) + c
+        permuted: Counter = Counter()
+        for (n, *exps), c in table.items():
+            permuted[(n, *(exps[p] for p in perm))] += c
         if permuted != table:
             fails.append(f"not symmetric under permutation {perm}")
     return _result('gf-symmetry', fails,
@@ -460,11 +456,11 @@ def check_map_sanity(n_max: int) -> CheckResult:
     """Euler relation and even face degrees on every enumerated map."""
     def test(code: HypermapCode) -> Iterable[str]:
         m = from_hypermap(code)
-        faces = m.face_orbits()
+        degree = m.faces()[1]
         v = len(m.vertices()) or 1
-        if v - m.edge_count + (len(faces) or 1) != 2:
+        if v - m.edge_count + (len(degree) or 1) != 2:
             yield "Euler fails"
-        if any(len(orbit) % 2 for orbit in faces):
+        if any(k % 2 for k in degree):
             yield "odd face degree"
     return _each('map-sanity', test, ('maps', range(0, n_max + 1)))
 

@@ -95,7 +95,7 @@ def test_grown_oracle_matches_permutation_scan():
 def whole_pair_grow(level, k):
     """Reference growth step: keeps a candidate by the genus-0 cycle count
     of its whole pair (sigma, alpha and face cycles), without using the
-    parent's genus."""
+    parent's genus, and relabels it canonically."""
     ids = range(1, k + 1)
     out = set()
     for sigma, alpha in level:
@@ -108,9 +108,14 @@ def whole_pair_grow(level, k):
                 faces = [s[x] for x in a]
                 if c_s + c_a + len(perm_cycles(faces, ids)) != k + 2:
                     continue
-                code = from_hypermap(HypermapCode(
-                    k, tuple(s[1:]), tuple(a[1:]), 1)).to_hypermap()
-                out.add(((0, *code.sigma), (0, *code.alpha)))
+                # relabel edges by their breadth-first order from edge 1
+                order = bfs_edge_order(s, a, 1)
+                assert len(order) == k
+                label = [0] * (k + 1)
+                for i, e in enumerate(order, 1):
+                    label[e] = i
+                out.add(((0, *(label[s[e]] for e in order)),
+                         (0, *(label[a[e]] for e in order))))
     return sorted(out)
 
 

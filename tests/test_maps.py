@@ -1,8 +1,10 @@
 import random
+import re
 
 import pytest
 from test_bijections import random_degree_tree
 
+from tamari_atlas import maps
 from tamari_atlas.bijections import tree_to_map
 from tamari_atlas.enumeration import enum_maps_oracle
 from tamari_atlas.maps import (BLACK, WHITE, HypermapCode, MapStats,
@@ -25,6 +27,8 @@ def test_hypermap_code_validation():
         HypermapCode(2, (1, 2), (1, 2), 1)  # two components
     with pytest.raises(ValueError):
         HypermapCode(1, (1,), (2,), 1)  # not a permutation
+    with pytest.raises(ValueError, match="not a permutation"):
+        HypermapCode(2, (1, 2), (1, 1), 1)  # 1 twice, in range
     with pytest.raises(ValueError):
         HypermapCode(3, (2, 3, 1), (2, 3, 1), 1)  # genus 1
     with pytest.raises(ValueError):
@@ -41,13 +45,86 @@ def test_text_form_byte_exact():
             parse_hypermap(bad)
 
 
+def scan_number(what: str, text: str) -> int:
+    """Reference point reader: each point through int() and back. It is
+    the per-point reader that the bulk conversion replaced."""
+    try:
+        value = int(text)
+    except ValueError:
+        if text.isascii() and text.isdigit():
+            raise
+        value = None
+    if str(value) != text:
+        raise ValueError(f"{what} {text[:20]!r} is not one of 0, 1, 2, ...")
+    return value
+
+
+def scan_parse_cycles(n: int, text: str) -> tuple[int, ...]:
+    """Reference cycle reader, converting each point by scan_number."""
+    cycles = [[scan_number('cycle point', t) for t in m.group(1).split()]
+              for m in re.finditer(r'\(([^()]*)\)', text)]
+    if sum(map(len, cycles)) != n or re.sub(r'\(([^()]*)\)', '',
+                                            text).strip():
+        shown = text if len(text) <= 40 else text[:37] + '...'
+        raise ValueError(f"cycles {shown!r} do not cover "
+                         f"1..{str(n)[:20]} exactly")
+    perm = [0] * n
+    for cyc in cycles:
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            if not 1 <= a <= n or perm[a - 1]:
+                raise ValueError("bad cycle notation at point "
+                                 f"{str(a)[:20]}")
+            perm[a - 1] = b
+    return tuple(perm)
+
+
+def parse_or_message(text: str) -> str:
+    try:
+        return str(parse_hypermap(text))
+    except ValueError as exc:
+        return f"error: {exc}"
+
+
+def test_map_parser_matches_scan(monkeypatch):
+    texts = [str(code) for n in range(6) for code in enum_maps_oracle(n)]
+    rng = random.Random(12)
+    mutants = []
+    for _ in range(20000):
+        text = rng.choice(texts)
+        i = rng.randrange(len(text) + 1)
+        ch = rng.choice("0123456789()=+_ ")
+        mutants.append(rng.choice([text[:i] + ch + text[i:],        # insert
+                                   text[:i] + text[i + 1:],         # delete
+                                   text[:i] + ch + text[i + 1:]]))  # replace
+    got = [parse_or_message(text) for text in texts + mutants]
+    with monkeypatch.context() as patch:
+        patch.setattr(maps, '_number', scan_number)
+        patch.setattr(maps, '_parse_cycles', scan_parse_cycles)
+        want = [parse_or_message(text) for text in texts + mutants]
+    assert got == want
+    assert got[:len(texts)] == texts
+    # both outcomes, and every kind of message the cycle reader words
+    messages = {re.sub(r"'.*'|[0-9]+", '_', m) for m in got}
+    assert {"error: cycle point _ is not one of _, _, _, ...",
+            "error: cycles _ do not cover _.._ exactly",
+            "error: bad cycle notation at point _"} <= messages
+    assert any(not m.startswith("error") for m in got[len(texts):])
+
+
+def test_map_parser_rejects_a_word_as_a_number():
+    for text in ["n=None", "n=1 sigma=(None) alpha=(1) root=1",
+                 "n=1 sigma=(1) alpha=(1) root=None"]:
+        with pytest.raises(ValueError, match="'None' is not one of"):
+            parse_hypermap(text)
+
+
 def dart_stats(code: HypermapCode) -> MapStats:
     """Reference statistics, read off the darts of the working map."""
     m = from_hypermap(code)
     colors = [m.color(v) for v in m.vertices()]
     outer = m.face_of(m.root_corner) if m.edge_count else []
     return MapStats(colors.count(BLACK), colors.count(WHITE),
-                    len(m.face_orbits()) or 1, len(outer) // 2)
+                    len(m.faces()[1]) or 1, len(outer) // 2)
 
 
 def relabel(code: HypermapCode, rng: random.Random) -> HypermapCode:
@@ -95,19 +172,28 @@ def test_validation_examples():
     c, _ = m.add_edge(('after', a), ('corner', b))
     m.add_edge(('after', c), ('corner', b))
     m.root_corner = a
-    assert len(m.face_orbits()) == 1
+    assert len(m.faces()[1]) == 1
     assert m.find_violation() == "not genus 0: cycle count 3 != 5"
 
 
 def test_face_orbits_examples():
     single = build(SINGLE)
-    assert sorted(len(o) for o in single.face_orbits()) == [2]
+    assert sorted(single.faces()[1]) == [2]
     double = build(DOUBLE)
-    assert sorted(len(o) for o in double.face_orbits()) == [2, 2]
+    assert sorted(double.faces()[1]) == [2, 2]
     path = build(PATH)
-    assert sorted(len(o) for o in path.face_orbits()) == [4]
+    assert sorted(path.faces()[1]) == [4]
     # the root corner's face is one of the two 2-gons
     assert len(double.face_of(double.root_corner)) == 2
+    # each dart's face number is shared by exactly the darts of its face
+    for code in enum_maps_oracle(4):
+        m = from_hypermap(code)
+        face, degree = m.faces()
+        for d in m.darts():
+            orbit = m.face_of(d)
+            assert {face[x] for x in orbit} == {face[d]}
+            assert degree[face[d]] == len(orbit)
+        assert sum(degree) == len(m.darts())
 
 
 def test_stats_examples():
@@ -152,10 +238,10 @@ def test_surgery_delete_sole_edge():
 def test_surgery_add_edge_across_face():
     m = build(SINGLE)
     d = m.root_corner
-    assert len(m.face_orbits()) == 1
+    assert len(m.faces()[1]) == 1
     m.add_edge(('corner', d), ('corner', m.mate(d)))
     assert m.edge_count == 2
-    assert len(m.face_orbits()) == 2
+    assert len(m.faces()[1]) == 2
     assert m.find_violation() is None
 
 

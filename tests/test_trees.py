@@ -171,7 +171,9 @@ def test_parser_and_text_form():
 
 BAD_TEXTS = ["", "(", "()x", "(:())", "(1())", "(0:())(0:())", "(0:()))",
              "())(", "(00:())", "(01:(0:()))", "(+1:(0:()))",
-             "(\u0662:(\u0660:()\u0660:()))", "(1 0:(0:()))"]
+             "(\u0662:(\u0660:()\u0660:()))", "(1 0:(0:()))",
+             # as many ')' as '(', but the root closes early
+             "()0:()", "())0:(0:()"]
 
 
 def test_parser_memory_is_a_few_copies_of_the_text():
@@ -215,6 +217,70 @@ def test_parser_matches_scan():
         assert got == parse_or_error(scan_parse_degree_tree, text), text
         outcomes.add(got is ValueError)
     assert outcomes == {False, True}
+
+
+def two_pass_violation(tree: PlaneTree, labels) -> str | None:
+    """Reference check: node labels first, then the edges of the upper
+    nodes in preorder, each one's left to right. It is the two-pass
+    find_violation that the one-pass check replaced."""
+    ell = [0] * tree.node_count
+    for v in reversed(range(tree.node_count)):
+        kids = tree.children[v]
+        if kids:
+            ell[v] = (len(kids) - labels[kids[0] - 1]
+                      + sum(ell[c] for c in kids))
+    for v in range(tree.node_count):
+        for pos, c in enumerate(tree.children[v]):
+            lab = labels[c - 1]
+            if pos > 0 and lab != 0:
+                return (f"edge to node {c}: non-leftmost edge has "
+                        f"label {str(lab)[:20]}, expected 0")
+            if pos == 0 and lab > ell[c]:
+                return (f"edge to node {c}: label {str(lab)[:20]} exceeds "
+                        f"child label {str(ell[c])[:20]}")
+    return None
+
+
+def label_mutations(tree: PlaneTree, labels: list[int]) -> list[tuple]:
+    """Per edge, the labels that break it: a non-leftmost edge made 1 or
+    huge, a leftmost one raised one or far past the node label below."""
+    ell = node_labels(DegreeTree(tree, tuple(labels)))
+    out = []
+    for v in range(tree.node_count):
+        kids = tree.children[v]
+        out += [(c, x) for c in kids[1:] for x in (1, 10 ** 25)]
+        if kids:
+            out += [(kids[0], ell[kids[0]] + 1), (kids[0], 10 ** 25)]
+    return out
+
+
+def test_degree_tree_messages_match_two_pass_check():
+    # every plane tree up to size 6, labelled all 0 and with every
+    # leftmost label at its bound, with one or two labels broken
+    kinds = set()
+    for n in range(7):
+        for path in enum_dyck(n):
+            tree = dyck_to_plane_tree(path)
+            zero = [0] * n
+            top = list(zero)    # set bottom-up, each at its bound
+            for v in reversed(range(tree.node_count)):
+                if tree.children[v]:
+                    c = tree.children[v][0]
+                    top[c - 1] = node_labels(DegreeTree(tree, tuple(top)))[c]
+            for base in (zero, top):
+                muts = label_mutations(tree, base)
+                for pair in [(a,) for a in muts] + [
+                        (a, b) for a, b in itertools.combinations(muts, 2)
+                        if a[0] != b[0]]:
+                    labels = list(base)
+                    for c, x in pair:
+                        labels[c - 1] = x
+                    want = two_pass_violation(tree, labels)
+                    with pytest.raises(ValueError) as exc:
+                        DegreeTree(tree, tuple(labels))
+                    assert str(exc.value) == f"invalid degree tree: {want}"
+                    kinds.add('non-leftmost' in want)
+    assert kinds == {True, False}
 
 
 def test_degree_tree_field_validation():
