@@ -200,10 +200,12 @@ def _parse_cycles(n: int, text: str) -> tuple[int, ...]:
     number = (int if not _ODD_POINT.search(text)
               else lambda point: _number('cycle point', point))
     cycles = [list(map(number, m.split())) for m in _CYCLE_RE.findall(text)]
+    shown = text if len(text) <= 40 else text[:37] + '...'
+    if not all(cycles):
+        raise ValueError(f"empty cycle '()' in cycles {shown!r}")
     # count the points before allocating: n comes from the input and may
     # be far too large for a list
     if sum(map(len, cycles)) != n or _CYCLE_RE.sub('', text).strip():
-        shown = text if len(text) <= 40 else text[:37] + '...'
         raise ValueError(f"cycles {shown!r} do not cover "
                          f"1..{str(n)[:20]} exactly")
     perm = [0] * n
@@ -547,8 +549,6 @@ class PlanarMap:
         root = self.root_corner
         if root is None or not 0 < root < size or not mate[root]:
             return "missing root corner"
-        if color[vertex[root]] != BLACK:
-            return "root vertex is not black"
         try:
             self.to_hypermap()
         except ValueError as exc:
@@ -564,6 +564,8 @@ class PlanarMap:
             return HypermapCode(0, (), (), 0)
         mate, nxt, vertex, color = (self._mate, self._next, self._vertex,
                                     self._color)
+        if color[vertex[self.root_corner]] != BLACK:
+            raise ValueError("root vertex is not black")
         # the raw pair numbers the edges in sorted dart order, on both darts
         raw = [0] * len(mate)
         e = 0

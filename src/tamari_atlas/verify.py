@@ -11,6 +11,11 @@ half-degree multiset identity.
 Most checks test one object at a time through :func:`_each`: a failure
 names its object, even when a bijection raises on it, and a pass counts
 the objects of each family with the sizes they were read at.
+
+One memo, :func:`once`, makes each enumeration, generating-function
+tally and untraced map_to_tree or tree_to_map image once per
+:func:`verify_suite` call. Interval images cost more memory than they
+save time, and a traced run watches a live working map: neither is kept.
 """
 
 from __future__ import annotations
@@ -18,13 +23,14 @@ from __future__ import annotations
 from collections import Counter
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import partial
 from itertools import permutations as iter_permutations
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .bijections import (certificates, interval_to_tree, map_to_interval,
-                         map_to_tree, tree_to_interval, tree_to_map)
-from .dyck import (NewInterval, bracket_vector, factor_between,
-                   interval_stats, rising_contacts)
+from .bijections import (certificates, interval_to_tree, map_to_tree,
+                         tree_to_interval, tree_to_map)
+from .dyck import (bracket_vector, factor_between, interval_stats,
+                   rising_contacts)
 from .enumeration import (GfTable, count_formula, enum_degree_trees,
                           enum_maps_oracle, enum_new_intervals, gf_tally)
 from .maps import HypermapCode, PlanarMap, from_hypermap
@@ -41,47 +47,41 @@ class CheckResult:
         return f"{'PASS' if self.ok else 'FAIL'} {self.check_id} {self.detail}"
 
 
-class _Corpora:
-    """Each size of each family and each generating-function table,
-    built on first use and kept for the lifetime of the object. Maps are
-    the oracle's HypermapCodes."""
-
-    def __init__(self):
-        self._built: dict[tuple, object] = {}
-
-    def _get(self, key: tuple, build: Callable[[], object]):
-        if key not in self._built:
-            self._built[key] = build()
-        return self._built[key]
-
-    def maps(self, n: int) -> list[HypermapCode]:
-        return self._get(('maps', n), lambda: enum_maps_oracle(n))
-
-    def trees(self, n: int) -> list[DegreeTree]:
-        return self._get(('trees', n), lambda: enum_degree_trees(n))
-
-    def intervals(self, n: int) -> list[NewInterval]:
-        return self._get(('intervals', n), lambda: enum_new_intervals(n))
-
-    def gf(self, family: str, max_size: int) -> GfTable:
-        """:func:`~tamari_atlas.enumeration.gf_table` over these corpora."""
-        if family == 'maps':
-            sizes, objects = range(0, max_size + 1), self.maps
-        else:
-            sizes, objects = range(1, max_size + 1), self.intervals
-        return self._get(('gf', family, max_size), lambda: gf_tally(
-            family, (obj for n in sizes for obj in objects(n))))
+_MEMO: ContextVar[dict] = ContextVar('memo')
 
 
-# the corpora of the running verify_suite call
-_SUITE_CORPORA: ContextVar[_Corpora | None] = ContextVar(
-    'suite_corpora', default=None)
+class _Memo:
+    """Keeps the calls made through :func:`once` while it is entered, in
+    the enclosing memo if there is one: the memo of one
+    :func:`verify_suite` call, or of one check that runs on its own."""
+
+    def __enter__(self):
+        self._token = _MEMO.set(_MEMO.get({}))
+
+    def __exit__(self, *exc_info):
+        _MEMO.reset(self._token)
 
 
-def _corpora() -> _Corpora:
-    """The corpora shared by the checks of one verify_suite call, or
-    fresh ones for a check that runs on its own."""
-    return _SUITE_CORPORA.get() or _Corpora()
+def once(fn: Callable, *args):
+    """``fn(*args)``, made once per memo and kept until the memo ends, or
+    made afresh outside one. A call that raises is not kept, so the next
+    check that needs it makes it again."""
+    memo = _MEMO.get({})
+    key = (fn, *args)
+    if key not in memo:
+        memo[key] = fn(*args)
+    return memo[key]
+
+
+def _family(family: str, n: int) -> list:
+    """Size n of 'maps' (the oracle's HypermapCodes), 'trees' or 'intervals'
+    through :func:`once`, by the enumerator bound here at call time."""
+    return once({'maps': enum_maps_oracle, 'trees': enum_degree_trees,
+                 'intervals': enum_new_intervals}[family], n)
+
+
+def _gf(family: str, sizes: range) -> GfTable:
+    return gf_tally(family, (obj for n in sizes for obj in _family(family, n)))
 
 
 def _result(check_id: str, failures: list[str], detail_ok: str) -> CheckResult:
@@ -95,40 +95,39 @@ def _each(check_id: str, test: Callable[[object], Iterable[str]],
           *sources: tuple[str, range],
           keep: Callable[[object], bool] = lambda obj: True) -> CheckResult:
     """Run ``test`` on every object that ``keep`` admits of each source, a
-    family of the shared corpora ('maps', 'trees' or 'intervals') and a
-    range of sizes. The test yields the object's problems; a ValueError or
-    RuntimeError it raises is the object's one problem, and the other
-    objects still run. A failure names its object; a pass counts the
-    objects tested of each source."""
-    corpora = _corpora()
+    family of :func:`_family` and a range of sizes. The test yields the
+    object's problems; a ValueError or RuntimeError it raises is the
+    object's one problem, and the other objects still run. A failure names
+    its object; a pass counts the objects tested of each source."""
     fails: list[str] = []
     counts = []
-    for family, sizes in sources:
-        count = 0
-        for n in sizes:
-            for obj in getattr(corpora, family)(n):
-                if not keep(obj):
-                    continue
-                try:
-                    problems = list(test(obj))
-                except (RuntimeError, ValueError) as exc:
-                    problems = [f"raised {type(exc).__name__}: {exc}"]
-                # the family's singular names the object
-                fails += [f"{family[:-1]} {obj}: {p}" for p in problems]
-                count += 1
-        counts.append(
-            f"{count} {family}, sizes {sizes.start}..{sizes.stop - 1}")
+    with _Memo():
+        for family, sizes in sources:
+            count = 0
+            for n in sizes:
+                for obj in _family(family, n):
+                    if not keep(obj):
+                        continue
+                    try:
+                        problems = list(test(obj))
+                    except (RuntimeError, ValueError) as exc:
+                        problems = [f"raised {type(exc).__name__}: {exc}"]
+                    # the family's singular names the object
+                    fails += [f"{family[:-1]} {obj}: {p}" for p in problems]
+                    count += 1
+            counts.append(
+                f"{count} {family}, sizes {sizes.start}..{sizes.stop - 1}")
     return _result(check_id, fails, '; '.join(counts))
 
 
 def check_counting(n_max: int) -> CheckResult:
-    corpora = _corpora()
     fails = []
     for n in range(1, n_max + 1):
         expected = count_formula(n + 1)
         # maps first: their oracle's list is the largest transient object
-        maps = len(corpora.maps(n))
-        got = (len(corpora.intervals(n + 1)), len(corpora.trees(n)), maps)
+        maps = len(_family('maps', n))
+        got = (len(_family('intervals', n + 1)), len(_family('trees', n)),
+               maps)
         if got != (expected, expected, expected):
             fails.append(f"size {n}: formula {expected}, "
                          f"(intervals, trees, maps) = {got}")
@@ -149,7 +148,9 @@ def _round_trip(to_other: Callable, to_tree: Callable) -> Callable:
 
 def check_roundtrip_map_tree(n_max: int) -> CheckResult:
     sizes = range(0, n_max + 1)
-    return _each('roundtrip-map-tree', _round_trip(tree_to_map, map_to_tree),
+    return _each('roundtrip-map-tree',
+                 _round_trip(partial(once, tree_to_map),
+                             partial(once, map_to_tree)),
                  ('trees', sizes), ('maps', sizes))
 
 
@@ -163,7 +164,7 @@ def check_roundtrip_tree_interval(n_max: int) -> CheckResult:
 def check_theorem_stats(n_max: int) -> CheckResult:
     def test(code: HypermapCode) -> Iterable[str]:
         ms = code.stats()
-        s = interval_stats(map_to_interval(code))
+        s = interval_stats(tree_to_interval(once(map_to_tree, code)))
         if (ms.white, ms.black, ms.face, ms.outdeg) != \
                 (s.c00, s.c01, 1 + s.c11, s.rcont - 1):
             yield f"{ms} vs {s}"
@@ -171,9 +172,8 @@ def check_theorem_stats(n_max: int) -> CheckResult:
 
 
 def check_corollary_identity(n_max: int) -> CheckResult:
-    corpora = _corpora()
-    maps_gf = corpora.gf('maps', n_max)
-    ints_gf = corpora.gf('intervals', n_max + 1)
+    maps_gf = once(_gf, 'maps', range(0, n_max + 1))
+    ints_gf = once(_gf, 'intervals', range(1, n_max + 2))
     # t * F_maps matches w * F_intervals: compare the maps entry at
     # (n, i, j, k, l) with the intervals entry at (n + 1, i, j, k, l - 1)
     shifted = {(n + 1, i, j, k, l - 1): c
@@ -193,8 +193,7 @@ def check_gf_symmetry(n_max: int) -> CheckResult:
     variables, with the root-degree variable set to 1 (the refinement by
     outer degree is not symmetric) and starting at degree 2 (the degree-1
     coefficient is the size-zero map exception and stays one-sided)."""
-    corpora = _corpora()
-    ints_gf = corpora.gf('intervals', n_max + 1)
+    ints_gf = once(_gf, 'intervals', range(1, n_max + 2))
     table: Counter = Counter()
     for (n, i, j, k, l), c in ints_gf.items():
         if n >= 2:
@@ -211,14 +210,15 @@ def check_gf_symmetry(n_max: int) -> CheckResult:
 
 
 def check_oracle_equivalence(n_max: int) -> CheckResult:
-    corpora = _corpora()
     fails = []
     for n in range(0, n_max + 1):
-        oracle = {str(code) for code in corpora.maps(n)}
-        image = {str(tree_to_map(dt)) for dt in corpora.trees(n)}
+        # canonical codes: equal codes are the same rooted map
+        oracle = set(_family('maps', n))
+        image = {once(tree_to_map, dt) for dt in _family('trees', n)}
         if oracle != image:
-            fails.append(f"size {n}: oracle-only {sorted(oracle - image)}, "
-                         f"image-only {sorted(image - oracle)}")
+            fails.append(f"size {n}: "
+                         f"oracle-only {sorted(map(str, oracle - image))}, "
+                         f"image-only {sorted(map(str, image - oracle))}")
     return _result('oracle-equivalence', fails,
                    f"canonical-code sets equal for sizes 0..{n_max}")
 
@@ -228,7 +228,7 @@ def check_face_multiset(n_max: int) -> CheckResult:
         # a face cycle's length is its face's half-degree
         faces = Counter(len(c) for c in code.face_cycles()
                         if code.root not in c)
-        dt = map_to_tree(code)
+        dt = once(map_to_tree, code)
         labels = Counter(x for x in dt.edge_labels if x > 0)
         interval = tree_to_interval(dt)
         contacts: Counter = Counter()
@@ -412,7 +412,7 @@ def check_upper_bracket_subtrees(n_max: int) -> CheckResult:
 
 def check_one_face_specialization(n_max: int) -> CheckResult:
     def test(code: HypermapCode) -> Iterable[str]:
-        labels = map_to_tree(code).edge_labels
+        labels = once(map_to_tree, code).edge_labels
         if any(labels):
             yield f"labels {labels}"
     return _each('one-face-specialization', test,
@@ -485,8 +485,7 @@ def verify_suite(n_max: int) -> list[CheckResult]:
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     results = []
-    token = _SUITE_CORPORA.set(_Corpora())
-    try:
+    with _Memo():
         for check_id, cap in _CAPS.items():
             # looked up by name, so that a wrapper bound here is what runs
             check = globals()['check_' + check_id.replace('-', '_')]
@@ -495,8 +494,6 @@ def verify_suite(n_max: int) -> list[CheckResult]:
             except (RuntimeError, ValueError) as exc:
                 results.append(CheckResult(
                     check_id, False, f"raised {type(exc).__name__}: {exc}"))
-    finally:
-        _SUITE_CORPORA.reset(token)
     return sorted(results, key=lambda r: r.check_id)
 
 

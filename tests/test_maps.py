@@ -1,10 +1,11 @@
+import io
 import random
 import re
 
 import pytest
 from test_bijections import random_degree_tree
 
-from tamari_atlas import maps
+from tamari_atlas import cli, maps
 from tamari_atlas.bijections import tree_to_map
 from tamari_atlas.enumeration import enum_maps_oracle
 from tamari_atlas.maps import (BLACK, WHITE, HypermapCode, MapStats,
@@ -63,9 +64,11 @@ def scan_parse_cycles(n: int, text: str) -> tuple[int, ...]:
     """Reference cycle reader, converting each point by scan_number."""
     cycles = [[scan_number('cycle point', t) for t in m.group(1).split()]
               for m in re.finditer(r'\(([^()]*)\)', text)]
+    shown = text if len(text) <= 40 else text[:37] + '...'
+    if [] in cycles:
+        raise ValueError(f"empty cycle '()' in cycles {shown!r}")
     if sum(map(len, cycles)) != n or re.sub(r'\(([^()]*)\)', '',
                                             text).strip():
-        shown = text if len(text) <= 40 else text[:37] + '...'
         raise ValueError(f"cycles {shown!r} do not cover "
                          f"1..{str(n)[:20]} exactly")
     perm = [0] * n
@@ -107,6 +110,7 @@ def test_map_parser_matches_scan(monkeypatch):
     messages = {re.sub(r"'.*'|[0-9]+", '_', m) for m in got}
     assert {"error: cycle point _ is not one of _, _, _, ...",
             "error: cycles _ do not cover _.._ exactly",
+            "error: empty cycle _",
             "error: bad cycle notation at point _"} <= messages
     assert any(not m.startswith("error") for m in got[len(texts):])
 
@@ -116,6 +120,20 @@ def test_map_parser_rejects_a_word_as_a_number():
                  "n=1 sigma=(1) alpha=(1) root=None"]:
         with pytest.raises(ValueError, match="'None' is not one of"):
             parse_hypermap(text)
+
+
+def test_map_parser_rejects_an_empty_cycle(monkeypatch, capsys):
+    # an empty cycle holds no points, so the points alone still cover 1..n
+    for text in ["n=1 sigma=(1)() alpha=(1) root=1",
+                 "n=2 sigma=(1 2) alpha=(1)( )(2) root=1"]:
+        with pytest.raises(ValueError, match=r"empty cycle '\(\)'"):
+            parse_hypermap(text)
+    monkeypatch.setattr('sys.stdin',
+                        io.StringIO("n=1 sigma=(1)() alpha=(1) root=1\n"))
+    out = io.StringIO()
+    assert cli.run(['convert', '--from', 'map', '--to', 'tree'], out) == 1
+    assert out.getvalue() == ''
+    assert "empty cycle '()'" in capsys.readouterr().err
 
 
 def dart_stats(code: HypermapCode) -> MapStats:
@@ -174,6 +192,15 @@ def test_validation_examples():
     m.root_corner = a
     assert len(m.faces()[1]) == 1
     assert m.find_violation() == "not genus 0: cycle count 3 != 5"
+
+
+def test_white_root_corner_is_not_coded():
+    m = build("n=2 sigma=(1 2) alpha=(1)(2) root=1")
+    m.root_corner = m.mate(m.root_corner)   # a corner of a white vertex
+    for code in (m.to_hypermap, m.canonical_code):
+        with pytest.raises(ValueError, match="^root vertex is not black$"):
+            code()
+    assert m.find_violation() == "root vertex is not black"
 
 
 def test_face_orbits_examples():

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from tamari_atlas import cli, verify
+from tamari_atlas import bijections, cli, verify
 from tamari_atlas.enumeration import enum_maps_oracle
 from tamari_atlas.maps import PlanarMap, parse_hypermap
 from tamari_atlas.trees import parse_degree_tree
@@ -47,6 +47,34 @@ def test_suite_builds_each_map_size_once_per_call(monkeypatch):
     assert built == {n: 2 for n in range(0, 7)}
 
 
+def test_suite_runs_each_map_tree_direction_once_per_object(monkeypatch):
+    untraced = {'map_to_tree': Counter(), 'tree_to_map': Counter()}
+    traced = Counter()
+    for name, calls in untraced.items():
+        real = getattr(bijections, name)
+
+        def counting(obj, trace=None, real=real, calls=calls, name=name):
+            if trace is None:
+                calls[obj] += 1
+            else:
+                traced[name] += 1
+            return real(obj, trace=trace)
+
+        # both bindings, so that no call gets round the count
+        monkeypatch.setattr(verify, name, counting)
+        monkeypatch.setattr(bijections, name, counting)
+    assert all(r.ok for r in verify_suite(6))
+    # every map of sizes 0..5 and the 132 one-face maps of size 6; every
+    # tree of sizes 0..5
+    assert set(untraced['map_to_tree'].values()) == {1}
+    assert set(untraced['tree_to_map'].values()) == {1}
+    assert sum(untraced['map_to_tree'].values()) == 361 + 132
+    assert sum(untraced['tree_to_map'].values()) == 361
+    # the traced checks keep their own runs: trace-shape and
+    # trace-reversal on 73 objects each, bridge-agreement on 360 maps
+    assert traced == {'map_to_tree': 73 + 73 + 360, 'tree_to_map': 73}
+
+
 def test_check_that_raises_fails_and_the_rest_run(monkeypatch, capsys):
     # a bijection's self-check raising inside the checks that call it
     def broken(code, trace=None):
@@ -60,8 +88,8 @@ def test_check_that_raises_fails_and_the_rest_run(monkeypatch, capsys):
     # sizes 1..3, 9 one-face maps; three are shown, the rest counted
     more = {'bridge-agreement': 16 - 3, 'face-multiset': 17 - 3,
             'one-face-specialization': 9 - 3,
-            'roundtrip-map-tree': 17 + 17 - 3, 'trace-reversal': 17 - 3,
-            'trace-shape': 17 - 3}
+            'roundtrip-map-tree': 17 + 17 - 3, 'theorem-stats': 16 - 3,
+            'trace-reversal': 17 - 3, 'trace-shape': 17 - 3}
     assert set(failed) == set(more)
     # each failure names the object it was checking
     parse = {'map': parse_hypermap, 'tree': parse_degree_tree}
@@ -78,7 +106,7 @@ def test_check_that_raises_fails_and_the_rest_run(monkeypatch, capsys):
             assert str(parse[family](text)) == text
     out = io.StringIO()
     assert cli.run(['verify', '--max-size', '2'], out=out) == 2
-    assert out.getvalue().count('FAIL ') == 6
+    assert out.getvalue().count('FAIL ') == 7
     assert capsys.readouterr().err == ''
 
 
@@ -103,7 +131,8 @@ def test_one_object_that_raises_is_named_and_the_rest_run(monkeypatch):
     assert failed == {
         'bridge-agreement': on_map, 'face-multiset': on_map,
         'roundtrip-map-tree': f"{on_tree}; {on_map}",
-        'trace-reversal': on_tree, 'trace-shape': on_map}
+        'theorem-stats': on_map, 'trace-reversal': on_tree,
+        'trace-shape': on_map}
     # every map after the broken one is still tested
     seen.clear()
     assert not verify.check_face_multiset(3).ok
