@@ -57,8 +57,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .dyck import DyckPath, NewInterval, factor_rising_contacts
-from .maps import BLACK, WHITE, HypermapCode, PlanarMap, from_hypermap
-from .trees import DegreeTree, PlaneTree, dyck_to_plane_tree, tree_word
+from .maps import (BLACK, WHITE, HypermapCode, from_dart_lists,
+                   from_hypermap)
+from .trees import DegreeTree, PlaneTree, _plane_tree, tree_word
 
 
 def map_to_tree(code: HypermapCode,
@@ -71,8 +72,7 @@ def map_to_tree(code: HypermapCode,
     copy them to keep a state."""
     if code.n == 0:
         return DegreeTree(PlaneTree(((),)), ())
-    w = from_hypermap(code)
-    w.tag_all('M')
+    w = from_hypermap(code, 'M')
     # faces of the input, flagged once merged into the explored face
     # (see the module docstring)
     face, degree = w.faces()
@@ -84,6 +84,7 @@ def map_to_tree(code: HypermapCode,
     labels: dict[int, int] = {}
     cur = root
     pend = w.root_corner
+    steps = 0   # advance steps, each converting one map edge
     stack: list[int] = []   # parent-side tree darts along the descent path
 
     def first_map_dart(after: int) -> int | None:
@@ -155,6 +156,7 @@ def map_to_tree(code: HypermapCode,
             cur = child_v
             scan_from = m_dart
             kind = 'A3'
+        steps += 1
         if trace is not None:
             trace(kind, w, cur, root, kids)
 
@@ -171,7 +173,7 @@ def map_to_tree(code: HypermapCode,
         if pend is None:
             break
 
-    if any(w.tag_of(d) != 'T' for d in w.darts()):
+    if steps != code.n:
         raise RuntimeError("map_to_tree left map edges unconverted")
 
     # flatten the vertex-keyed tree into preorder indexing
@@ -202,30 +204,35 @@ def tree_to_map(dt: DegreeTree, trace: Callable[..., None] | None = None
     if dt.size == 0:
         return HypermapCode(0, (), (), 0)
 
-    # embed the tree in preorder, vertex id = node: clockwise rotation at
-    # each node is [parent, rightmost child, ..., leftmost child], so a
-    # child's dart goes right after the node's parent dart; the root has
-    # none, and its later children follow the dart of its first child
-    # instead
-    w = PlanarMap()     # its vertex 0, the root, is black
+    # embed the tree, vertex id = node: node c's edge has darts 2c-1 at
+    # its parent and 2c at c, and the clockwise rotation at each node is
+    # [parent, rightmost child, ..., leftmost child], the root's first
+    # child's dart standing in for the parent dart at the root
     tree = dt.tree
-    up_dart = [0] * tree.node_count     # node -> dart at node toward parent
-    for child, node in enumerate(tree.parents()[1:], 1):
-        place = ('after', up_dart[node]) if up_dart[node] else ('vertex', 0)
-        cv = w.new_vertex(BLACK if tree.children[child] else WHITE)
-        p_dart, up_dart[child] = w.add_edge(place, ('vertex', cv))
-        w.set_tag(p_dart, 'T', dt.label_of(child))
-        if node == 0:
-            up_dart[0] = up_dart[0] or p_dart
-            w.root_corner = p_dart
+    size = 2 * tree.node_count - 1
+    nxt = [0] * size
+    vertex = [0] * size
+    vertex[2::2] = range(1, tree.node_count)
+    for v, kids in enumerate(tree.children):
+        up = 2 * v if v else 2 * kids[0] - 1
+        d = up
+        for c in (kids if v else kids[1:]):
+            vertex[2 * c - 1] = v
+            nxt[2 * c - 1], d = d, 2 * c - 1
+        nxt[up] = d
+    label = [0] * size
+    label[1::2] = label[2::2] = dt.edge_labels
+    w = from_dart_lists(nxt, vertex, [1, *range(2, size, 2)],
+                        [BLACK if kids else WHITE for kids in tree.children],
+                        2 * tree.children[0][-1] - 1, 'T', label)
     if trace is not None:
         trace('embed', w, None, 0, None)
 
     for node in tree.postorder():
         if node == 0:
             continue
-        q = up_dart[node]
-        p = w.mate(q)
+        q = 2 * node
+        p = q - 1
         r = w.edge_label(q)
         if not tree.children[node]:
             # A1': leaf edge moves to the map in place
@@ -325,7 +332,8 @@ def interval_to_tree(interval: NewInterval) -> DegreeTree:
     contacts of the lower-path factor at the parent's preorder index,
     i.e. the number of up steps directly nested in that node's up step.
     """
-    tree = dyck_to_plane_tree(DyckPath(interval.upper.steps[1:-1]))
+    # a new interval's upper path is u, a Dyck word, d: no second check
+    tree = _plane_tree(interval.upper.steps[1:-1].split('u')[:-1], 'd')
     contacts = factor_rising_contacts(interval.lower)
     labels = [0] * tree.size
     for node, kids in enumerate(tree.children):

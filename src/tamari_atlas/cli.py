@@ -23,7 +23,6 @@ import argparse
 import itertools
 import os
 import sys
-from contextlib import contextmanager
 from typing import Iterator
 
 from .bijections import (interval_to_map, interval_to_tree, map_to_interval,
@@ -56,15 +55,6 @@ def _read_lines(path: str) -> Iterator[tuple[int, str]]:
     finally:
         if stream is not sys.stdin:
             stream.close()
-
-
-@contextmanager
-def _at_line(number: int):
-    """Prefix a parse or validation error with its input line."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ValueError(f"line {number}: {exc}") from exc
 
 
 def _parse_object(kind: str, text: str):
@@ -192,8 +182,10 @@ def _cmd_enumerate(args, out) -> int:
 def _cmd_convert(args, out) -> int:
     fn = _CONVERT.get((args.src, args.dst), lambda x: x)
     for number, line in _read_lines(args.input):
-        with _at_line(number):
+        try:
             result = fn(_parse_object(args.src, line))
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from exc
         print(result, file=out)
     return 0
 
@@ -201,8 +193,10 @@ def _cmd_convert(args, out) -> int:
 def _cmd_stats(args, out) -> int:
     kind = _FAMILY_KIND[args.family]
     for number, line in _read_lines(args.input):
-        with _at_line(number):
+        try:
             stats = _object_stats(kind, _parse_object(kind, line))
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from exc
         print(' '.join(map(str, stats)), file=out)
     return 0
 
@@ -222,8 +216,10 @@ def _cmd_gf(args, out) -> int:
 
 def _cmd_render(args, out) -> int:
     for number, line in _read_lines(args.input):
-        with _at_line(number):
+        try:
             obj = _parse_object(args.kind, line)
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from exc
         dot = (from_hypermap(obj).to_dot() if args.kind == 'map'
                else degree_tree_to_dot(obj))
         print(dot, file=out)
@@ -246,8 +242,10 @@ def _cmd_trace(args, out) -> int:
                 with open(frame, 'w') as fh:
                     fh.write(w.to_dot() + '\n')
 
-        with _at_line(number):
+        try:
             result = fn(_parse_object(args.src, line), trace=show)
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from exc
         print(f"result {result}", file=out)
     return 0
 

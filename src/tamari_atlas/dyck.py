@@ -7,37 +7,47 @@ vectors: entry i is the size of the factor matched by the i-th up step.
 New intervals are Tamari intervals [P, Q] such that the first up step of
 Q matches the final down step, and V_P(i) <= V_Q(i+1) whenever V_Q(i) > 0.
 
-Up steps are indexed from 1, step positions likewise. The whole-path
-quantities (bracket vectors, the rising contacts of every factor) come
-from one stack pass over the steps, so they take linear time;
-match_index and factor_between answer a single query by a scan.
+Up steps are indexed from 1, step positions likewise. A path's check
+is one stack pass over its steps, which also yields its bracket vector,
+kept on the path; the rising contacts of every factor come from one more
+such pass, so both take linear time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DyckPath:
-    """A Dyck path as a word over {u, d}. The empty path is allowed."""
+    """A Dyck path as a word over {u, d}. The empty path is allowed.
+
+    Its check is one stack pass, which also yields the bracket vector
+    that it keeps as ``vector``: a down step closes the innermost open
+    up step i, whose factor holds the up steps read after it."""
 
     steps: str
+    vector: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        height = 0
+        out = [0] * len(self.steps)     # room for the up steps of any word
+        open_ups: list[int] = []    # 0-based indices of the open up steps
+        k = 0                       # up steps read
         for ch in self.steps:
             if ch == 'u':
-                height += 1
-            elif ch == 'd':
-                height -= 1
-            else:
+                open_ups.append(k)
+                k += 1
+            elif ch != 'd':
                 raise ValueError(f"invalid step {ch!r}, expected 'u' or 'd'")
-            if height < 0:
+            elif not open_ups:
                 raise ValueError("path falls below the x-axis")
-        if height != 0:
+            else:
+                i = open_ups.pop()
+                out[i] = k - i - 1
+        if open_ups:
             raise ValueError("path does not end on the x-axis")
+        object.__setattr__(self, 'vector', tuple(out[:k]))
 
     @property
     def size(self) -> int:
@@ -52,47 +62,24 @@ class DyckPath:
 
 
 def match_index(path: DyckPath, i: int) -> int:
-    """Step position of the down step matching the i-th up step.
-
-    The factor strictly between the two steps is itself a Dyck path.
+    """Step position of the down step matching the i-th up step: the
+    factor strictly between the two steps is a Dyck path of size V(i).
     """
-    ups = path.up_positions()
-    if not 1 <= i <= len(ups):
-        raise IndexError(f"up-step index {i} out of range 1..{len(ups)}")
-    pos = ups[i - 1]
-    balance = 0
-    for j in range(pos, len(path.steps)):  # j is 0-based position of step j+1
-        ch = path.steps[j]
-        if ch == 'd':
-            if balance == 0:
-                return j + 1
-            balance -= 1
-        else:
-            balance += 1
-    raise RuntimeError("unbalanced path slipped past validation")
+    if not 1 <= i <= path.size:
+        raise IndexError(f"up-step index {i} out of range 1..{path.size}")
+    return path.up_positions()[i - 1] + 2 * path.vector[i - 1] + 1
 
 
 def factor_between(path: DyckPath, i: int) -> DyckPath:
     """The Dyck factor strictly between up step i and its match."""
-    j = match_index(path, i)    # checks i
-    return DyckPath(path.steps[path.up_positions()[i - 1]:j - 1])
+    end = match_index(path, i) - 1      # checks i
+    return DyckPath(path.steps[end - 2 * path.vector[i - 1]:end])
 
 
 def bracket_vector(path: DyckPath) -> tuple[int, ...]:
-    """V_P(i) = size of the factor matched by up step i, for i = 1..n.
-
-    One stack pass: a down step closes the innermost open up step. An up
-    step at 0-based position p from height h has (p + h) / 2 before it.
-    """
-    out = [0] * path.size
-    open_ups: list[int] = []    # positions of the open up steps
-    for pos, ch in enumerate(path.steps):
-        if ch == 'u':
-            open_ups.append(pos)
-        else:
-            start = open_ups.pop()
-            out[(start + len(open_ups)) // 2] = (pos - start - 1) // 2
-    return tuple(out)
+    """V_P(i) = size of the factor matched by up step i, for i = 1..n,
+    as the path's check computed it."""
+    return path.vector
 
 
 def factor_rising_contacts(path: DyckPath) -> tuple[int, ...]:
@@ -156,7 +143,7 @@ def is_new_interval(lower: DyckPath, upper: DyckPath) -> bool:
         raise ValueError("interval components must have equal size")
     if n == 0:
         raise ValueError("intervals are defined for size >= 1")
-    vp, vq = bracket_vector(lower), bracket_vector(upper)
+    vp, vq = lower.vector, upper.vector
     return vq[0] == n - 1 and all(a <= b and (b == 0 or a <= c)
                                   for a, b, c in zip(vp, vq, vq[1:] + (0,)))
 

@@ -63,18 +63,21 @@ def enum_new_intervals(n: int) -> list[NewInterval]:
     Generated directly: an upper path Q has first up step matching the
     final down step, and the lower paths of Q are exactly the Dyck words
     with V_P(k) <= min(V_Q(k), V_Q(k+1)) where V_Q(k) > 0 and V_P(k) = 0
-    elsewhere (Chapoton, arXiv:1809.10981). Each word becomes one shared
-    DyckPath."""
+    elsewhere (Chapoton, arXiv:1809.10981). Each distinct word becomes
+    one DyckPath, shared by its intervals."""
     if n < 1:
         raise ValueError("intervals need size >= 1")
+    paths: dict[str, DyckPath] = {}
     pairs = []
     for inner in iter_dyck_words(n - 1):
-        upper = 'u' + inner + 'd'
-        vq = bracket_vector(DyckPath(upper)) + (0,)
+        upper = DyckPath('u' + inner + 'd')
+        paths[upper.steps] = upper
+        vq = bracket_vector(upper) + (0,)
         bound = [min(vq[k], vq[k + 1]) if vq[k] else 0 for k in range(n)]
-        pairs.extend((lower, upper) for lower in _lower_words(bound))
+        pairs.extend((lower, upper.steps) for lower in _lower_words(bound))
     pairs.sort()
-    paths = {w: DyckPath(w) for pair in pairs for w in pair}
+    for lower in {lower for lower, _ in pairs} - paths.keys():
+        paths[lower] = DyckPath(lower)
     return [NewInterval(paths[lower], paths[upper]) for lower, upper in pairs]
 
 

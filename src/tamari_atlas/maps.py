@@ -25,9 +25,10 @@ including fixed points, and the edgeless map written ``n=0``.
 
 Every orbit listed, over edge ids or over darts, comes from the one walker
 :func:`perm_cycles`; the code's check only counts cycles, and
-``PlanarMap.faces`` only numbers faces. The canonical code and the map
-oracle in ``enumeration`` number edges in the order of
-:func:`bfs_edge_order`, the one breadth-first search over a pair.
+``PlanarMap.faces`` and :func:`from_hypermap` only number faces and
+vertices. The canonical code and the map oracle in ``enumeration``
+number edges in the order of :func:`bfs_edge_order`, the one
+breadth-first search over a pair.
 
 A HypermapCode is how a map crosses the API: like the other families'
 value types it is immutable and checks itself when built, so every one
@@ -273,14 +274,10 @@ class PlanarMap:
                  '_vrep', '_color', 'root_corner')
 
     def __init__(self):
-        self._next: list[int] = [0]
-        self._prev: list[int] = [0]
-        self._mate: list[int] = [0]       # 0 marks a deleted dart
-        self._vertex: list[int] = [0]
-        self._tag: list[str | None] = [None]  # same on both darts of an edge
-        self._label: list[int] = [0]
-        self._vrep: list[int] = [0]       # vertex -> one of its darts, or 0
-        self._color: list[int | None] = [BLACK]   # None: deleted vertex
+        # the lists of the module docstring, for one black vertex
+        self._next, self._prev, self._mate, self._vertex = [0], [0], [0], [0]
+        self._tag, self._label, self._vrep = [None], [0], [0]
+        self._color: list[int | None] = [BLACK]
         self.root_corner: int | None = None
 
     # -- basic queries -----------------------------------------------------
@@ -335,11 +332,6 @@ class PlanarMap:
         return self._vertex[self.root_corner]
 
     # -- edge tags ---------------------------------------------------------
-
-    def tag_all(self, tag: str):
-        """Tag every edge as set_tag(d, tag) would."""
-        self._tag = [tag if m else None for m in self._mate]
-        self._label = [0] * len(self._mate)
 
     def set_tag(self, d: int, tag: str, label: int = 0):
         m = self._mate[d]
@@ -546,9 +538,6 @@ class PlanarMap:
             return None
         if isolated:
             return f"isolated vertex {isolated[0]} in a map with edges"
-        root = self.root_corner
-        if root is None or not 0 < root < size or not mate[root]:
-            return "missing root corner"
         try:
             self.to_hypermap()
         except ValueError as exc:
@@ -564,7 +553,10 @@ class PlanarMap:
             return HypermapCode(0, (), (), 0)
         mate, nxt, vertex, color = (self._mate, self._next, self._vertex,
                                     self._color)
-        if color[vertex[self.root_corner]] != BLACK:
+        root = self.root_corner
+        if root is None or not 0 < root < len(mate) or not mate[root]:
+            raise ValueError("missing root corner")
+        if color[vertex[root]] != BLACK:
             raise ValueError("root vertex is not black")
         # the raw pair numbers the edges in sorted dart order, on both darts
         raw = [0] * len(mate)
@@ -573,12 +565,11 @@ class PlanarMap:
             if d < m:
                 e += 1
                 raw[d] = raw[m] = e
-        sigma = [0] * (n + 1)
-        alpha = [0] * (n + 1)
+        sigma, alpha = [0] * (n + 1), [0] * (n + 1)
         for d in self.darts():
             rot = sigma if color[vertex[d]] == BLACK else alpha
             rot[raw[d]] = raw[nxt[d]]
-        order = bfs_edge_order(sigma, alpha, raw[self.root_corner])
+        order = bfs_edge_order(sigma, alpha, raw[root])
         if len(order) < n:
             raise ValueError("map is not connected")
         label = [0] * (n + 1)
@@ -615,33 +606,45 @@ class PlanarMap:
         return '\n'.join(lines)
 
 
-def from_hypermap(code: HypermapCode) -> PlanarMap:
-    """Working map of a permutation-pair encoding; black dart of edge e is
-    2e-1, white dart 2e, and the root corner is the black corner preceding
-    the root edge."""
-    m = PlanarMap()  # its vertex 0 is black, as is the first sigma cycle
+def from_hypermap(code: HypermapCode, tag: str | None = None) -> PlanarMap:
+    """Working map of a permutation-pair encoding, every edge tagged
+    ``tag``; black dart of edge e is 2e-1, white dart 2e, and the root
+    corner is the black corner preceding the root edge. One walk over the
+    darts numbers the vertices, black ones first, by their least dart."""
     if code.n == 0:
-        return m
+        return PlanarMap()
     size = 2 * code.n + 1
     nxt = [0] * size
     nxt[1::2] = [2 * s - 1 for s in code.sigma]
     nxt[2::2] = [2 * a for a in code.alpha]
+    vertex = [0] + [-1] * (size - 1)
+    vrep: list[int] = []
+    for d in [*range(1, size, 2), *range(2, size, 2)]:
+        if vertex[d] < 0:       # the least dart of a vertex not yet seen
+            x = d
+            while vertex[x] < 0:
+                vertex[x] = len(vrep)
+                x = nxt[x]
+            vrep.append(d)
+    return from_dart_lists(nxt, vertex, vrep, [BLACK if d % 2 else WHITE for d in vrep],
+                           2 * code.root - 1, tag)
+
+
+def from_dart_lists(nxt: list[int], vertex: list[int], vrep: list[int],
+                    color: list[int], root: int, tag: str | None = None,
+                    label: list[int] | None = None) -> PlanarMap:
+    """The working map whose edge e has darts 2e-1 and 2e, every edge
+    tagged ``tag``, from the lists that :class:`PlanarMap` keeps, less
+    the inverse rotation and the mates; they must describe a map."""
+    size = len(nxt)
     prv = [0] * size
-    for d in range(1, size):
-        prv[nxt[d]] = d
+    for d, x in enumerate(nxt):
+        prv[x] = d
     mate = [0] * size
     mate[1::2] = range(2, size, 2)
     mate[2::2] = range(1, size, 2)
-    vertex = [0] * size
-    m._vrep, m._color = [], []
-    for perm, parity, color in ((code.sigma, 1, BLACK),
-                                (code.alpha, 0, WHITE)):
-        for cyc in perm_cycles((0,) + perm, range(1, code.n + 1)):
-            for e in cyc:
-                vertex[2 * e - parity] = len(m._color)
-            m._vrep.append(2 * cyc[0] - parity)
-            m._color.append(color)
-    m._next, m._prev, m._mate, m._vertex = nxt, prv, mate, vertex
-    m._tag, m._label = [None] * size, [0] * size
-    m.root_corner = 2 * code.root - 1
+    m = PlanarMap()
+    (m._next, m._prev, m._mate, m._vertex, m._vrep, m._color,
+     m.root_corner) = nxt, prv, mate, vertex, vrep, color, root
+    m._tag, m._label = [None] + [tag] * (size - 1), label or [0] * size
     return m

@@ -12,7 +12,8 @@ from tamari_atlas.dyck import DyckPath, NewInterval, interval_stats, \
     rising_contacts
 from tamari_atlas.enumeration import (enum_degree_trees, enum_maps_oracle,
                                       enum_new_intervals)
-from tamari_atlas.maps import PlanarMap, parse_hypermap
+from tamari_atlas.cli import tagged_map_code
+from tamari_atlas.maps import BLACK, WHITE, PlanarMap, parse_hypermap
 from tamari_atlas.trees import (DegreeTree, PlaneTree, find_violation,
                                  parse_degree_tree)
 from tamari_atlas.verify import (check_one_face_specialization,
@@ -202,6 +203,61 @@ def test_trace_makes_no_per_step_copies(monkeypatch):
             tree_to_map(dt, trace=lambda *step: children.append(step[4]))
             assert copies == []
             assert all(kids is None for kids in children)
+
+
+def reference_embedding(dt: DegreeTree) -> PlanarMap:
+    """The tree as tree_to_map embeds it, built edge by edge with the
+    surgery primitives: vertex id = node, and each child's dart goes
+    right after its parent's dart toward the grandparent (at the root,
+    after the first child's dart); the root corner is the dart of the
+    root's last child."""
+    w = PlanarMap()
+    tree = dt.tree
+    up = [0] * tree.node_count
+    for child, node in enumerate(tree.parents()[1:], 1):
+        place = ('after', up[node]) if up[node] else ('vertex', 0)
+        cv = w.new_vertex(BLACK if tree.children[child] else WHITE)
+        p_dart, up[child] = w.add_edge(place, ('vertex', cv))
+        w.set_tag(p_dart, 'T', dt.label_of(child))
+        if node == 0:
+            up[0] = up[0] or p_dart
+            w.root_corner = p_dart
+    return w
+
+
+def test_embedding_matches_reference_up_to_6():
+    for n in range(1, 7):
+        for dt in enum_degree_trees(n):
+            frames = []
+            tree_to_map(dt, trace=lambda kind, w, *_: frames.append(
+                (kind, tagged_map_code(w), w.to_dot(),
+                 [w.vertex_darts(v) for v in w.vertices()],
+                 [w.prev_cw(d) for d in w.darts()])))
+            ref = reference_embedding(dt)
+            assert frames[0] == (
+                'embed', tagged_map_code(ref), ref.to_dot(),
+                [ref.vertex_darts(v) for v in ref.vertices()],
+                [ref.prev_cw(d) for d in ref.darts()])
+
+
+def test_tree_to_map_adds_edges_only_in_its_steps(monkeypatch):
+    added = []
+    add_edge = PlanarMap.add_edge
+
+    def counted(self, *places):
+        added.append(places)
+        return add_edge(self, *places)
+
+    monkeypatch.setattr(PlanarMap, 'add_edge', counted)
+    for n in range(0, 6):
+        for dt in enum_degree_trees(n):
+            added.clear()
+            adds = []   # edges added by the end of each step
+            tree_to_map(dt, trace=lambda kind, *_: adds.append(
+                (kind, len(added))))
+            assert adds[:1] == ([('embed', 0)] if n else [])
+            kinds = Counter(kind for kind, _ in adds)
+            assert len(added) == kinds["A2'"] + kinds["A3'"]
 
 
 def test_trace_shape_after_every_prepare():

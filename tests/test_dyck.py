@@ -1,4 +1,5 @@
 import pytest
+from test_cli import run
 
 from tamari_atlas.dyck import (DyckPath, NewInterval, bracket_vector,
                                factor_between, factor_rising_contacts,
@@ -22,12 +23,31 @@ def test_path_validation():
         DyckPath("ux")
 
 
+def test_path_errors_name_the_first_fault():
+    for word, message in [("dx", "falls below"), ("xd", "invalid step 'x'"),
+                          ("udx", "invalid step 'x'"), ("udd", "falls below"),
+                          ("uud", "does not end"), ("u", "does not end")]:
+        with pytest.raises(ValueError, match=message):
+            DyckPath(word)
+
+
+def test_path_keeps_its_vector_out_of_comparison():
+    p = DyckPath("uudd")
+    assert p.vector == (1, 0)
+    assert repr(p) == "DyckPath(steps='uudd')"
+    assert p == DyckPath("uudd") and hash(p) == hash(DyckPath("uudd"))
+    assert {p: 1}[DyckPath("uudd")] == 1
+
+
 def test_match_index_examples():
     assert match_index(DyckPath("ud"), 1) == 2
     assert match_index(DyckPath("uudd"), 1) == 4
     assert match_index(DyckPath("uuddud"), 2) == 3
-    with pytest.raises(IndexError):
-        match_index(DyckPath("ud"), 2)
+    for i in (-1, 0, 2):
+        with pytest.raises(IndexError):
+            match_index(DyckPath("ud"), i)
+        with pytest.raises(IndexError):
+            factor_between(DyckPath("ud"), i)
 
 
 def test_factor_between_examples():
@@ -193,3 +213,40 @@ def test_one_pass_vectors_match_scan_up_to_size_8():
             assert factor_rising_contacts(p) == tuple(
                 rising_contacts(DyckPath(p.steps[start:end]))
                 for start, end in factors)
+
+
+def test_match_and_factor_match_scan_up_to_size_8():
+    for n in range(0, 9):
+        for p in enum_dyck(n):
+            for i, (start, end) in enumerate(scan_factors(p), 1):
+                assert match_index(p, i) == end + 1
+                assert factor_between(p, i).steps == p.steps[start:end]
+
+
+def test_each_path_is_checked_once(monkeypatch):
+    made = []
+    check = DyckPath.__post_init__
+
+    def counted(self):
+        made.append(self.steps)
+        check(self)
+
+    monkeypatch.setattr(DyckPath, '__post_init__', counted)
+    # the enumerator builds one path per distinct word
+    for n in range(1, 8):
+        made.clear()
+        intervals = enum_new_intervals(n)
+        words = {p.steps for iv in intervals for p in (iv.lower, iv.upper)}
+        assert sorted(made) == sorted(words)
+    # each direction reads or builds two paths per interval, and checks
+    # neither again
+    lines = [str(iv) for iv in intervals]
+    made.clear()
+    code, trees = run(['convert', '--from', 'interval', '--to', 'tree'],
+                      stdin='\n'.join(lines) + '\n')
+    assert code == 0 and len(made) == 2 * len(lines)
+    made.clear()
+    code, back = run(['convert', '--from', 'tree', '--to', 'interval'],
+                     stdin=trees)
+    assert code == 0 and back.splitlines() == lines
+    assert len(made) == 2 * len(lines)

@@ -203,6 +203,20 @@ def test_white_root_corner_is_not_coded():
     assert m.find_violation() == "root vertex is not black"
 
 
+def test_map_without_root_corner_is_not_coded():
+    m = PlanarMap()
+    m.add_edge(('vertex', 0), ('vertex', m.new_vertex(WHITE)))
+    assert m.root_corner is None
+    for root in (None, 0, 3, -1):   # none, unused, out of range
+        m.root_corner = root
+        for code in (m.to_hypermap, m.canonical_code):
+            with pytest.raises(ValueError, match="^missing root corner$"):
+                code()
+        assert m.find_violation() == "missing root corner"
+    m.root_corner = 1
+    assert m.canonical_code() == "n=1 sigma=(1) alpha=(1) root=1"
+
+
 def test_face_orbits_examples():
     single = build(SINGLE)
     assert sorted(single.faces()[1]) == [2]
