@@ -34,10 +34,10 @@ each decision through ``trace``, by a cut test on the live working map.
 
 Maps cross the API as HypermapCodes: map_to_tree builds its working
 PlanarMap from the code, and tree_to_map codes its working map back. A
-HypermapCode, DegreeTree or NewInterval is valid once built, so no
-direction checks its input. Each direction checks its own invariants as
-it goes, the output's validity included, and raises RuntimeError if one
-fails; a failure means a bug, not bad input.
+HypermapCode, DegreeTree or NewInterval is valid once built, and a code
+canonical, so no direction checks its input. Each direction checks its
+own invariants as it goes, the output's validity included, and raises
+RuntimeError if one fails; a failure means a bug, not bad input.
 
 The interval side goes through certificates: nodes are processed in
 reverse preorder, and a node with leftmost edge label r sends its
@@ -271,8 +271,8 @@ def tree_to_map(dt: DegreeTree, trace: Callable[..., None] | None = None
     if any(w.tag_of(d) != 'M' for d in w.darts()):
         raise RuntimeError("tree_to_map left tree edges unconverted")
     try:
-        # the code checks itself: permutations (which a miscoloured edge
-        # breaks), transitivity and genus
+        # the code checks its permutations (which a miscoloured edge
+        # breaks), transitivity and genus, and numbers itself canonically
         return w.to_hypermap()
     except ValueError as exc:
         raise RuntimeError(f"tree_to_map built an invalid map: {exc}")

@@ -44,19 +44,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _read_lines(path: str) -> Iterator[tuple[int, str]]:
-    """(1-based line number, stripped text) of each object line."""
-    stream = sys.stdin if path == '-' else open(path)
-    try:
-        for number, line in enumerate(stream, 1):
-            line = line.strip()
-            if line and not line.startswith('#'):
-                yield number, line
-    finally:
-        if stream is not sys.stdin:
-            stream.close()
-
-
 def _parse_object(kind: str, text: str):
     if kind == 'interval':
         return NewInterval.parse(text)
@@ -65,6 +52,24 @@ def _parse_object(kind: str, text: str):
     if kind == 'map':
         return parse_hypermap(text)
     raise CliError(f"unknown object kind {kind!r}")
+
+
+def _each_object(path: str, kind: str, fn) -> Iterator:
+    """fn(object) for each object line of the input, parsed as ``kind``;
+    a ValueError from either names the line (a failed read does not)."""
+    stream = sys.stdin if path == '-' else open(path)
+    try:
+        for number, line in enumerate(stream, 1):
+            line = line.strip()
+            if line and not line.startswith('#'):
+                try:
+                    result = fn(_parse_object(kind, line))
+                except ValueError as exc:
+                    raise ValueError(f"line {number}: {exc}") from exc
+                yield result
+    finally:
+        if stream is not sys.stdin:
+            stream.close()
 
 
 def _object_stats(kind: str, obj) -> tuple[int, int, int, int]:
@@ -85,8 +90,6 @@ _CONVERT = {
     ('tree', 'map'): tree_to_map,
     ('map', 'interval'): map_to_interval,
     ('map', 'tree'): map_to_tree,
-    # map text need not be canonical; its working map codes it canonically
-    ('map', 'map'): lambda code: from_hypermap(code).to_hypermap(),
 }
 
 _FAMILY_KIND = {'intervals': 'interval', 'trees': 'tree', 'maps': 'map'}
@@ -180,23 +183,17 @@ def _cmd_enumerate(args, out) -> int:
 
 
 def _cmd_convert(args, out) -> int:
+    # a parsed object is canonical, so one family converts to itself as is
     fn = _CONVERT.get((args.src, args.dst), lambda x: x)
-    for number, line in _read_lines(args.input):
-        try:
-            result = fn(_parse_object(args.src, line))
-        except ValueError as exc:
-            raise ValueError(f"line {number}: {exc}") from exc
+    for result in _each_object(args.input, args.src, fn):
         print(result, file=out)
     return 0
 
 
 def _cmd_stats(args, out) -> int:
     kind = _FAMILY_KIND[args.family]
-    for number, line in _read_lines(args.input):
-        try:
-            stats = _object_stats(kind, _parse_object(kind, line))
-        except ValueError as exc:
-            raise ValueError(f"line {number}: {exc}") from exc
+    for stats in _each_object(args.input, kind,
+                              lambda obj: _object_stats(kind, obj)):
         print(' '.join(map(str, stats)), file=out)
     return 0
 
@@ -215,14 +212,10 @@ def _cmd_gf(args, out) -> int:
 
 
 def _cmd_render(args, out) -> int:
-    for number, line in _read_lines(args.input):
-        try:
-            obj = _parse_object(args.kind, line)
-        except ValueError as exc:
-            raise ValueError(f"line {number}: {exc}") from exc
-        dot = (from_hypermap(obj).to_dot() if args.kind == 'map'
-               else degree_tree_to_dot(obj))
-        print(dot, file=out)
+    dot = ((lambda code: from_hypermap(code).to_dot()) if args.kind == 'map'
+           else degree_tree_to_dot)
+    for text in _each_object(args.input, args.kind, dot):
+        print(text, file=out)
     return 0
 
 
@@ -230,8 +223,10 @@ def _cmd_trace(args, out) -> int:
     if args.trace_dir is not None:
         os.makedirs(args.trace_dir, exist_ok=True)
     fn = map_to_tree if args.src == 'map' else tree_to_map
-    for obj_index, (number, line) in enumerate(_read_lines(args.input)):
-        steps = itertools.count()
+    objects = itertools.count()
+
+    def traced(obj):
+        obj_index, steps = next(objects), itertools.count()
 
         def show(kind, w, *_):
             i = next(steps)
@@ -242,10 +237,9 @@ def _cmd_trace(args, out) -> int:
                 with open(frame, 'w') as fh:
                     fh.write(w.to_dot() + '\n')
 
-        try:
-            result = fn(_parse_object(args.src, line), trace=show)
-        except ValueError as exc:
-            raise ValueError(f"line {number}: {exc}") from exc
+        return fn(obj, trace=show)
+
+    for result in _each_object(args.input, args.src, traced):
         print(f"result {result}", file=out)
     return 0
 

@@ -26,15 +26,15 @@ including fixed points, and the edgeless map written ``n=0``.
 Every orbit listed, over edge ids or over darts, comes from the one walker
 :func:`perm_cycles`; the code's check only counts cycles, and
 ``PlanarMap.faces`` and :func:`from_hypermap` only number faces and
-vertices. The canonical code and the map oracle in ``enumeration``
-number edges in the order of :func:`bfs_edge_order`, the one
-breadth-first search over a pair.
+vertices. A code's check, which renumbers the code canonically, and the
+map oracle in ``enumeration`` number edges in the order of
+:func:`bfs_edge_order`, the one breadth-first search over a pair.
 
 A HypermapCode is how a map crosses the API: like the other families'
 value types it is immutable and checks itself when built, so every one
-in hand is a valid map. A PlanarMap is built from one by
-:func:`from_hypermap`, coded back by ``to_hypermap``, and changed by the
-surgery primitives, so it must be owned by a single thread at a time.
+in hand is a valid map, canonically labelled. A PlanarMap is built from
+one by :func:`from_hypermap`, coded back by ``to_hypermap``, and changed
+by the surgery primitives, so it must be owned by a single thread.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def _cycle_count(perm: Sequence[int], seen: bytearray, k: int) -> int:
 class HypermapCode:
     """Rooted bipartite planar map as a permutation pair. Building one
     that is not a transitive genus-0 pair with its root in range raises
-    ValueError, so every HypermapCode in hand is a valid map."""
+    ValueError; a valid one is renumbered canonically, by its BFS order."""
 
     n: int
     sigma: tuple[int, ...]
@@ -142,11 +142,18 @@ class HypermapCode:
             return
         if not 1 <= self.root <= n:
             raise ValueError("root edge out of range")
-        if len(bfs_edge_order(sigma, alpha, self.root)) < n:
+        order = bfs_edge_order(sigma, alpha, self.root)
+        if len(order) < n:
             raise ValueError("permutation pair is not transitive")
         c += _cycle_count([sigma[a] for a in alpha], seen, 3)
         if c != n + 2:
             raise ValueError(f"not genus 0: cycle count {c} != {n + 2}")
+        if order != sorted(order):   # renumber edge order[i] as i + 1
+            label = dict(zip(order, range(1, n + 1)))
+            for name, perm in ('sigma', sigma), ('alpha', alpha):
+                object.__setattr__(self, name,
+                                   tuple(label[perm[e]] for e in order))
+            object.__setattr__(self, 'root', 1)
 
     def face_cycles(self) -> list[list[int]]:
         """Orbits of e -> sigma(alpha(e)), one per face."""
@@ -547,7 +554,7 @@ class PlanarMap:
     # -- encodings -----------------------------------------------------------
 
     def to_hypermap(self) -> HypermapCode:
-        """Permutation-pair encoding under the canonical edge labeling."""
+        """Permutation-pair encoding, which the code numbers canonically."""
         n = self.edge_count
         if n == 0:
             return HypermapCode(0, (), (), 0)
@@ -569,14 +576,7 @@ class PlanarMap:
         for d in self.darts():
             rot = sigma if color[vertex[d]] == BLACK else alpha
             rot[raw[d]] = raw[nxt[d]]
-        order = bfs_edge_order(sigma, alpha, raw[root])
-        if len(order) < n:
-            raise ValueError("map is not connected")
-        label = [0] * (n + 1)
-        for i, e in enumerate(order, 1):
-            label[e] = i
-        return HypermapCode(n, tuple(label[sigma[e]] for e in order),
-                            tuple(label[alpha[e]] for e in order), 1)
+        return HypermapCode(n, tuple(sigma[1:]), tuple(alpha[1:]), raw[root])
 
     def canonical_code(self) -> str:
         """Root-preserving isomorphism invariant."""

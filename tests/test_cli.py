@@ -359,3 +359,49 @@ def test_convert_validates_each_map_once(monkeypatch, src, lines):
     assert len(out.splitlines()) == len(lines)
     assert len(code_checks) == len(lines)
     assert map_checks == []
+
+
+@pytest.mark.parametrize('src,dst', [('tree', 'map'), ('map', 'tree'),
+                                     ('map', 'map')])
+def test_convert_searches_each_map_once(monkeypatch, src, dst):
+    # the code's check is the one breadth-first search per map: neither
+    # to_hypermap nor the CLI runs a second one
+    plain = maps.bfs_edge_order
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return plain(*args)
+
+    monkeypatch.setattr(maps, 'bfs_edge_order', counted)
+    lines = {'tree': ["(1:(0:()))", "(0:(0:()))", "(1:(0:())0:())"],
+             'map': ["n=2 sigma=(1 2) alpha=(1 2) root=1",
+                     "n=2 sigma=(2)(1) alpha=(2 1) root=2",
+                     "n=3 sigma=(3 1)(2) alpha=(2 3)(1) root=3"]}[src]
+    code, out = run(['convert', '--from', src, '--to', dst],
+                    stdin=''.join(line + '\n' for line in lines))
+    assert code == 0
+    assert len(out.splitlines()) == len(lines)
+    assert len(calls) == len(lines)
+
+
+def test_convert_map_to_map_prints_the_canonical_code():
+    code, out = run(['convert', '--from', 'map', '--to', 'map'],
+                    stdin="n=2 sigma=(2)(1) alpha=(2 1) root=2\n")
+    assert code == 0
+    assert out == "n=2 sigma=(1)(2) alpha=(1 2) root=1\n"
+
+
+def test_trace_from_map_reads_text_as_its_canonical_code(tmp_path):
+    # two texts of one rooted map: the same steps, ids and frames
+    outs = []
+    for i, text in enumerate(["n=3 sigma=(3 1)(2) alpha=(2 3)(1) root=3",
+                              "n=3 sigma=(1 2)(3) alpha=(1 3)(2) root=1"]):
+        frames = tmp_path / str(i)
+        code, out = run(['trace', '--from', 'map', '--trace-dir',
+                         str(frames)], stdin=text + "\n")
+        assert code == 0
+        outs.append((out, {f.name: f.read_text()
+                           for f in frames.iterdir()}))
+    assert outs[0] == outs[1]
+    assert outs[0][0].splitlines()[-1].startswith("result (")

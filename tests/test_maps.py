@@ -145,18 +145,24 @@ def dart_stats(code: HypermapCode) -> MapStats:
                     len(m.faces()[1]) or 1, len(outer) // 2)
 
 
-def relabel(code: HypermapCode, rng: random.Random) -> HypermapCode:
-    """The same map with its edge ids shuffled."""
+def shuffled(code: HypermapCode, rng: random.Random) -> tuple:
+    """The fields (n, sigma, alpha, root) of the same map with its edge
+    ids shuffled."""
     n = code.n
     perm = list(range(1, n + 1))
     rng.shuffle(perm)
-    new = {e: perm[e - 1] for e in range(1, n + 1)}
+    new = dict(zip(range(n + 1), [0] + perm))   # the edgeless root 0 stays
     sigma = [0] * n
     alpha = [0] * n
     for e in range(1, n + 1):
         sigma[new[e] - 1] = new[code.sigma[e - 1]]
         alpha[new[e] - 1] = new[code.alpha[e - 1]]
-    return HypermapCode(n, tuple(sigma), tuple(alpha), new[code.root])
+    return n, tuple(sigma), tuple(alpha), new[code.root]
+
+
+def relabel(code: HypermapCode, rng: random.Random) -> HypermapCode:
+    """The code built from the same map with its edge ids shuffled."""
+    return HypermapCode(*shuffled(code, rng))
 
 
 def test_edgeless_map():
@@ -182,7 +188,7 @@ def test_validation_examples():
     m.add_edge(('vertex', m.new_vertex(BLACK)),
                ('vertex', m.new_vertex(WHITE)))
     m.root_corner = a
-    assert m.find_violation() == "map is not connected"
+    assert m.find_violation() == "permutation pair is not transitive"
     # three parallel edges in the same cw order around both ends: one
     # face, so V - E + F = 0, genus 1
     m = PlanarMap()
@@ -246,7 +252,7 @@ def test_stats_examples():
 
 def test_outdeg_matches_code_face_cycle():
     # half-degree of the outer face = length of the root edge's face
-    # cycle, on canonical codes and on codes whose root edge is not 1
+    # cycle, on oracle codes and on codes built from shuffled edge ids
     rng = random.Random(4)
     for n in range(1, 5):
         for code in enum_maps_oracle(n):
@@ -361,8 +367,23 @@ def test_canonical_code_invariant_under_relabeling():
     codes = [code for n in range(1, 6) for code in enum_maps_oracle(n)]
     codes.append(tree_to_map(random_degree_tree(rng, 2000)))
     for code in codes:
-        assert from_hypermap(relabel(code, rng)).canonical_code() == \
-            str(code)
+        again = relabel(code, rng)
+        assert again == code
+        assert from_hypermap(again).canonical_code() == str(code)
+
+
+def test_code_is_canonical_once_built_up_to_5():
+    rng = random.Random(11)
+    codes = [code for n in range(0, 6) for code in enum_maps_oracle(n)]
+    moved = 0
+    for code in codes:
+        fields = shuffled(code, rng)
+        moved += fields[1:] != (code.sigma, code.alpha, code.root)
+        again = HypermapCode(*fields)
+        assert again == code
+        assert again.root == (1 if code.n else 0)
+        assert from_hypermap(again).to_hypermap() == again
+    assert moved > len(codes) * 3 // 4   # most shuffles move some edge id
 
 
 def test_euler_and_even_faces_up_to_5():
