@@ -278,7 +278,7 @@ def tree_to_map(dt: DegreeTree, trace: Callable[..., None] | None = None
         raise RuntimeError(f"tree_to_map built an invalid map: {exc}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CertificateAssignment:
     """Certificate per node (by preorder index) and per-node multiplicity
     c(w) = number of nodes certified by w."""

@@ -20,6 +20,8 @@ root=<root corner dart or 0> tags=<edge:M or edge:T:label, comma-joined>``.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import itertools
 import os
 import sys
@@ -95,6 +97,7 @@ _CONVERT = {
 _FAMILY_KIND = {'intervals': 'interval', 'trees': 'tree', 'maps': 'map'}
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog='tamari-atlas')
     sub = parser.add_subparsers(dest='command', required=True)
@@ -256,10 +259,17 @@ _COMMANDS = {
 
 
 def run(argv: list[str], out=None) -> int:
+    """Run one command line and return its exit code; never raises
+    SystemExit. Results and -h/--help go to ``out`` (sys.stdout if None),
+    errors to stderr, and ``-`` reads sys.stdin. The parser is built on
+    the first call and reused for the rest of the process."""
     out = out if out is not None else sys.stdout
     try:
-        args = _build_parser().parse_args(argv)
+        with contextlib.redirect_stdout(out):  # where -h/--help prints
+            args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args, out)
+    except SystemExit as exc:  # only -h/--help exits; errors raise CliError
+        return exc.code
     except (CliError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -148,7 +148,7 @@ def is_new_interval(lower: DyckPath, upper: DyckPath) -> bool:
                                   for a, b, c in zip(vp, vq, vq[1:] + (0,)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NewInterval:
     """A valid new interval [lower, upper]."""
 

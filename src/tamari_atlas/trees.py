@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .dyck import DyckPath
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlaneTree:
     """Rooted plane tree; children[i] are node i's children in preorder."""
 
@@ -139,7 +139,7 @@ def plane_tree_to_dyck(tree: PlaneTree) -> DyckPath:
     return DyckPath(tree_word(tree, 'u' * tree.size, 'd'))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DegreeTree:
     """Valid degree tree: a plane tree with an edge labeling, where
     edge_labels[v-1] labels the edge from node v (preorder index, v >= 1)

@@ -1,4 +1,6 @@
 import io
+import os
+import subprocess
 import sys
 
 import pytest
@@ -182,6 +184,64 @@ def test_unknown_flag_rejected():
 def test_missing_subcommand_rejected():
     code, _ = run([])
     assert code == 1
+
+
+def fresh_python(args, stdin=''):
+    """``python *args`` in a new process that imports this package."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return subprocess.run([sys.executable, *args], input=stdin, timeout=60,
+                          capture_output=True, text=True,
+                          env={**os.environ, 'PYTHONPATH': src})
+
+
+def test_run_builds_the_parser_once_and_not_at_import():
+    # parsers made after the import, then after three calls: one
+    # top-level parser and one per subcommand, all on the first call
+    script = ("import argparse, io\n"
+              "made = []\n"
+              "init = argparse.ArgumentParser.__init__\n"
+              "def counted(self, *args, **kwargs):\n"
+              "    made.append(type(self).__name__)\n"
+              "    init(self, *args, **kwargs)\n"
+              "argparse.ArgumentParser.__init__ = counted\n"
+              "import tamari_atlas.cli as cli\n"
+              "print(made)\n"
+              "for size in '234':\n"
+              "    cli.run(['enumerate', '--family', 'trees', '--size', size],\n"
+              "            io.StringIO())\n"
+              "print(made)\n")
+    done = fresh_python(['-c', script])
+    parsers = ['_Parser'] * (1 + len(cli._COMMANDS))
+    assert done.stdout == f"[]\n{parsers}\n", done.stderr
+
+
+def test_cached_parser_keeps_no_state_between_calls(capsys):
+    # each call, made in turn in this process, reads as in a new process
+    calls = [(['convert', '--from', 'bogus', '--to', 'tree'], ''),
+             (['convert', '--from', 'tree', '--to', 'interval'],
+              "(1:(0:()))\n"),
+             (['stats', '--input', '-'], ''),
+             (['enumerate', '--family', 'intervals', '--size', '3'], '')]
+    results = []
+    for argv, stdin in calls:
+        code, out = run(argv, stdin)
+        results.append((code, out, capsys.readouterr().err))
+    assert [code for code, _, _ in results] == [1, 0, 1, 0]
+    assert results[0][1] == '' and 'invalid choice' in results[0][2]
+    assert results[1][1] == "uuddud;uuuddd\n"
+    for (argv, stdin), result in zip(calls, results):
+        done = fresh_python(['-m', 'tamari_atlas.cli', *argv], stdin)
+        assert result == (done.returncode, done.stdout, done.stderr)
+
+
+@pytest.mark.parametrize('argv', [['--help'], ['-h']]
+                         + [[command, '--help'] for command in cli._COMMANDS],
+                         ids=' '.join)
+def test_help_goes_to_out_and_exits_0(capsys, argv):
+    code, out = run(argv)
+    assert code == 0
+    assert out.startswith(f"usage: tamari-atlas {' '.join(argv[:-1])}")
+    assert capsys.readouterr() == ('', '')
 
 
 def test_missing_map_field_names_line(capsys):
