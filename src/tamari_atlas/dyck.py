@@ -11,12 +11,17 @@ Up steps are indexed from 1, step positions likewise. A path's check
 is one stack pass over its steps, which also yields its bracket vector,
 kept on the path; the rising contacts of every factor come from one more
 such pass, so both take linear time.
+
+One search, ``words_under``, yields the Dyck words whose bracket vector
+lies under a bound: all words of size n under the slack bound
+(n-1, ..., 0), and the lower paths of a new interval under one read off
+its upper path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Sequence
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,11 +116,11 @@ def tamari_leq(lower: DyckPath, upper: DyckPath) -> bool:
 
 
 def type_word(path: DyckPath) -> str:
-    """Binary word: letter i is 1 iff up step i is followed by an up step."""
+    """Binary word: letter i is 1 iff up step i is followed by an up step,
+    that is iff V(i) > 0, as a non-empty factor starts with an up step."""
     if path.size == 0:
         raise ValueError("type word undefined for the empty path")
-    return ''.join('1' if path.steps[p] == 'u' else '0'
-                   for p in path.up_positions())
+    return ''.join(['1' if v else '0' for v in path.vector])
 
 
 def rising_contacts(path: DyckPath) -> int:
@@ -200,17 +205,31 @@ def interval_stats(interval: NewInterval) -> IntervalStats:
                          rising_contacts(interval.lower))
 
 
-def iter_dyck_words(n: int) -> Iterator[str]:
-    """All Dyck words of size n in lexicographic order ('d' < 'u')."""
-    # depth-first over prefixes; the 'd' extension is pushed last so that
-    # it is expanded first
-    stack = [('', n, 0)]   # (prefix, up steps left, height)
+def words_under(bound: Sequence[int]) -> Iterator[str]:
+    """Dyck words of size len(bound) whose bracket vector is at most
+    ``bound`` pointwise, in lexicographic order ('d' < 'u').
+
+    A depth-first search over prefixes: up step j may open only while
+    j <= i + bound[i] for every open up step i. The 'd' extension is
+    pushed last, so that it is expanded first."""
+    n = len(bound)
+    # (prefix, up steps so far, open ups as (least i + bound[i], outer))
+    stack: list[tuple[str, int, tuple | None]] = [('', 0, None)]
     while stack:
-        prefix, ups, height = stack.pop()
-        if ups == 0 and height == 0:
+        prefix, j, opened = stack.pop()
+        if opened is None and j == n:
             yield prefix
             continue
-        if ups > 0:
-            stack.append((prefix + 'u', ups - 1, height + 1))
-        if height > 0:
-            stack.append((prefix + 'd', ups, height - 1))
+        if j < n and (opened is None or j <= opened[0]):
+            limit = j + bound[j]
+            stack.append((prefix + 'u', j + 1, (
+                limit if opened is None else min(limit, opened[0]), opened)))
+        if opened is not None:
+            stack.append((prefix + 'd', j, opened[1]))
+
+
+def iter_dyck_words(n: int) -> Iterator[str]:
+    """All Dyck words of size n in lexicographic order ('d' < 'u'): the
+    words under the slack bound (n-1, ..., 0). None for n < 0."""
+    if n >= 0:
+        yield from words_under(range(n - 1, -1, -1))

@@ -3,9 +3,13 @@ Exhaustive generators for the three families, exact counting and
 generating-function tables.
 
 All generators are deterministic: Dyck paths come out in lexicographic
-order ('d' < 'u'), intervals in lower-major order over path pairs, degree
-trees grouped by underlying tree with label choices ascending, and maps
-in increasing order of their canonical (sigma, alpha) pair. The map
+order ('d' < 'u'), intervals in lower-major order over path pairs, and
+maps in increasing order of their canonical (sigma, alpha) pair. Degree
+trees come grouped by plane tree, in the order of its Dyck word, and
+within a plane tree in product order: at each node the children's
+labellings vary as in ``itertools.product`` (first child outermost) and
+the first edge's label, from 0 up, innermost. Words come from the one
+bounded Dyck-word search, ``dyck.words_under``. The map
 enumerator is independent of the bijections: it grows canonical
 permutation pairs one edge at a time from the one-edge map, inserting
 the new edge into every black and white corner (or onto a new vertex of
@@ -20,12 +24,13 @@ with the maps module.
 from __future__ import annotations
 
 import math
+from itertools import chain, product
 from typing import Iterable, Iterator, Sequence
 
 from .dyck import (DyckPath, NewInterval, bracket_vector, iter_dyck_words,
-                   interval_stats)
+                   interval_stats, words_under)
 from .maps import HypermapCode, bfs_edge_order, perm_cycles
-from .trees import DegreeTree, PlaneTree, dyck_to_plane_tree
+from .trees import DegreeTree, _plane_tree
 
 
 def enum_dyck(n: int) -> list[DyckPath]:
@@ -33,28 +38,6 @@ def enum_dyck(n: int) -> list[DyckPath]:
     if n < 0:
         raise ValueError("size must be non-negative")
     return [DyckPath(w) for w in iter_dyck_words(n)]
-
-
-def _lower_words(bound: Sequence[int]) -> list[str]:
-    """Dyck words whose bracket vector is at most ``bound`` pointwise, by
-    a depth-first search over prefixes: up step j may open only while
-    j <= i + bound[i] for every open up step i."""
-    n = len(bound)
-    out = []
-    # (prefix, up steps so far, open ups as (least i + bound[i], outer))
-    stack: list[tuple[str, int, tuple | None]] = [('', 0, None)]
-    while stack:
-        prefix, j, opened = stack.pop()
-        if opened is None and j == n:
-            out.append(prefix)
-            continue
-        if j < n and (opened is None or j <= opened[0]):
-            limit = j + bound[j]
-            stack.append((prefix + 'u', j + 1, (
-                limit if opened is None else min(limit, opened[0]), opened)))
-        if opened is not None:
-            stack.append((prefix + 'd', j, opened[1]))
-    return out
 
 
 def enum_new_intervals(n: int) -> list[NewInterval]:
@@ -74,48 +57,39 @@ def enum_new_intervals(n: int) -> list[NewInterval]:
         paths[upper.steps] = upper
         vq = bracket_vector(upper) + (0,)
         bound = [min(vq[k], vq[k + 1]) if vq[k] else 0 for k in range(n)]
-        pairs.extend((lower, upper.steps) for lower in _lower_words(bound))
+        pairs.extend((lower, upper.steps) for lower in words_under(bound))
     pairs.sort()
     for lower in {lower for lower, _ in pairs} - paths.keys():
         paths[lower] = DyckPath(lower)
     return [NewInterval(paths[lower], paths[upper]) for lower, upper in pairs]
 
 
-def _label_choices(tree: PlaneTree) -> list[tuple[dict[int, int], int]]:
-    """All admissible label assignments on the tree, as (edge labels by
-    child node, derived root label) pairs. Built bottom-up over reversed
-    preorder: the choices on a node's subtree combine its children's."""
-    subtree: dict[int, list[tuple[dict[int, int], int]]] = {}
-    for node in reversed(range(tree.node_count)):
-        kids = tree.children[node]
-        if not kids:
-            subtree[node] = [({}, 0)]
-            continue
-        per_child = [subtree.pop(c) for c in kids]
-        first = per_child[0]
-        rest = per_child[1:]
-        out = []
-        rest_combos: list[tuple[dict[int, int], int]] = [({}, 0)]
-        for choices in rest:
-            rest_combos = [({**acc, **lab}, s + ell)
-                           for acc, s in rest_combos for lab, ell in choices]
-        k = len(kids)
-        for lab1, ell1 in first:
-            for labr, sumr in rest_combos:
-                for a in range(ell1 + 1):
-                    labs = {**lab1, **labr, kids[0]: a}
-                    out.append((labs, k - a + ell1 + sumr))
-        subtree[node] = out
-    return subtree[0]
-
-
 def enum_degree_trees(n: int) -> list[DegreeTree]:
-    """All degree trees of size n."""
+    """All degree trees of size n, in the order given above. Bottom-up
+    over reversed preorder, a node's choices are (labels of its subtree's
+    edges in preorder, derived label) pairs: a subtree's edges are
+    contiguous in preorder, so they are each child's edge label, then
+    that child's labels. Its first edge takes 0..l(first child), the
+    others 0."""
     if n < 0:
         raise ValueError("size must be non-negative")
-    trees = [dyck_to_plane_tree(DyckPath(w)) for w in iter_dyck_words(n)]
-    return [DegreeTree(tree, tuple(labs.get(v, 0) for v in range(1, n + 1)))
-            for tree in trees for labs, _ in _label_choices(tree)]
+    out = []
+    for word in iter_dyck_words(n):
+        tree = _plane_tree(word.split('u')[:-1], 'd')
+        subtree: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+        for node in reversed(range(tree.node_count)):
+            kids = tree.children[node]
+            if not kids:
+                subtree[node] = [((), 0)]
+                continue
+            mine = subtree[node] = []
+            for (labs, ell), *rest in product(*map(subtree.pop, kids)):
+                tail = tuple(chain.from_iterable((0, *t) for t, _ in rest))
+                label = len(kids) + ell + sum(x for _, x in rest)
+                mine.extend(((a, *labs, *tail), label - a)
+                            for a in range(ell + 1))
+        out.extend(DegreeTree(tree, labs) for labs, _ in subtree[0])
+    return out
 
 
 def _insertions(perm: Sequence[int], k: int) -> list[list[int]]:
@@ -206,16 +180,16 @@ def gf_tally(family: str, objects: Iterable) -> GfTable:
     Intervals contribute at (n, rcont-1, c00, c01, c11), maps at
     (n, outdeg, black, white, face); values are exact counts.
     """
+    if family not in ('intervals', 'maps'):
+        raise ValueError(f"unknown family {family!r}")
     table: GfTable = {}
     for obj in objects:
         if family == 'intervals':
             s = interval_stats(obj)
             key = (obj.size, s.rcont - 1, s.c00, s.c01, s.c11)
-        elif family == 'maps':
+        else:
             s = obj.stats()
             key = (obj.n, s.outdeg, s.black, s.white, s.face)
-        else:
-            raise ValueError(f"unknown family {family!r}")
         table[key] = table.get(key, 0) + 1
     return table
 

@@ -5,8 +5,9 @@ from tamari_atlas.dyck import (DyckPath, NewInterval, bracket_vector,
                                factor_between, factor_rising_contacts,
                                interval_stats, is_new_interval,
                                iter_dyck_words, match_index, rising_contacts,
-                               tamari_leq, type_word)
-from tamari_atlas.enumeration import enum_dyck, enum_new_intervals
+                               tamari_leq, type_word, words_under)
+from tamari_atlas.enumeration import (enum_degree_trees, enum_dyck,
+                                      enum_new_intervals)
 from tamari_atlas.trees import dyck_to_plane_tree, plane_tree_to_dyck
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
@@ -85,6 +86,15 @@ def test_type_word_ends_in_zero():
             assert type_word(p)[-1] == "0"
 
 
+def test_type_word_matches_the_step_definition_up_to_size_8():
+    # letter i is 1 iff the step after up step i is an up step
+    for n in range(1, 9):
+        for p in enum_dyck(n):
+            ups = [k for k, ch in enumerate(p.steps) if ch == 'u']
+            assert type_word(p) == ''.join(
+                '1' if p.steps[k + 1] == 'u' else '0' for k in ups)
+
+
 def test_rising_contacts_examples():
     assert rising_contacts(DyckPath("ud")) == 1
     assert rising_contacts(DyckPath("udud")) == 2
@@ -125,6 +135,19 @@ def test_iter_dyck_words_counts_and_order():
         assert len(words) == CATALAN[n]
         assert words == sorted(words)
         assert len(set(words)) == len(words)
+
+
+def test_negative_sizes_yield_no_words():
+    # the bounded search on an empty bound yields the empty word; the
+    # size search must not
+    assert list(words_under(())) == ['']
+    assert list(iter_dyck_words(0)) == ['']
+    for n in (-1, -2):
+        assert list(iter_dyck_words(n)) == []
+    with pytest.raises(ValueError):
+        enum_dyck(-1)
+    with pytest.raises(ValueError):
+        enum_degree_trees(-1)
 
 
 def test_enum_dyck_two():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from itertools import permutations
 
@@ -7,7 +8,7 @@ from tamari_atlas.dyck import NewInterval, bracket_vector
 from tamari_atlas.enumeration import (_grow, _insertions, count_formula,
                                       enum_degree_trees, enum_dyck,
                                       enum_maps_oracle, enum_new_intervals,
-                                      gf_table, gf_table_lines)
+                                      gf_table, gf_table_lines, gf_tally)
 from tamari_atlas.maps import (HypermapCode, bfs_edge_order, from_hypermap,
                                perm_cycles)
 
@@ -198,6 +199,8 @@ def test_gf_identity_spot_check_degree_2():
 def test_gf_table_unknown_family():
     with pytest.raises(ValueError):
         gf_table('widgets', 2)
+    with pytest.raises(ValueError):   # even with no object to tally
+        gf_tally('widgets', [])
 
 
 def test_gf_dump_format():
@@ -207,15 +210,17 @@ def test_gf_dump_format():
 
 
 def test_deterministic_streams():
-    for n in range(0, 4):
-        assert [str(p) for p in enum_dyck(n)] == \
-            [str(p) for p in enum_dyck(n)]
-        assert [str(i) for i in enum_new_intervals(n + 1)] == \
-            [str(i) for i in enum_new_intervals(n + 1)]
-        assert [str(t) for t in enum_degree_trees(n)] == \
-            [str(t) for t in enum_degree_trees(n)]
-        assert [str(c) for c in enum_maps_oracle(n)] == \
-            [str(c) for c in enum_maps_oracle(n)]
+    # pins each stream's content and order, not only that it repeats
+    for enum, sizes, digest in [
+        (enum_degree_trees, range(0, 8),
+         '975388a7ddcfa55bb1f3f0a906dcb9ce38ef0488b21fc3f7b1e2bbd275dfb427'),
+        (enum_new_intervals, range(1, 9),
+         '9894c02d67fa29ce8098d14fd1582d4738a036aed46ca70146d612f56b2f23e7'),
+        (enum_maps_oracle, range(0, 7),
+         '9405a67ffb50cddd319998a0d0106e06b8679e07432f90876be1a670ef512d20'),
+    ]:
+        text = '\n'.join(str(o) for n in sizes for o in enum(n))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, enum
 
 
 def test_counting_agreement_small():
