@@ -26,6 +26,52 @@ def test_report_line_format():
         assert check_id and detail
 
 
+SUITE_6 = [
+    'PASS bridge-agreement 360 maps, sizes 1..5',
+    'PASS certificate-location 1945 trees, sizes 0..6',
+    'PASS certificate-nesting 1945 trees, sizes 0..6',
+    'PASS corollary-identity 127 coefficients up to degree 7',
+    'PASS counting three families and formula agree for sizes 1..6',
+    'PASS face-multiset 361 maps, sizes 0..5',
+    'PASS gf-symmetry all 6 permutations, degrees 2..7',
+    'PASS map-sanity 1945 maps, sizes 0..6',
+    'PASS node-label-lemma 1945 trees, sizes 0..6',
+    'PASS one-face-specialization 197 maps, sizes 0..6',
+    'PASS oracle-equivalence canonical-code sets equal for sizes 0..5',
+    'PASS rising-contact-labels 1945 trees, sizes 0..6',
+    'PASS roundtrip-map-tree 361 trees, sizes 0..5; 361 maps, sizes 0..5',
+    'PASS roundtrip-tree-interval 361 trees, sizes 0..5; '
+    '361 intervals, sizes 1..6',
+    'PASS theorem-stats 360 maps, sizes 1..5',
+    'PASS trace-reversal 73 trees, sizes 0..4',
+    'PASS trace-shape 73 maps, sizes 0..4',
+    'PASS upper-bracket-subtrees 1945 trees, sizes 0..6',
+]
+
+
+def test_suite_lines_at_6():
+    assert report_lines(verify_suite(6)) == SUITE_6
+
+
+def test_enumerator_that_raises_fails_only_the_checks_that_read_it(
+        monkeypatch):
+    real = verify.enum_maps_oracle
+
+    def broken_at_3(n):
+        if n == 3:
+            raise ValueError("no maps of size 3")
+        return real(n)
+
+    monkeypatch.setattr(verify, 'enum_maps_oracle', broken_at_3)
+    readers = {'bridge-agreement', 'corollary-identity', 'counting',
+               'face-multiset', 'map-sanity', 'one-face-specialization',
+               'oracle-equivalence', 'roundtrip-map-tree', 'theorem-stats',
+               'trace-shape'}
+    assert report_lines(verify_suite(6)) == [
+        f"FAIL {line.split()[1]} raised ValueError: no maps of size 3"
+        if line.split()[1] in readers else line for line in SUITE_6]
+
+
 def test_suite_rejects_bad_bound():
     with pytest.raises(ValueError):
         verify_suite(0)
