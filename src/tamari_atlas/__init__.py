@@ -5,9 +5,8 @@ verification suite.
 """
 
 from .dyck import (DyckPath, IntervalStats, NewInterval, bracket_vector,
-                   factor_between, interval_stats, is_new_interval,
-                   iter_dyck_words, match_index, rising_contacts, tamari_leq,
-                   type_word)
+                   interval_stats, is_new_interval, iter_dyck_words,
+                   rising_contacts, tamari_leq, type_word)
 from .trees import (DegreeTree, PlaneTree, TreeStats, degree_tree_to_dot,
                     dyck_to_plane_tree, node_labels, parse_degree_tree,
                     plane_tree_to_dyck, tree_from_nested, tree_stats)
@@ -23,8 +22,8 @@ from .verify import CheckResult, report_lines, verify_suite
 
 __all__ = [
     "DyckPath", "IntervalStats", "NewInterval", "bracket_vector",
-    "factor_between", "interval_stats", "is_new_interval", "iter_dyck_words",
-    "match_index", "rising_contacts", "tamari_leq", "type_word",
+    "interval_stats", "is_new_interval", "iter_dyck_words",
+    "rising_contacts", "tamari_leq", "type_word",
     "DegreeTree", "PlaneTree", "TreeStats", "degree_tree_to_dot",
     "dyck_to_plane_tree", "node_labels", "parse_degree_tree",
     "plane_tree_to_dyck", "tree_from_nested", "tree_stats",

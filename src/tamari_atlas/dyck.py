@@ -7,10 +7,10 @@ vectors: entry i is the size of the factor matched by the i-th up step.
 New intervals are Tamari intervals [P, Q] such that the first up step of
 Q matches the final down step, and V_P(i) <= V_Q(i+1) whenever V_Q(i) > 0.
 
-Up steps are indexed from 1, step positions likewise. A path's check
-is one stack pass over its steps, which also yields its bracket vector,
-kept on the path; the rising contacts of every factor come from one more
-such pass, so both take linear time.
+Up steps are indexed from 1. A path's check is one stack pass over its
+steps, which also yields its bracket vector, kept on the path; the
+rising contacts of every factor come from one more such pass, so both
+take linear time.
 
 One search, ``words_under``, yields the Dyck words whose bracket vector
 lies under a bound: all words of size n under the slack bound
@@ -60,25 +60,6 @@ class DyckPath:
 
     def __str__(self) -> str:
         return self.steps
-
-    def up_positions(self) -> list[int]:
-        """1-based step positions of the up steps."""
-        return [k + 1 for k, ch in enumerate(self.steps) if ch == 'u']
-
-
-def match_index(path: DyckPath, i: int) -> int:
-    """Step position of the down step matching the i-th up step: the
-    factor strictly between the two steps is a Dyck path of size V(i).
-    """
-    if not 1 <= i <= path.size:
-        raise IndexError(f"up-step index {i} out of range 1..{path.size}")
-    return path.up_positions()[i - 1] + 2 * path.vector[i - 1] + 1
-
-
-def factor_between(path: DyckPath, i: int) -> DyckPath:
-    """The Dyck factor strictly between up step i and its match."""
-    end = match_index(path, i) - 1      # checks i
-    return DyckPath(path.steps[end - 2 * path.vector[i - 1]:end])
 
 
 def bracket_vector(path: DyckPath) -> tuple[int, ...]:

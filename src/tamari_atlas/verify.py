@@ -8,29 +8,26 @@ identities and generating-function symmetry, the oracle-vs-bijection set
 equality, the structural lemmas behind the bijections, and the face
 half-degree multiset identity.
 
-Most checks test one object at a time through :func:`_each`: a failure
-names its object, even when a bijection raises on it, and a pass counts
-the objects of each family with the sizes they were read at.
-
-One memo, :func:`once`, makes each enumeration, generating-function
-tally and untraced map_to_tree or tree_to_map image once per
-:func:`verify_suite` call. Interval images cost more memory than they
-save time, and a traced run watches a live working map: neither is kept.
+One driver, :func:`_run`, walks up the sizes once, however many checks
+it runs; each ``check_<id>(n_max)`` runs it for that check alone. At
+each size it makes one :class:`_Size`, which enumerates a family and
+makes an object's untraced image only when a check first reads it. Each
+tally (:class:`_Tally`) reads the size whole; then each object passes
+once through every check that tests one object at a time
+(:class:`_Each`), and the size is dropped before the next. A traced run
+watches a live working map, so each traced check makes its own.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import partial
 from itertools import permutations as iter_permutations
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .bijections import (certificates, interval_to_tree, map_to_tree,
                          tree_to_interval, tree_to_map)
-from .dyck import (bracket_vector, factor_between, interval_stats,
-                   rising_contacts)
+from .dyck import bracket_vector, factor_rising_contacts, interval_stats
 from .enumeration import (GfTable, count_formula, enum_degree_trees,
                           enum_maps_oracle, enum_new_intervals, gf_tally)
 from .maps import HypermapCode, PlanarMap, from_hypermap
@@ -47,41 +44,109 @@ class CheckResult:
         return f"{'PASS' if self.ok else 'FAIL'} {self.check_id} {self.detail}"
 
 
-_MEMO: ContextVar[dict] = ContextVar('memo')
+class _Size:
+    """What the checks read at one size n: the maps and trees of size n,
+    the intervals of size n + 1 and their untraced images. Each is made
+    when a check first reads it, by the function bound here at call time.
+    What raises is not kept, so the next reader makes it again."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self._kept: dict = {}
+        self._interval = (None, None)   # (family, index) and its interval
+
+    def _keep(self, key, make: Callable[[], object]):
+        if key not in self._kept:
+            self._kept[key] = make()
+        return self._kept[key]
+
+    def family(self, name: str) -> list:
+        return self._keep(name, lambda: (
+            enum_maps_oracle(self.n) if name == 'maps' else
+            enum_degree_trees(self.n) if name == 'trees' else
+            enum_new_intervals(self.n + 1)))
+
+    def image(self, family: str, i: int):
+        """Map i's tree or tree i's map, kept in a list aligned with the
+        family, since the round trips read it from the other family too."""
+        images = self._keep((family, 'images'),
+                            lambda: [None] * len(self.family(family)))
+        if images[i] is None:
+            obj = self.family(family)[i]
+            images[i] = (map_to_tree(obj) if family == 'maps'
+                         else tree_to_map(obj))
+        return images[i]
+
+    def image_of(self, obj, family: str):
+        """The image of a map or tree: the kept one if it equals an object
+        of ``family``, else one made afresh."""
+        where = self._keep((family, 'index'), lambda: {
+            x: i for i, x in enumerate(self.family(family))})
+        i = where.get(obj)
+        if i is not None:
+            return self.image(family, i)
+        return map_to_tree(obj) if family == 'maps' else tree_to_map(obj)
+
+    def interval(self, family: str, i: int):
+        """The interval of tree i, or of map i's tree. Only the last one
+        is kept: the driver passes each object through all its checks in
+        a row, and intervals take more memory than the other images."""
+        if self._interval[0] != (family, i):
+            self._interval = ((family, i), tree_to_interval(
+                self.image(family, i) if family == 'maps'
+                else self.family(family)[i]))
+        return self._interval[1]
+
+    def tally(self, family: str) -> GfTable:
+        return self._keep((family, 'tally'),
+                          lambda: gf_tally(family, self.family(family)))
 
 
-class _Memo:
-    """Keeps the calls made through :func:`once` while it is entered, in
-    the enclosing memo if there is one: the memo of one
-    :func:`verify_suite` call, or of one check that runs on its own."""
-
-    def __enter__(self):
-        self._token = _MEMO.set(_MEMO.get({}))
-
-    def __exit__(self, *exc_info):
-        _MEMO.reset(self._token)
+class _Tally(NamedTuple):
+    """A check that reads each size whole: ``step`` at each size of
+    ``sizes``, then ``end`` gives its failures and the detail of a pass."""
+    sizes: range
+    step: Callable[[_Size], None]
+    end: Callable[[], tuple[list[str], str]]
+    families: tuple[str, ...] = ()      # it tests no single object
 
 
-def once(fn: Callable, *args):
-    """``fn(*args)``, made once per memo and kept until the memo ends, or
-    made afresh outside one. A call that raises is not kept, so the next
-    check that needs it makes it again."""
-    memo = _MEMO.get({})
-    key = (fn, *args)
-    if key not in memo:
-        memo[key] = fn(*args)
-    return memo[key]
+class _Each:
+    """A check that tests one object at a time: each object that ``keep``
+    admits of its families, at each size of ``sizes`` (intervals one size
+    larger). ``test(obj, size, i)`` yields the object's problems; a
+    ValueError or RuntimeError that it raises is the object's one problem,
+    and the other objects still run. A failure names its object, and a
+    pass counts the objects tested of each family."""
 
+    def __init__(self, test: Callable[[object, _Size, int], Iterable[str]],
+                 sizes: range, families: tuple[str, ...],
+                 keep: Callable[[object], bool]):
+        self.test, self.sizes, self.families, self.keep = \
+            test, sizes, families, keep
+        self.fails: dict[str, list[str]] = {f: [] for f in families}
+        self.counts = dict.fromkeys(families, 0)
 
-def _family(family: str, n: int) -> list:
-    """Size n of 'maps' (the oracle's HypermapCodes), 'trees' or 'intervals'
-    through :func:`once`, by the enumerator bound here at call time."""
-    return once({'maps': enum_maps_oracle, 'trees': enum_degree_trees,
-                 'intervals': enum_new_intervals}[family], n)
+    def step(self, size: _Size) -> None:
+        for family in self.families:    # an enumerator raises here
+            size.family(family)
 
+    def visit(self, family: str, i: int, obj, size: _Size) -> None:
+        if not self.keep(obj):
+            return
+        try:
+            problems = list(self.test(obj, size, i))
+        except (RuntimeError, ValueError) as exc:
+            problems = [f"raised {type(exc).__name__}: {exc}"]
+        # the family's singular names the object
+        self.fails[family] += [f"{family[:-1]} {obj}: {p}" for p in problems]
+        self.counts[family] += 1
 
-def _gf(family: str, sizes: range) -> GfTable:
-    return gf_tally(family, (obj for n in sizes for obj in _family(family, n)))
+    def end(self) -> tuple[list[str], str]:
+        first, last = self.sizes.start, self.sizes.stop - 1
+        return sum(self.fails.values(), []), '; '.join(
+            f"{self.counts[f]} {f}, sizes {first + (f == 'intervals')}.."
+            f"{last + (f == 'intervals')}" for f in self.families)
 
 
 def _result(check_id: str, failures: list[str], detail_ok: str) -> CheckResult:
@@ -91,208 +156,237 @@ def _result(check_id: str, failures: list[str], detail_ok: str) -> CheckResult:
     return CheckResult(check_id, False, '; '.join(failures[:3] + more))
 
 
-def _each(check_id: str, test: Callable[[object], Iterable[str]],
-          *sources: tuple[str, range],
-          keep: Callable[[object], bool] = lambda obj: True) -> CheckResult:
-    """Run ``test`` on every object that ``keep`` admits of each source, a
-    family of :func:`_family` and a range of sizes. The test yields the
-    object's problems; a ValueError or RuntimeError it raises is the
-    object's one problem, and the other objects still run. A failure names
-    its object; a pass counts the objects tested of each source."""
-    fails: list[str] = []
-    counts = []
-    with _Memo():
-        for family, sizes in sources:
-            count = 0
-            for n in sizes:
-                for obj in _family(family, n):
-                    if not keep(obj):
-                        continue
-                    try:
-                        problems = list(test(obj))
-                    except (RuntimeError, ValueError) as exc:
-                        problems = [f"raised {type(exc).__name__}: {exc}"]
-                    # the family's singular names the object
-                    fails += [f"{family[:-1]} {obj}: {p}" for p in problems]
-                    count += 1
-            counts.append(
-                f"{count} {family}, sizes {sizes.start}..{sizes.stop - 1}")
-    return _result(check_id, fails, '; '.join(counts))
+def _run(plans: dict[str, _Tally | _Each]) -> list[CheckResult]:
+    """Run the checks in one walk up the sizes. At each size, each check
+    that reads it steps, then each object passes through every check that
+    tests it, and the size is dropped before the next. A check fails with
+    an error raised outside its objects, such as an enumerator's, and
+    reads no further size; the other checks still run."""
+    raised: dict[str, str] = {}
+    for n in range(max(plan.sizes.stop for plan in plans.values())):
+        size = _Size(n)
+        running = []
+        for check_id, plan in plans.items():
+            if n in plan.sizes and check_id not in raised:
+                try:
+                    plan.step(size)
+                    running.append(plan)
+                except (RuntimeError, ValueError) as exc:
+                    raised[check_id] = f"raised {type(exc).__name__}: {exc}"
+        for family in ('trees', 'maps', 'intervals'):
+            visits = [plan for plan in running if family in plan.families]
+            for i, obj in enumerate(size.family(family) if visits else ()):
+                for plan in visits:
+                    plan.visit(family, i, obj, size)
+    return [CheckResult(check_id, False, raised[check_id])
+            if check_id in raised else _result(check_id, *plan.end())
+            for check_id, plan in plans.items()]
 
 
-def check_counting(n_max: int) -> CheckResult:
+_PLANS: dict[str, Callable[[int], _Tally | _Each]] = {}
+
+
+def _check(plan: Callable[[int], _Tally | _Each]
+           ) -> Callable[[int], CheckResult]:
+    """Register the plan of ``check_<id>(n_max)`` for the suite, and
+    return the public check of that name: the driver run on that plan
+    alone."""
+    check_id = plan.__name__[len('check_'):].replace('_', '-')
+    _PLANS[check_id] = plan
+
+    def check(n_max: int) -> CheckResult:
+        return _run({check_id: plan(n_max)})[0]
+    check.__name__ = check.__qualname__ = plan.__name__
+    check.__doc__ = plan.__doc__
+    return check
+
+
+def _each(*families: str, first: int = 0,
+          keep: Callable[[object], bool] = lambda obj: True
+          ) -> Callable[[Callable], Callable[[int], CheckResult]]:
+    """Make ``check_<id>(obj, size, i)``, a test of one object, the check
+    ``check_<id>(n_max)`` that runs it on the families at each size from
+    ``first`` to n_max."""
+    def check(test: Callable) -> Callable[[int], CheckResult]:
+        def plan(n_max: int) -> _Each:
+            return _Each(test, range(first, n_max + 1), families, keep)
+        plan.__name__, plan.__doc__ = test.__name__, test.__doc__
+        return _check(plan)
+    return check
+
+
+@_check
+def check_counting(n_max: int) -> _Tally:
     fails = []
-    for n in range(1, n_max + 1):
-        expected = count_formula(n + 1)
+
+    def step(size: _Size) -> None:
+        expected = count_formula(size.n + 1)
         # maps first: their oracle's list is the largest transient object
-        maps = len(_family('maps', n))
-        got = (len(_family('intervals', n + 1)), len(_family('trees', n)),
+        maps = len(size.family('maps'))
+        got = (len(size.family('intervals')), len(size.family('trees')),
                maps)
         if got != (expected, expected, expected):
-            fails.append(f"size {n}: formula {expected}, "
+            fails.append(f"size {size.n}: formula {expected}, "
                          f"(intervals, trees, maps) = {got}")
-    return _result('counting', fails,
-                   f"three families and formula agree for sizes 1..{n_max}")
+    return _Tally(range(1, n_max + 1), step, lambda: (
+        fails, f"three families and formula agree for sizes 1..{n_max}"))
 
 
-def _round_trip(to_other: Callable, to_tree: Callable) -> Callable:
-    """Test that a tree, or an object of the other family, comes back
-    through the two bijections."""
-    def test(obj) -> Iterable[str]:
-        there, back = ((to_other, to_tree) if isinstance(obj, DegreeTree)
-                       else (to_tree, to_other))
-        if back(there(obj)) != obj:
-            yield "not recovered"
-    return test
+@_each('trees', 'maps')
+def check_roundtrip_map_tree(obj, size: _Size, i: int) -> Iterable[str]:
+    family = 'trees' if isinstance(obj, DegreeTree) else 'maps'
+    other = 'maps' if family == 'trees' else 'trees'
+    if size.image_of(size.image(family, i), other) != obj:
+        yield "not recovered"
 
 
-def check_roundtrip_map_tree(n_max: int) -> CheckResult:
-    sizes = range(0, n_max + 1)
-    return _each('roundtrip-map-tree',
-                 _round_trip(partial(once, tree_to_map),
-                             partial(once, map_to_tree)),
-                 ('trees', sizes), ('maps', sizes))
+@_each('trees', 'intervals')
+def check_roundtrip_tree_interval(obj, size: _Size, i: int
+                                  ) -> Iterable[str]:
+    if isinstance(obj, DegreeTree):
+        back = interval_to_tree(size.interval('trees', i))
+    else:
+        back = tree_to_interval(interval_to_tree(obj))
+    if back != obj:
+        yield "not recovered"
 
 
-def check_roundtrip_tree_interval(n_max: int) -> CheckResult:
-    return _each('roundtrip-tree-interval',
-                 _round_trip(tree_to_interval, interval_to_tree),
-                 ('trees', range(0, n_max + 1)),
-                 ('intervals', range(1, n_max + 2)))
+@_each('maps', first=1)
+def check_theorem_stats(code: HypermapCode, size: _Size, i: int
+                        ) -> Iterable[str]:
+    ms = code.stats()
+    s = interval_stats(size.interval('maps', i))
+    if (ms.white, ms.black, ms.face, ms.outdeg) != \
+            (s.c00, s.c01, 1 + s.c11, s.rcont - 1):
+        yield f"{ms} vs {s}"
 
 
-def check_theorem_stats(n_max: int) -> CheckResult:
-    def test(code: HypermapCode) -> Iterable[str]:
-        ms = code.stats()
-        s = interval_stats(tree_to_interval(once(map_to_tree, code)))
-        if (ms.white, ms.black, ms.face, ms.outdeg) != \
-                (s.c00, s.c01, 1 + s.c11, s.rcont - 1):
-            yield f"{ms} vs {s}"
-    return _each('theorem-stats', test, ('maps', range(1, n_max + 1)))
-
-
-def check_corollary_identity(n_max: int) -> CheckResult:
-    maps_gf = once(_gf, 'maps', range(0, n_max + 1))
-    ints_gf = once(_gf, 'intervals', range(1, n_max + 2))
-    # t * F_maps matches w * F_intervals: compare the maps entry at
-    # (n, i, j, k, l) with the intervals entry at (n + 1, i, j, k, l - 1)
-    shifted = {(n + 1, i, j, k, l - 1): c
-               for (n, i, j, k, l), c in maps_gf.items()}
+@_check
+def check_corollary_identity(n_max: int) -> _Tally:
     fails = []
-    for key in sorted(set(shifted) | set(ints_gf)):
-        a, b = shifted.get(key, 0), ints_gf.get(key, 0)
-        if a != b:
-            fails.append(f"coefficient {key}: maps side {a}, "
-                         f"intervals side {b}")
-    return _result('corollary-identity', fails,
-                   f"{len(ints_gf)} coefficients up to degree {n_max + 1}")
+    coefficients = 0
+
+    def step(size: _Size) -> None:
+        nonlocal coefficients
+        ints_gf = size.tally('intervals')
+        coefficients += len(ints_gf)
+        # t * F_maps matches w * F_intervals: compare the maps entry at
+        # (n, i, j, k, l) with the intervals entry at (n + 1, i, j, k, l - 1)
+        shifted = {(n + 1, i, j, k, l - 1): c
+                   for (n, i, j, k, l), c in size.tally('maps').items()}
+        for key in sorted(set(shifted) | set(ints_gf)):
+            a, b = shifted.get(key, 0), ints_gf.get(key, 0)
+            if a != b:
+                fails.append(f"coefficient {key}: maps side {a}, "
+                             f"intervals side {b}")
+    return _Tally(range(0, n_max + 1), step, lambda: (
+        fails, f"{coefficients} coefficients up to degree {n_max + 1}"))
 
 
-def check_gf_symmetry(n_max: int) -> CheckResult:
+@_check
+def check_gf_symmetry(n_max: int) -> _Tally:
     """Symmetry of the w-shifted interval series in its three vertex-style
     variables, with the root-degree variable set to 1 (the refinement by
     outer degree is not symmetric) and starting at degree 2 (the degree-1
     coefficient is the size-zero map exception and stays one-sided)."""
-    ints_gf = once(_gf, 'intervals', range(1, n_max + 2))
-    table: Counter = Counter()
-    for (n, i, j, k, l), c in ints_gf.items():
-        if n >= 2:
-            table[n, j, k, l + 1] += c
-    fails = []
-    for perm in iter_permutations(range(3)):
-        permuted: Counter = Counter()
-        for (n, *exps), c in table.items():
-            permuted[(n, *(exps[p] for p in perm))] += c
-        if permuted != table:
-            fails.append(f"not symmetric under permutation {perm}")
-    return _result('gf-symmetry', fails,
-                   f"all 6 permutations, degrees 2..{n_max + 1}")
+    broken: set[tuple[int, ...]] = set()
+
+    def step(size: _Size) -> None:
+        # a permutation keeps the degree, so each degree is tested alone
+        table: Counter = Counter()
+        for (_, i, j, k, l), c in size.tally('intervals').items():
+            table[j, k, l + 1] += c
+        for perm in iter_permutations(range(3)):
+            permuted: Counter = Counter()
+            for exps, c in table.items():
+                permuted[tuple(exps[p] for p in perm)] += c
+            if permuted != table:
+                broken.add(perm)
+    return _Tally(range(1, n_max + 1), step, lambda: (
+        [f"not symmetric under permutation {perm}" for perm in sorted(broken)],
+        f"all 6 permutations, degrees 2..{n_max + 1}"))
 
 
-def check_oracle_equivalence(n_max: int) -> CheckResult:
+@_check
+def check_oracle_equivalence(n_max: int) -> _Tally:
     fails = []
-    for n in range(0, n_max + 1):
+
+    def step(size: _Size) -> None:
         # canonical codes: equal codes are the same rooted map
-        oracle = set(_family('maps', n))
-        image = {once(tree_to_map, dt) for dt in _family('trees', n)}
+        oracle = set(size.family('maps'))
+        image = {size.image('trees', i)
+                 for i in range(len(size.family('trees')))}
         if oracle != image:
-            fails.append(f"size {n}: "
+            fails.append(f"size {size.n}: "
                          f"oracle-only {sorted(map(str, oracle - image))}, "
                          f"image-only {sorted(map(str, image - oracle))}")
-    return _result('oracle-equivalence', fails,
-                   f"canonical-code sets equal for sizes 0..{n_max}")
+    return _Tally(range(0, n_max + 1), step, lambda: (
+        fails, f"canonical-code sets equal for sizes 0..{n_max}"))
 
 
-def check_face_multiset(n_max: int) -> CheckResult:
-    def test(code: HypermapCode) -> Iterable[str]:
-        # a face cycle's length is its face's half-degree
-        faces = Counter(len(c) for c in code.face_cycles()
-                        if code.root not in c)
-        dt = once(map_to_tree, code)
-        labels = Counter(x for x in dt.edge_labels if x > 0)
-        interval = tree_to_interval(dt)
-        contacts: Counter = Counter()
-        for node in range(dt.tree.node_count):
-            kids = dt.tree.children[node]
-            if kids:
-                r = rising_contacts(factor_between(interval.lower, node + 1))
-                if r > 0:
-                    contacts[r] += 1
-        if not faces == labels == contacts:
-            yield (f"faces {dict(faces)}, labels {dict(labels)}, "
-                   f"contacts {dict(contacts)}")
-    return _each('face-multiset', test, ('maps', range(0, n_max + 1)))
+@_each('maps')
+def check_face_multiset(code: HypermapCode, size: _Size, i: int
+                        ) -> Iterable[str]:
+    # a face cycle's length is its face's half-degree
+    faces = Counter(len(c) for c in code.face_cycles() if code.root not in c)
+    dt = size.image('maps', i)
+    labels = Counter(x for x in dt.edge_labels if x > 0)
+    # the rising contacts of each internal node's factor of the lower path
+    rising = factor_rising_contacts(size.interval('maps', i).lower)
+    contacts = Counter(rising[node] for node, kids
+                       in enumerate(dt.tree.children)
+                       if kids and rising[node] > 0)
+    if not faces == labels == contacts:
+        yield (f"faces {dict(faces)}, labels {dict(labels)}, "
+               f"contacts {dict(contacts)}")
 
 
-def check_node_label_lemma(n_max: int) -> CheckResult:
-    def test(dt: DegreeTree) -> Iterable[str]:
-        ell = node_labels(dt)
-        sizes = dt.tree.subtree_sizes()
-        subtree_label_sum = [0] * dt.tree.node_count
-        for v in reversed(range(dt.tree.node_count)):
-            subtree_label_sum[v] = sum(
-                subtree_label_sum[c] + dt.label_of(c)
-                for c in dt.tree.children[v])
-        for v in range(dt.tree.node_count):
-            if ell[v] != sizes[v] - subtree_label_sum[v]:
-                yield (f"node {v}: label {ell[v]} != "
-                       f"{sizes[v]} - {subtree_label_sum[v]}")
-            if ell[v] < 0 or (ell[v] == 0) != (sizes[v] == 0):
-                yield f"node {v}: positivity violated"
-    return _each('node-label-lemma', test, ('trees', range(0, n_max + 1)))
+@_each('trees')
+def check_node_label_lemma(dt: DegreeTree, *_) -> Iterable[str]:
+    ell = node_labels(dt)
+    sizes = dt.tree.subtree_sizes()
+    subtree_label_sum = [0] * dt.tree.node_count
+    for v in reversed(range(dt.tree.node_count)):
+        subtree_label_sum[v] = sum(
+            subtree_label_sum[c] + dt.label_of(c)
+            for c in dt.tree.children[v])
+    for v in range(dt.tree.node_count):
+        if ell[v] != sizes[v] - subtree_label_sum[v]:
+            yield (f"node {v}: label {ell[v]} != "
+                   f"{sizes[v]} - {subtree_label_sum[v]}")
+        if ell[v] < 0 or (ell[v] == 0) != (sizes[v] == 0):
+            yield f"node {v}: positivity violated"
 
 
-def check_certificate_location(n_max: int) -> CheckResult:
-    def test(dt: DegreeTree) -> Iterable[str]:
-        cert = certificates(dt).certificate
-        sizes = dt.tree.subtree_sizes()
-        for v in range(dt.tree.node_count):
-            w = cert[v]
-            if w == v:
-                continue
-            kids = dt.tree.children[v]
-            if not kids:
-                yield f"leaf {v} certified by {w}"
-                continue
-            first = kids[0]
-            last = first + sizes[first]
-            if not first <= w < last:
-                yield (f"certificate {w} of {v} outside "
-                       f"leftmost subtree [{first}, {last}]")
-    return _each('certificate-location', test, ('trees', range(0, n_max + 1)))
+@_each('trees')
+def check_certificate_location(dt: DegreeTree, *_) -> Iterable[str]:
+    cert = certificates(dt).certificate
+    sizes = dt.tree.subtree_sizes()
+    for v in range(dt.tree.node_count):
+        w = cert[v]
+        if w == v:
+            continue
+        kids = dt.tree.children[v]
+        if not kids:
+            yield f"leaf {v} certified by {w}"
+            continue
+        first = kids[0]
+        last = first + sizes[first]
+        if not first <= w < last:
+            yield (f"certificate {w} of {v} outside "
+                   f"leftmost subtree [{first}, {last}]")
 
 
-def check_certificate_nesting(n_max: int) -> CheckResult:
-    def test(dt: DegreeTree) -> Iterable[str]:
-        cert = certificates(dt).certificate
-        n1 = dt.tree.node_count
-        for v in range(n1):
-            for v2 in range(v + 1, n1):
-                if v2 < cert[v] < cert[v2]:
-                    yield f"crossing certificates at {v}, {v2}"
-                if v2 != cert[v2] and cert[v] == v2:
-                    yield f"node {v2} is both a certifier target and forwards"
-    return _each('certificate-nesting', test, ('trees', range(0, n_max + 1)))
+@_each('trees')
+def check_certificate_nesting(dt: DegreeTree, *_) -> Iterable[str]:
+    cert = certificates(dt).certificate
+    n1 = dt.tree.node_count
+    for v in range(n1):
+        for v2 in range(v + 1, n1):
+            if v2 < cert[v] < cert[v2]:
+                yield f"crossing certificates at {v}, {v2}"
+            if v2 != cert[v2] and cert[v] == v2:
+                yield f"node {v2} is both a certifier target and forwards"
 
 
 def _reached(w: PlanarMap, start: int, crosses: Callable[[int], bool]
@@ -355,86 +449,79 @@ def _trace_shape_violation(w: PlanarMap, current: int, root: int,
     return None
 
 
-def check_trace_shape(n_max: int) -> CheckResult:
-    def test(code: HypermapCode) -> Iterable[str]:
-        found: list[str | None] = []    # one entry per prepare step
+@_each('maps')
+def check_trace_shape(code: HypermapCode, *_) -> Iterable[str]:
+    found: list[str | None] = []    # one entry per prepare step
 
-        def on_step(kind, *state):
-            if kind == 'prepare':
-                found.append(_trace_shape_violation(*state))
+    def on_step(kind, *state):
+        if kind == 'prepare':
+            found.append(_trace_shape_violation(*state))
 
-        map_to_tree(code, trace=on_step)
-        yield from (bad for bad in found if bad is not None)
-    return _each('trace-shape', test, ('maps', range(0, n_max + 1)))
+    map_to_tree(code, trace=on_step)
+    yield from (bad for bad in found if bad is not None)
 
 
-def check_trace_reversal(n_max: int) -> CheckResult:
+@_each('trees')
+def check_trace_reversal(dt: DegreeTree, *_) -> Iterable[str]:
     """Advance steps of the map direction, reversed, match the tree
     direction's steps case for case."""
-    advance = {'A1', 'A2', 'A3'}
-
-    def test(dt: DegreeTree) -> Iterable[str]:
-        fwd: list[str] = []
-        back: list[str] = []
-        m = tree_to_map(dt, trace=lambda kind, *_: back.append(kind))
-        map_to_tree(m, trace=lambda kind, *_: fwd.append(kind))
-        kinds_fwd = [k for k in fwd if k in advance]
-        kinds_back = [k[:-1] for k in back if k.endswith("'")]
-        if kinds_fwd != list(reversed(kinds_back)):
-            yield f"{kinds_fwd} vs reversed {kinds_back}"
-    return _each('trace-reversal', test, ('trees', range(0, n_max + 1)))
+    fwd: list[str] = []
+    back: list[str] = []
+    m = tree_to_map(dt, trace=lambda kind, *_: back.append(kind))
+    map_to_tree(m, trace=lambda kind, *_: fwd.append(kind))
+    kinds_fwd = [k for k in fwd if k in ('A1', 'A2', 'A3')]
+    kinds_back = [k[:-1] for k in back if k.endswith("'")]
+    if kinds_fwd != list(reversed(kinds_back)):
+        yield f"{kinds_fwd} vs reversed {kinds_back}"
 
 
-def check_rising_contact_labels(n_max: int) -> CheckResult:
-    def test(dt: DegreeTree) -> Iterable[str]:
-        interval = tree_to_interval(dt)
-        for node in range(dt.tree.node_count):
-            kids = dt.tree.children[node]
-            if not kids:
-                continue
-            r = rising_contacts(factor_between(interval.lower, node + 1))
-            if r != dt.label_of(kids[0]):
-                yield (f"node {node}: contacts {r}, "
-                       f"label {dt.label_of(kids[0])}")
-    return _each('rising-contact-labels', test,
-                 ('trees', range(0, n_max + 1)))
+@_each('trees')
+def check_rising_contact_labels(dt: DegreeTree, size: _Size, i: int
+                                ) -> Iterable[str]:
+    # the rising contacts of each node's factor of the lower path
+    rising = factor_rising_contacts(size.interval('trees', i).lower)
+    for node, kids in enumerate(dt.tree.children):
+        if kids and rising[node] != dt.label_of(kids[0]):
+            yield (f"node {node}: contacts {rising[node]}, "
+                   f"label {dt.label_of(kids[0])}")
 
 
-def check_upper_bracket_subtrees(n_max: int) -> CheckResult:
-    def test(dt: DegreeTree) -> Iterable[str]:
-        vq = bracket_vector(tree_to_interval(dt).upper)
-        expect = dt.tree.subtree_sizes()
-        if vq != expect:
-            yield f"brackets {vq}, expected {expect}"
-    return _each('upper-bracket-subtrees', test,
-                 ('trees', range(0, n_max + 1)))
+@_each('trees')
+def check_upper_bracket_subtrees(dt: DegreeTree, size: _Size, i: int
+                                 ) -> Iterable[str]:
+    vq = bracket_vector(size.interval('trees', i).upper)
+    expect = dt.tree.subtree_sizes()
+    if vq != expect:
+        yield f"brackets {vq}, expected {expect}"
 
 
-def check_one_face_specialization(n_max: int) -> CheckResult:
-    def test(code: HypermapCode) -> Iterable[str]:
-        labels = once(map_to_tree, code).edge_labels
-        if any(labels):
-            yield f"labels {labels}"
-    return _each('one-face-specialization', test,
-                 ('maps', range(0, n_max + 1)),
-                 keep=lambda code: code.n == 0 or len(code.face_cycles()) == 1)
+@_each('maps', keep=lambda code: code.n == 0 or len(code.face_cycles()) == 1)
+def check_one_face_specialization(code: HypermapCode, size: _Size, i: int
+                                  ) -> Iterable[str]:
+    labels = size.image('maps', i).edge_labels
+    if any(labels):
+        yield f"labels {labels}"
 
 
-def check_bridge_agreement(n_max: int) -> CheckResult:
+def _decide(w: PlanarMap, d: int) -> str | int:
+    """'bridge' if the cut test finds d's edge a bridge, else the
+    half-degree of the face across it."""
+    return 'bridge' if separates(w, d) else len(w.face_of(w.mate(d))) // 2
+
+
+@_each('maps', first=1)
+def check_bridge_agreement(code: HypermapCode, *_) -> Iterable[str]:
     """Each advance step of map_to_tree against its live working map just
     before it: A1 or A2 exactly when the cut test finds the pending edge a
     bridge, else A3 labelled half the length of the face across it. The
     pending edge: the root corner's, then the map dart after a tree dart."""
-    want: list[str | int] = []  # per pending edge: 'bridge' or half-degree
+    first = from_hypermap(code)
+    want = [_decide(first, first.root_corner)]  # per pending edge
     got: list[str | int] = []   # per step: 'bridge' or the new edge's label
-
-    def decide(w: PlanarMap, d: int) -> str | int:
-        return ('bridge' if separates(w, d)
-                else len(w.face_of(w.mate(d))) // 2)
 
     def on_step(kind, w, cur, root, children):
         if kind == 'prepare':   # the pending edge follows a tree dart
-            want.extend(decide(w, d) for d in w.vertex_darts(cur)
+            want.extend(_decide(w, d) for d in w.vertex_darts(cur)
                         if (w.tag_of(w.prev_cw(d)), w.tag_of(d)) == ('T', 'M'))
         elif kind == 'A3':   # the new tree edge is the one at cur
             got.extend(w.edge_label(x) for x in w.vertex_darts(cur)
@@ -442,27 +529,21 @@ def check_bridge_agreement(n_max: int) -> CheckResult:
         elif kind != 'backtrack':
             got.append('bridge')
 
-    def test(code: HypermapCode) -> Iterable[str]:
-        first = from_hypermap(code)
-        want[:] = [decide(first, first.root_corner)]
-        got.clear()
-        map_to_tree(code, trace=on_step)
-        if got != want:
-            yield f"steps {got}, expected {want}"
-    return _each('bridge-agreement', test, ('maps', range(1, n_max + 1)))
+    map_to_tree(code, trace=on_step)
+    if got != want:
+        yield f"steps {got}, expected {want}"
 
 
-def check_map_sanity(n_max: int) -> CheckResult:
+@_each('maps')
+def check_map_sanity(code: HypermapCode, *_) -> Iterable[str]:
     """Euler relation and even face degrees on every enumerated map."""
-    def test(code: HypermapCode) -> Iterable[str]:
-        m = from_hypermap(code)
-        degree = m.faces()[1]
-        v = len(m.vertices()) or 1
-        if v - m.edge_count + (len(degree) or 1) != 2:
-            yield "Euler fails"
-        if any(k % 2 for k in degree):
-            yield "odd face degree"
-    return _each('map-sanity', test, ('maps', range(0, n_max + 1)))
+    m = from_hypermap(code)
+    degree = m.faces()[1]
+    v = len(m.vertices()) or 1
+    if v - m.edge_count + (len(degree) or 1) != 2:
+        yield "Euler fails"
+    if any(k % 2 for k in degree):
+        yield "odd face degree"
 
 
 # each check's size cap, in the order the suite runs them
@@ -478,23 +559,13 @@ _CAPS = {
 
 
 def verify_suite(n_max: int) -> list[CheckResult]:
-    """Run each check up to min(n_max, its cap), intervals one size larger.
-    A check fails with an error raised outside its objects, such as an
-    enumerator's while building a corpus, and the other checks still run.
-    Results come sorted by check id."""
+    """Run each check up to min(n_max, its cap), intervals one size
+    larger, in one walk over the sizes. Results come sorted by check id."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    results = []
-    with _Memo():
-        for check_id, cap in _CAPS.items():
-            # looked up by name, so that a wrapper bound here is what runs
-            check = globals()['check_' + check_id.replace('-', '_')]
-            try:
-                results.append(check(min(n_max, cap)))
-            except (RuntimeError, ValueError) as exc:
-                results.append(CheckResult(
-                    check_id, False, f"raised {type(exc).__name__}: {exc}"))
-    return sorted(results, key=lambda r: r.check_id)
+    return sorted(_run({check_id: _PLANS[check_id](min(n_max, cap))
+                        for check_id, cap in _CAPS.items()}),
+                  key=lambda r: r.check_id)
 
 
 def report_lines(results: list[CheckResult]) -> Iterable[str]:

@@ -2,10 +2,10 @@ import pytest
 from test_cli import run
 
 from tamari_atlas.dyck import (DyckPath, NewInterval, bracket_vector,
-                               factor_between, factor_rising_contacts,
-                               interval_stats, is_new_interval,
-                               iter_dyck_words, match_index, rising_contacts,
-                               tamari_leq, type_word, words_under)
+                               factor_rising_contacts, interval_stats,
+                               is_new_interval, iter_dyck_words,
+                               rising_contacts, tamari_leq, type_word,
+                               words_under)
 from tamari_atlas.enumeration import (enum_degree_trees, enum_dyck,
                                       enum_new_intervals)
 from tamari_atlas.trees import dyck_to_plane_tree, plane_tree_to_dyck
@@ -38,23 +38,6 @@ def test_path_keeps_its_vector_out_of_comparison():
     assert repr(p) == "DyckPath(steps='uudd')"
     assert p == DyckPath("uudd") and hash(p) == hash(DyckPath("uudd"))
     assert {p: 1}[DyckPath("uudd")] == 1
-
-
-def test_match_index_examples():
-    assert match_index(DyckPath("ud"), 1) == 2
-    assert match_index(DyckPath("uudd"), 1) == 4
-    assert match_index(DyckPath("uuddud"), 2) == 3
-    for i in (-1, 0, 2):
-        with pytest.raises(IndexError):
-            match_index(DyckPath("ud"), i)
-        with pytest.raises(IndexError):
-            factor_between(DyckPath("ud"), i)
-
-
-def test_factor_between_examples():
-    assert factor_between(DyckPath("uudd"), 1).steps == "ud"
-    assert factor_between(DyckPath("ud"), 1).steps == ""
-    assert factor_between(DyckPath("uuddud"), 1).steps == "ud"
 
 
 def test_bracket_vector_examples():
@@ -158,8 +141,9 @@ def test_match_nesting_up_to_size_8():
     # matched up/down pairs never cross
     for n in range(1, 9):
         for p in enum_dyck(n):
-            spans = [(p.up_positions()[i - 1], match_index(p, i))
-                     for i in range(1, n + 1)]
+            # (start, end) of each factor: its up step is just before start
+            # and its matching down step at end
+            spans = scan_factors(p)
             for a, b in spans:
                 for c, d in spans:
                     if a < c:
@@ -236,14 +220,6 @@ def test_one_pass_vectors_match_scan_up_to_size_8():
             assert factor_rising_contacts(p) == tuple(
                 rising_contacts(DyckPath(p.steps[start:end]))
                 for start, end in factors)
-
-
-def test_match_and_factor_match_scan_up_to_size_8():
-    for n in range(0, 9):
-        for p in enum_dyck(n):
-            for i, (start, end) in enumerate(scan_factors(p), 1):
-                assert match_index(p, i) == end + 1
-                assert factor_between(p, i).steps == p.steps[start:end]
 
 
 def test_each_path_is_checked_once(monkeypatch):

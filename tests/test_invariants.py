@@ -137,15 +137,16 @@ def test_no_package_module_runs_the_map_check():
 
 
 def test_only_the_verify_driver_and_suite_catch():
-    # each check yields its objects' problems to verify._each, which
-    # catches per object; verify_suite catches what is raised outside
-    # an object
+    # each test of one object yields its problems to verify._Each.visit,
+    # which catches per object; the driver, verify._run, catches what is
+    # raised outside an object, such as an enumerator's error
     module = Path(tamari_atlas.__file__).parent / 'verify.py'
     tree = ast.parse(module.read_text(), filename=str(module))
     catching = {fn.name for fn in ast.walk(tree)
                 if isinstance(fn, ast.FunctionDef)
                 and any(isinstance(node, ast.Try) for node in ast.walk(fn))}
-    assert catching == {'_each', 'verify_suite'}
+    assert catching == {'visit', '_run'}
+    assert sum(isinstance(node, ast.Try) for node in ast.walk(tree)) == 2
 
 
 def test_modules_parse_as_python_3_10():

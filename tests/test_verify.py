@@ -109,6 +109,16 @@ def test_suite_runs_each_map_tree_direction_once_per_object(monkeypatch):
         # both bindings, so that no call gets round the count
         monkeypatch.setattr(verify, name, counting)
         monkeypatch.setattr(bijections, name, counting)
+    # the interval directions: each argument is kept, so that no two
+    # objects share an id
+    interval_args = {'tree_to_interval': [], 'interval_to_tree': []}
+    for name, args in interval_args.items():
+        def recording(obj, real=getattr(bijections, name), args=args):
+            args.append(obj)
+            return real(obj)
+
+        monkeypatch.setattr(verify, name, recording)
+        monkeypatch.setattr(bijections, name, recording)
     assert all(r.ok for r in verify_suite(6))
     # every map of sizes 0..5 and the 132 one-face maps of size 6; every
     # tree of sizes 0..5
@@ -119,6 +129,13 @@ def test_suite_runs_each_map_tree_direction_once_per_object(monkeypatch):
     # the traced checks keep their own runs: trace-shape and
     # trace-reversal on 73 objects each, bridge-agreement on 360 maps
     assert traced == {'map_to_tree': 73 + 73 + 360, 'tree_to_map': 73}
+    # tree_to_interval on the 1945 trees of sizes 0..6, on the trees of the
+    # 361 maps of sizes 0..5 and in the 361 interval round trips;
+    # interval_to_tree in the two round trips; never twice on one object
+    assert len(interval_args['tree_to_interval']) == 1945 + 361 + 361
+    assert len(interval_args['interval_to_tree']) == 361 + 361
+    for args in interval_args.values():
+        assert len(set(map(id, args))) == len(args)
 
 
 def test_check_that_raises_fails_and_the_rest_run(monkeypatch, capsys):
