@@ -46,14 +46,9 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _parse_object(kind: str, text: str):
-    if kind == 'interval':
-        return NewInterval.parse(text)
-    if kind == 'tree':
-        return parse_degree_tree(text)
-    if kind == 'map':
-        return parse_hypermap(text)
-    raise CliError(f"unknown object kind {kind!r}")
+# each object kind's parser; every kind comes from argparse choices
+_PARSE = {'interval': NewInterval.parse, 'tree': parse_degree_tree,
+          'map': parse_hypermap}
 
 
 def _each_object(path: str, kind: str, fn) -> Iterator:
@@ -65,7 +60,7 @@ def _each_object(path: str, kind: str, fn) -> Iterator:
             line = line.strip()
             if line and not line.startswith('#'):
                 try:
-                    result = fn(_parse_object(kind, line))
+                    result = fn(_PARSE[kind](line))
                 except ValueError as exc:
                     raise ValueError(f"line {number}: {exc}") from exc
                 yield result

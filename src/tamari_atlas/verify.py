@@ -8,6 +8,7 @@ identities and generating-function symmetry, the oracle-vs-bijection set
 equality, the structural lemmas behind the bijections, and the face
 half-degree multiset identity.
 
+Each check is declared once, with its cap in the suite, by ``@_check``.
 One driver, :func:`_run`, walks up the sizes once, however many checks
 it runs; each ``check_<id>(n_max)`` runs it for that check alone. At
 each size it makes one :class:`_Size`, which enumerates a family and
@@ -114,12 +115,12 @@ class _Tally(NamedTuple):
 class _Each:
     """A check that tests one object at a time: each object that ``keep``
     admits of its families, at each size of ``sizes`` (intervals one size
-    larger). ``test(obj, size, i)`` yields the object's problems; a
+    larger). ``test(obj, size, family, i)`` yields the object's problems; a
     ValueError or RuntimeError that it raises is the object's one problem,
     and the other objects still run. A failure names its object, and a
     pass counts the objects tested of each family."""
 
-    def __init__(self, test: Callable[[object, _Size, int], Iterable[str]],
+    def __init__(self, test: Callable[..., Iterable[str]],
                  sizes: range, families: tuple[str, ...],
                  keep: Callable[[object], bool]):
         self.test, self.sizes, self.families, self.keep = \
@@ -135,7 +136,7 @@ class _Each:
         if not self.keep(obj):
             return
         try:
-            problems = list(self.test(obj, size, i))
+            problems = list(self.test(obj, size, family, i))
         except (RuntimeError, ValueError) as exc:
             problems = [f"raised {type(exc).__name__}: {exc}"]
         # the family's singular names the object
@@ -156,12 +157,15 @@ def _result(check_id: str, failures: list[str], detail_ok: str) -> CheckResult:
     return CheckResult(check_id, False, '; '.join(failures[:3] + more))
 
 
-def _run(plans: dict[str, _Tally | _Each]) -> list[CheckResult]:
-    """Run the checks in one walk up the sizes. At each size, each check
-    that reads it steps, then each object passes through every check that
-    tests it, and the size is dropped before the next. A check fails with
-    an error raised outside its objects, such as an enumerator's, and
-    reads no further size; the other checks still run."""
+def _run(n_max: int, checks: Mapping[str, tuple]) -> list[CheckResult]:
+    """Run each (cap, plan) up to min(n_max, cap) in one walk up the sizes:
+    at each, each check that reads it steps, then each object passes through
+    every check that tests it. An error raised outside a check's objects,
+    such as an enumerator's, fails only that check, which stops there."""
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    plans = {check_id: plan(min(n_max, cap))
+             for check_id, (cap, plan) in checks.items()}
     raised: dict[str, str] = {}
     for n in range(max(plan.sizes.stop for plan in plans.values())):
         size = _Size(n)
@@ -183,39 +187,30 @@ def _run(plans: dict[str, _Tally | _Each]) -> list[CheckResult]:
             for check_id, plan in plans.items()]
 
 
-_PLANS: dict[str, Callable[[int], _Tally | _Each]] = {}
+_PLANS: dict[str, tuple[int, Callable[[int], _Tally | _Each]]] = {}
 
 
-def _check(plan: Callable[[int], _Tally | _Each]
-           ) -> Callable[[int], CheckResult]:
-    """Register the plan of ``check_<id>(n_max)`` for the suite, and
-    return the public check of that name: the driver run on that plan
-    alone."""
-    check_id = plan.__name__[len('check_'):].replace('_', '-')
-    _PLANS[check_id] = plan
+def _check(cap: int, *families: str, first: int = 0,
+           keep: Callable[[object], bool] = lambda obj: True) -> Callable:
+    """File ``check_<id>`` with its cap for the suite and return the public
+    ``check_<id>(n_max)``, the driver run on it alone up to n_max. With
+    ``families`` it is a test of one object (see :class:`_Each`), run at
+    each size from ``first``; without, it is the check's plan."""
+    def register(fn: Callable) -> Callable[[int], CheckResult]:
+        check_id = fn.__name__[len('check_'):].replace('_', '-')
+        plan = fn if not families else lambda n_max: _Each(
+            fn, range(first, n_max + 1), families, keep)
+        _PLANS[check_id] = cap, plan
 
-    def check(n_max: int) -> CheckResult:
-        return _run({check_id: plan(n_max)})[0]
-    check.__name__ = check.__qualname__ = plan.__name__
-    check.__doc__ = plan.__doc__
-    return check
-
-
-def _each(*families: str, first: int = 0,
-          keep: Callable[[object], bool] = lambda obj: True
-          ) -> Callable[[Callable], Callable[[int], CheckResult]]:
-    """Make ``check_<id>(obj, size, i)``, a test of one object, the check
-    ``check_<id>(n_max)`` that runs it on the families at each size from
-    ``first`` to n_max."""
-    def check(test: Callable) -> Callable[[int], CheckResult]:
-        def plan(n_max: int) -> _Each:
-            return _Each(test, range(first, n_max + 1), families, keep)
-        plan.__name__, plan.__doc__ = test.__name__, test.__doc__
-        return _check(plan)
-    return check
+        def check(n_max: int) -> CheckResult:
+            return _run(n_max, {check_id: (n_max, plan)})[0]
+        check.__name__ = check.__qualname__ = fn.__name__
+        check.__doc__ = fn.__doc__
+        return check
+    return register
 
 
-@_check
+@_check(6)
 def check_counting(n_max: int) -> _Tally:
     fails = []
 
@@ -232,36 +227,36 @@ def check_counting(n_max: int) -> _Tally:
         fails, f"three families and formula agree for sizes 1..{n_max}"))
 
 
-@_each('trees', 'maps')
-def check_roundtrip_map_tree(obj, size: _Size, i: int) -> Iterable[str]:
-    family = 'trees' if isinstance(obj, DegreeTree) else 'maps'
+@_check(5, 'trees', 'maps')
+def check_roundtrip_map_tree(obj, size: _Size, family: str, i: int
+                             ) -> Iterable[str]:
     other = 'maps' if family == 'trees' else 'trees'
     if size.image_of(size.image(family, i), other) != obj:
         yield "not recovered"
 
 
-@_each('trees', 'intervals')
-def check_roundtrip_tree_interval(obj, size: _Size, i: int
+@_check(5, 'trees', 'intervals')
+def check_roundtrip_tree_interval(obj, size: _Size, family: str, i: int
                                   ) -> Iterable[str]:
-    if isinstance(obj, DegreeTree):
-        back = interval_to_tree(size.interval('trees', i))
+    if family == 'trees':
+        back = interval_to_tree(size.interval(family, i))
     else:
         back = tree_to_interval(interval_to_tree(obj))
     if back != obj:
         yield "not recovered"
 
 
-@_each('maps', first=1)
-def check_theorem_stats(code: HypermapCode, size: _Size, i: int
-                        ) -> Iterable[str]:
+@_check(5, 'maps', first=1)
+def check_theorem_stats(code: HypermapCode, size: _Size, family: str,
+                        i: int) -> Iterable[str]:
     ms = code.stats()
-    s = interval_stats(size.interval('maps', i))
+    s = interval_stats(size.interval(family, i))
     if (ms.white, ms.black, ms.face, ms.outdeg) != \
             (s.c00, s.c01, 1 + s.c11, s.rcont - 1):
         yield f"{ms} vs {s}"
 
 
-@_check
+@_check(6)
 def check_corollary_identity(n_max: int) -> _Tally:
     fails = []
     coefficients = 0
@@ -283,7 +278,7 @@ def check_corollary_identity(n_max: int) -> _Tally:
         fails, f"{coefficients} coefficients up to degree {n_max + 1}"))
 
 
-@_check
+@_check(6)
 def check_gf_symmetry(n_max: int) -> _Tally:
     """Symmetry of the w-shifted interval series in its three vertex-style
     variables, with the root-degree variable set to 1 (the refinement by
@@ -307,7 +302,7 @@ def check_gf_symmetry(n_max: int) -> _Tally:
         f"all 6 permutations, degrees 2..{n_max + 1}"))
 
 
-@_check
+@_check(5)
 def check_oracle_equivalence(n_max: int) -> _Tally:
     fails = []
 
@@ -324,15 +319,15 @@ def check_oracle_equivalence(n_max: int) -> _Tally:
         fails, f"canonical-code sets equal for sizes 0..{n_max}"))
 
 
-@_each('maps')
-def check_face_multiset(code: HypermapCode, size: _Size, i: int
-                        ) -> Iterable[str]:
+@_check(5, 'maps')
+def check_face_multiset(code: HypermapCode, size: _Size, family: str,
+                        i: int) -> Iterable[str]:
     # a face cycle's length is its face's half-degree
     faces = Counter(len(c) for c in code.face_cycles() if code.root not in c)
-    dt = size.image('maps', i)
+    dt = size.image(family, i)
     labels = Counter(x for x in dt.edge_labels if x > 0)
     # the rising contacts of each internal node's factor of the lower path
-    rising = factor_rising_contacts(size.interval('maps', i).lower)
+    rising = factor_rising_contacts(size.interval(family, i).lower)
     contacts = Counter(rising[node] for node, kids
                        in enumerate(dt.tree.children)
                        if kids and rising[node] > 0)
@@ -341,7 +336,7 @@ def check_face_multiset(code: HypermapCode, size: _Size, i: int
                f"contacts {dict(contacts)}")
 
 
-@_each('trees')
+@_check(6, 'trees')
 def check_node_label_lemma(dt: DegreeTree, *_) -> Iterable[str]:
     ell = node_labels(dt)
     sizes = dt.tree.subtree_sizes()
@@ -358,7 +353,7 @@ def check_node_label_lemma(dt: DegreeTree, *_) -> Iterable[str]:
             yield f"node {v}: positivity violated"
 
 
-@_each('trees')
+@_check(6, 'trees')
 def check_certificate_location(dt: DegreeTree, *_) -> Iterable[str]:
     cert = certificates(dt).certificate
     sizes = dt.tree.subtree_sizes()
@@ -377,7 +372,7 @@ def check_certificate_location(dt: DegreeTree, *_) -> Iterable[str]:
                    f"leftmost subtree [{first}, {last}]")
 
 
-@_each('trees')
+@_check(6, 'trees')
 def check_certificate_nesting(dt: DegreeTree, *_) -> Iterable[str]:
     cert = certificates(dt).certificate
     n1 = dt.tree.node_count
@@ -449,7 +444,7 @@ def _trace_shape_violation(w: PlanarMap, current: int, root: int,
     return None
 
 
-@_each('maps')
+@_check(4, 'maps')
 def check_trace_shape(code: HypermapCode, *_) -> Iterable[str]:
     found: list[str | None] = []    # one entry per prepare step
 
@@ -461,7 +456,7 @@ def check_trace_shape(code: HypermapCode, *_) -> Iterable[str]:
     yield from (bad for bad in found if bad is not None)
 
 
-@_each('trees')
+@_check(4, 'trees')
 def check_trace_reversal(dt: DegreeTree, *_) -> Iterable[str]:
     """Advance steps of the map direction, reversed, match the tree
     direction's steps case for case."""
@@ -475,30 +470,31 @@ def check_trace_reversal(dt: DegreeTree, *_) -> Iterable[str]:
         yield f"{kinds_fwd} vs reversed {kinds_back}"
 
 
-@_each('trees')
-def check_rising_contact_labels(dt: DegreeTree, size: _Size, i: int
-                                ) -> Iterable[str]:
+@_check(6, 'trees')
+def check_rising_contact_labels(dt: DegreeTree, size: _Size, family: str,
+                                i: int) -> Iterable[str]:
     # the rising contacts of each node's factor of the lower path
-    rising = factor_rising_contacts(size.interval('trees', i).lower)
+    rising = factor_rising_contacts(size.interval(family, i).lower)
     for node, kids in enumerate(dt.tree.children):
         if kids and rising[node] != dt.label_of(kids[0]):
             yield (f"node {node}: contacts {rising[node]}, "
                    f"label {dt.label_of(kids[0])}")
 
 
-@_each('trees')
-def check_upper_bracket_subtrees(dt: DegreeTree, size: _Size, i: int
-                                 ) -> Iterable[str]:
-    vq = bracket_vector(size.interval('trees', i).upper)
+@_check(6, 'trees')
+def check_upper_bracket_subtrees(dt: DegreeTree, size: _Size, family: str,
+                                 i: int) -> Iterable[str]:
+    vq = bracket_vector(size.interval(family, i).upper)
     expect = dt.tree.subtree_sizes()
     if vq != expect:
         yield f"brackets {vq}, expected {expect}"
 
 
-@_each('maps', keep=lambda code: code.n == 0 or len(code.face_cycles()) == 1)
-def check_one_face_specialization(code: HypermapCode, size: _Size, i: int
-                                  ) -> Iterable[str]:
-    labels = size.image('maps', i).edge_labels
+@_check(6, 'maps',
+        keep=lambda code: code.n == 0 or len(code.face_cycles()) == 1)
+def check_one_face_specialization(code: HypermapCode, size: _Size,
+                                  family: str, i: int) -> Iterable[str]:
+    labels = size.image(family, i).edge_labels
     if any(labels):
         yield f"labels {labels}"
 
@@ -509,7 +505,7 @@ def _decide(w: PlanarMap, d: int) -> str | int:
     return 'bridge' if separates(w, d) else len(w.face_of(w.mate(d))) // 2
 
 
-@_each('maps', first=1)
+@_check(5, 'maps', first=1)
 def check_bridge_agreement(code: HypermapCode, *_) -> Iterable[str]:
     """Each advance step of map_to_tree against its live working map just
     before it: A1 or A2 exactly when the cut test finds the pending edge a
@@ -534,7 +530,7 @@ def check_bridge_agreement(code: HypermapCode, *_) -> Iterable[str]:
         yield f"steps {got}, expected {want}"
 
 
-@_each('maps')
+@_check(6, 'maps')
 def check_map_sanity(code: HypermapCode, *_) -> Iterable[str]:
     """Euler relation and even face degrees on every enumerated map."""
     m = from_hypermap(code)
@@ -546,26 +542,10 @@ def check_map_sanity(code: HypermapCode, *_) -> Iterable[str]:
         yield "odd face degree"
 
 
-# each check's size cap, in the order the suite runs them
-_CAPS = {
-    'counting': 6, 'roundtrip-map-tree': 5, 'roundtrip-tree-interval': 5,
-    'theorem-stats': 5, 'corollary-identity': 6, 'gf-symmetry': 6,
-    'oracle-equivalence': 5, 'face-multiset': 5, 'node-label-lemma': 6,
-    'certificate-location': 6, 'certificate-nesting': 6, 'trace-shape': 4,
-    'trace-reversal': 4, 'rising-contact-labels': 6,
-    'upper-bracket-subtrees': 6, 'one-face-specialization': 6,
-    'bridge-agreement': 5, 'map-sanity': 6,
-}
-
-
 def verify_suite(n_max: int) -> list[CheckResult]:
     """Run each check up to min(n_max, its cap), intervals one size
     larger, in one walk over the sizes. Results come sorted by check id."""
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    return sorted(_run({check_id: _PLANS[check_id](min(n_max, cap))
-                        for check_id, cap in _CAPS.items()}),
-                  key=lambda r: r.check_id)
+    return sorted(_run(n_max, _PLANS), key=lambda r: r.check_id)
 
 
 def report_lines(results: list[CheckResult]) -> Iterable[str]:

@@ -72,9 +72,31 @@ def test_enumerator_that_raises_fails_only_the_checks_that_read_it(
         if line.split()[1] in readers else line for line in SUITE_6]
 
 
+def _lone_checks():
+    return {name[len('check_'):].replace('_', '-'): check
+            for name, check in vars(verify).items()
+            if name.startswith('check_')}
+
+
 def test_suite_rejects_bad_bound():
-    with pytest.raises(ValueError):
-        verify_suite(0)
+    # the suite and each lone check go through one bound check
+    checks = [verify_suite, *_lone_checks().values()]
+    assert len(checks) == 1 + 18
+    for n_max in (0, -1):
+        for check in checks:
+            with pytest.raises(ValueError, match="n_max must be at least 1"):
+                check(n_max)
+
+
+def test_caps_and_lone_checks_agree_with_the_suite():
+    # every cap is at most 6, so the suite prints the size-6 lines past it
+    assert report_lines(verify_suite(8)) == SUITE_6
+    # a lone check run up to its cap prints its suite line
+    checks = _lone_checks()
+    for line in SUITE_6:
+        check_id = line.split()[1]
+        cap, _ = verify._PLANS[check_id]
+        assert checks[check_id](cap).line() == line
 
 
 def test_suite_builds_each_map_size_once_per_call(monkeypatch):
