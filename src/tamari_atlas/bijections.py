@@ -28,7 +28,9 @@ input's faces are numbered once per dart, with one flag per face
 marking it explored: an edge is a bridge when the face across it is
 explored, and A3 reads its label as half the input degree of the face
 across it, then flags that face. Apart from scans of the current
-vertex's rotation, every step takes constant time, so the direction runs
+vertex's rotation, one ``PlanarMap`` call each (``next_tagged`` for the
+next pending edge, ``tag_run`` for A3's map arc, then ``split_vertex``
+over that arc), every step takes constant time, so the direction runs
 in near-linear time on random inputs. verify's bridge-agreement checks
 each decision through ``trace``, by a cut test on the live working map.
 
@@ -87,14 +89,6 @@ def map_to_tree(code: HypermapCode,
     steps = 0   # advance steps, each converting one map edge
     stack: list[int] = []   # parent-side tree darts along the descent path
 
-    def first_map_dart(after: int) -> int | None:
-        x = w.next_cw(after)
-        while x != after:
-            if w.tag_of(x) == 'M':
-                return x
-            x = w.next_cw(x)
-        return None
-
     def new_child(v: int, label: int):
         if v in kids:
             raise RuntimeError(f"map_to_tree reached vertex {v} twice")
@@ -136,18 +130,13 @@ def map_to_tree(code: HypermapCode,
                                    f"{degree[inner]}")
             half_deg = degree[inner] // 2
             explored[inner] = True
-            rotated = w.vertex_darts(cur, start=d)
-            arc = []
-            for x in rotated:
-                if w.tag_of(x) != 'M':
-                    break
-                arc.append(x)
-            if any(w.tag_of(x) != 'T' for x in rotated[len(arc):]):
+            arc = w.tag_run(d, 'T')   # d's map darts, if tree darts follow
+            if arc is None:
                 raise RuntimeError("map darts are not contiguous at the "
                                    f"current vertex {cur}")
+            after = w.next_cw(arc[-1])
             child_v = w.split_vertex(cur, arc)
-            place_tree = (('corner', rotated[len(arc)])
-                          if len(arc) < len(rotated) else ('vertex', cur))
+            place_tree = ('corner', after) if after != d else ('vertex', cur)
             t_dart, m_dart = w.add_edge(place_tree, ('corner', d))
             w.set_tag(t_dart, 'T', half_deg)
             w.delete_edge(d)
@@ -161,11 +150,11 @@ def map_to_tree(code: HypermapCode,
             trace(kind, w, cur, root, kids)
 
         # prepare: next pending edge, backtracking along the tree if needed
-        pend = first_map_dart(scan_from)
+        pend = w.next_tagged(scan_from, 'M')
         while pend is None and stack:
             t = stack.pop()
             cur = w.vertex_of(t)
-            pend = first_map_dart(t)
+            pend = w.next_tagged(t, 'M')
             if pend is None and trace is not None:
                 trace('backtrack', w, cur, root, kids)
         if trace is not None:
@@ -255,12 +244,10 @@ def tree_to_map(dt: DegreeTree, trace: Callable[..., None] | None = None
             d0 = w.next_cw(q)
             if d0 == q:
                 raise RuntimeError(f"node {node} has no component edge")
-            target = d0
-            for _ in range(2 * r - 1):
-                target = w.face_next(target)
+            target = w.face_next(d0, 2 * r - 1)
             a, _ = w.add_edge(('corner', d0), ('corner', target))
             w.set_tag(a, 'M')
-            if len(w.face_of(d0)) != 2 * r:
+            if w.face_degree(d0) != 2 * r:
                 raise RuntimeError("new face does not close at the stated "
                                    f"half-degree {r}")
             w.contract_edge(p)
@@ -268,7 +255,7 @@ def tree_to_map(dt: DegreeTree, trace: Callable[..., None] | None = None
         if trace is not None:
             trace(kind, w, None, 0, None)
 
-    if any(w.tag_of(d) != 'M' for d in w.darts()):
+    if w.tags() != {'M'}:
         raise RuntimeError("tree_to_map left tree edges unconverted")
     try:
         # the code checks its permutations (which a miscoloured edge

@@ -32,7 +32,8 @@ from .bijections import (interval_to_map, interval_to_tree, map_to_interval,
 from .dyck import NewInterval, interval_stats
 from .enumeration import (enum_degree_trees, enum_maps_oracle,
                           enum_new_intervals, gf_table, gf_table_lines)
-from .maps import PlanarMap, cycles_str, from_hypermap, parse_hypermap
+from .maps import (BLACK, PlanarMap, cycles_str, from_hypermap,
+                   parse_hypermap)
 from .trees import degree_tree_to_dot, parse_degree_tree, tree_stats
 from .verify import report_lines, verify_suite
 
@@ -72,12 +73,12 @@ def _each_object(path: str, kind: str, fn) -> Iterator:
 def _object_stats(kind: str, obj) -> tuple[int, int, int, int]:
     if kind == 'interval':
         s = interval_stats(obj)
-        return (s.c00, s.c01, s.c11, s.rcont)
+        return s.c00, s.c01, s.c11, s.rcont
     if kind == 'tree':
         s = tree_stats(obj)
-        return (s.lnode, s.znode, s.pnode, s.rlabel)
+        return s.lnode, s.znode, s.pnode, s.rlabel
     s = obj.stats()
-    return (s.black, s.white, s.face, s.outdeg)
+    return s.black, s.white, s.face, s.outdeg
 
 
 _CONVERT = {
@@ -106,10 +107,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser('convert', description='Apply a bijection to each '
                        'input object.')
-    p.add_argument('--from', dest='src', required=True,
-                   choices=['interval', 'tree', 'map'])
-    p.add_argument('--to', dest='dst', required=True,
-                   choices=['interval', 'tree', 'map'])
+    p.add_argument('--from', dest='src', required=True, choices=list(_PARSE))
+    p.add_argument('--to', dest='dst', required=True, choices=list(_PARSE))
     p.add_argument('--input', default='-')
 
     p = sub.add_parser('stats', description='Print the statistic tuple of '
@@ -164,6 +163,25 @@ def tagged_map_code(m: PlanarMap) -> str:
     return text
 
 
+def tagged_map_dot(m: PlanarMap) -> str:
+    """Graphviz rendering: filled black vertices, open white ones, the
+    root corner marked on its vertex, each tagged edge labelled."""
+    lines = ["graph planar_map {", "  node [shape=circle];"]
+    for v in m.vertices():
+        fill = "black, fontcolor=white" if m.color(v) == BLACK else "white"
+        mark = ", peripheries=2" if v == m.root_vertex() else ""
+        lines.append(f'  v{v} [label="{v}", style=filled, '
+                     f'fillcolor={fill}{mark}];')
+    for d in m.darts():
+        if d < m.mate(d):
+            tag = m.tag_of(d)
+            text = f"{tag}{m.edge_label(d)}" if tag == 'T' else tag
+            attr = f' [label="{text}"]' if tag else ""
+            lines.append(f"  v{m.vertex_of(d)} -- "
+                         f"v{m.vertex_of(m.mate(d))}{attr};")
+    return '\n'.join(lines + ["}"])
+
+
 def _cmd_enumerate(args, out) -> int:
     kind = _FAMILY_KIND[args.family]
     if args.family == 'intervals':
@@ -210,8 +228,8 @@ def _cmd_gf(args, out) -> int:
 
 
 def _cmd_render(args, out) -> int:
-    dot = ((lambda code: from_hypermap(code).to_dot()) if args.kind == 'map'
-           else degree_tree_to_dot)
+    dot = ((lambda code: tagged_map_dot(from_hypermap(code)))
+           if args.kind == 'map' else degree_tree_to_dot)
     for text in _each_object(args.input, args.kind, dot):
         print(text, file=out)
     return 0
@@ -233,7 +251,7 @@ def _cmd_trace(args, out) -> int:
                 frame = os.path.join(args.trace_dir,
                                      f"obj{obj_index}_step{i:03d}.dot")
                 with open(frame, 'w') as fh:
-                    fh.write(w.to_dot() + '\n')
+                    fh.write(tagged_map_dot(w) + '\n')
 
         return fn(obj, trace=show)
 

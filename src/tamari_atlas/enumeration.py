@@ -130,7 +130,7 @@ def _grow(level: list[tuple[tuple[int, ...], tuple[int, ...]]],
                     continue
                 if b < k and w < k and black[b] != white[w]:
                     continue   # a chord across two faces
-                if bfs_edge_order(s, a, 1)[-1] == k:
+                if bfs_edge_order(s, a, 1)[0][-1] == k:
                     out.append((tuple(s), tuple(a)))
     return sorted(out)
 

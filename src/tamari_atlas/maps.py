@@ -24,11 +24,11 @@ faces correspond to orbits of e -> sigma(alpha(e)). Its text form is
 including fixed points, and the edgeless map written ``n=0``.
 
 Every orbit listed, over edge ids or over darts, comes from the one walker
-:func:`perm_cycles`; the code's check only counts cycles, and
-``PlanarMap.faces`` and :func:`from_hypermap` only number faces and
-vertices. A code's check, which renumbers the code canonically, and the
-map oracle in ``enumeration`` number edges in the order of
-:func:`bfs_edge_order`, the one breadth-first search over a pair.
+:func:`perm_cycles`. A code's check lists none: :func:`bfs_edge_order`,
+the one breadth-first search over a pair, counts the sigma and alpha
+cycles it reads, and the check walks the face cycles only to count them.
+The search's order renumbers a code canonically and grows the map oracle
+in ``enumeration``; ``PlanarMap`` scans walk one rotation or one face.
 
 A HypermapCode is how a map crosses the API: like the other families'
 value types it is immutable and checks itself when built, so every one
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain, compress
 from typing import Iterable, Mapping, Sequence
 
 BLACK = 0
@@ -52,46 +53,47 @@ def perm_cycles(perm: Mapping[int, int] | Sequence[int],
     """Disjoint cycles of the permutation x -> perm[x] that meet
     ``points``, in the order of their first point, each starting there.
     A permutation of {1..n} is passed as a sequence with index 0 unused."""
-    seen: set[int] = set()
+    seen = bytearray(max(perm) + 1)   # a mapping's keys, a sequence's values
     cycles = []
     for start in points:
-        if start in seen:
-            continue
-        cyc = [start]
-        x = perm[start]
-        while x != start:
+        x, cyc = start, []
+        while not seen[x]:
+            seen[x] = 1
             cyc.append(x)
             x = perm[x]
-        seen.update(cyc)
-        cycles.append(cyc)
+        if cyc:
+            cycles.append(cyc)
     return cycles
 
 
 def cycles_str(perm: Mapping[int, int] | Sequence[int],
                points: Iterable[int]) -> str:
     """Cycle notation of :func:`perm_cycles`, e.g. ``(1 2)(3)``."""
-    return ''.join('(' + ' '.join(map(str, c)) + ')'
-                   for c in perm_cycles(perm, points))
+    cycles = [' '.join(map(str, c)) for c in perm_cycles(perm, points)]
+    return '(' + ')('.join(cycles) + ')' if cycles else ''
 
 
 def bfs_edge_order(sigma: Sequence[int], alpha: Sequence[int],
-                   root: int) -> list[int]:
-    """Edges of a permutation pair in the breadth-first discovery order
-    that defines the canonical labelling; sigma and alpha are indexed by
-    edge, index 0 unused.
+                   root: int) -> tuple[list[int], int]:
+    """Edges of a pair in the breadth-first discovery order that defines
+    the canonical labelling, and the number of rotations read; sigma and
+    alpha are indexed by edge, index 0 unused, and hold edges only.
 
     The search starts at the black end of ``root`` and reads each vertex's
     rotation once, from the dart it was first reached by; an edge is
-    discovered at its first read end. The order is shorter than n exactly
-    when the pair is not transitive.
+    discovered at its first read end. For a pair of permutations the
+    order is shorter than n exactly when the pair is not transitive, and
+    the rotations read are sigma's and alpha's cycles through the order.
     """
     rot = (sigma, alpha)
     # read[side][e]: the black (0) or white (1) end of edge e has been read
     read = ([False] * len(sigma), [False] * len(sigma))
     order: list[int] = []
+    rotations = 0
     queue = [(root, 0)]   # grows while it is read, first in first out
     for e, side in queue:
         here, far, nxt = read[side], read[1 - side], rot[side]
+        rotations += not here[e]
         x = e
         while not here[x]:
             here[x] = True
@@ -99,21 +101,22 @@ def bfs_edge_order(sigma: Sequence[int], alpha: Sequence[int],
                 order.append(x)
                 queue.append((x, 1 - side))
             x = nxt[x]
-    return order
+    return order, rotations
 
 
-def _cycle_count(perm: Sequence[int], seen: bytearray, k: int) -> int:
-    """Number of cycles of perm (index 0 unused), marking their points k
-    in seen, which holds no k yet; ValueError unless perm permutes 1..n."""
+def _cycle_count(perm: Sequence[int]) -> int:
+    """Number of cycles of perm (index 0 unused); ValueError unless perm
+    permutes 1..n."""
     n = len(perm) - 1
+    seen = bytearray(n + 1)
     count = 0
     for start in range(1, n + 1):
         x = start
-        count += seen[x] != k
-        while seen[x] != k:     # a new cycle: walk it
-            seen[x] = k
+        count += not seen[x]
+        while not seen[x]:     # a new cycle: walk it
+            seen[x] = 1
             x = perm[x]
-            if not 0 < x <= n or seen[x] == k and x != start:
+            if not 0 < x <= n or seen[x] and x != start:
                 raise ValueError(f"not a permutation of 1..{n}")
     return count
 
@@ -133,19 +136,25 @@ class HypermapCode:
         n = self.n
         if n < 0 or len(self.sigma) != n or len(self.alpha) != n:
             raise ValueError("permutations must act on {1..n}")
-        sigma, alpha = (0,) + self.sigma, (0,) + self.alpha
-        seen = bytearray(n + 1)     # the walks below mark it 1, 2, 3
-        c = _cycle_count(sigma, seen, 1) + _cycle_count(alpha, seen, 2)
         if n == 0:
             if self.root != 0:
                 raise ValueError("edgeless code has root=0")
             return
-        if not 1 <= self.root <= n:
-            raise ValueError("root edge out of range")
-        order = bfs_edge_order(sigma, alpha, self.root)
+        sigma, alpha = (0,) + self.sigma, (0,) + self.alpha
+        points = self.sigma + self.alpha
+        order, c = (bfs_edge_order(sigma, alpha, self.root)
+                    if 1 <= self.root <= n and 0 < min(points)
+                    and max(points) <= n else ([], 0))
         if len(order) < n:
+            # walks of every rotation word the error, in the order of the
+            # rules: not a permutation, root out of range, not transitive
+            _cycle_count(sigma), _cycle_count(alpha)
+            if not 1 <= self.root <= n:
+                raise ValueError("root edge out of range")
             raise ValueError("permutation pair is not transitive")
-        c += _cycle_count([sigma[a] for a in alpha], seen, 3)
+        # e -> sigma(alpha(e)) permutes the edges only if both do, so the
+        # face walk also rejects a non-permutation the search read through
+        c += _cycle_count([sigma[a] for a in alpha])
         if c != n + 2:
             raise ValueError(f"not genus 0: cycle count {c} != {n + 2}")
         if order != sorted(order):   # renumber edge order[i] as i + 1
@@ -216,14 +225,15 @@ def _parse_cycles(n: int, text: str) -> tuple[int, ...]:
     if sum(map(len, cycles)) != n or _CYCLE_RE.sub('', text).strip():
         raise ValueError(f"cycles {shown!r} do not cover "
                          f"1..{str(n)[:20]} exactly")
-    perm = [0] * n
-    for cyc in cycles:
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            if not 1 <= a <= n or perm[a - 1]:
-                raise ValueError("bad cycle notation at point "
-                                 f"{str(a)[:20]}")
-            perm[a - 1] = b
-    return tuple(perm)
+    succ = dict(zip(chain.from_iterable(cycles),
+                    chain.from_iterable(c[1:] + c[:1] for c in cycles)))
+    if len(succ) < n or min(succ) < 1 or max(succ) > n:
+        seen = set()   # a point repeated or out of range: name the first
+        for a in chain.from_iterable(cycles):
+            if not 1 <= a <= n or a in seen:
+                raise ValueError(f"bad cycle notation at point {str(a)[:20]}")
+            seen.add(a)
+    return tuple(map(succ.__getitem__, range(1, n + 1)))
 
 
 def parse_hypermap(text: str) -> HypermapCode:
@@ -321,16 +331,37 @@ class PlanarMap:
     def color(self, v: int) -> int:
         return self._color[v]
 
-    def vertex_darts(self, v: int, start: int | None = None) -> list[int]:
-        """Darts of v in clockwise order, from ``start`` (or a stable rep)."""
+    def vertex_darts(self, v: int) -> list[int]:
+        """Darts of v in clockwise order, from a stable rep."""
         if not self._vrep[v]:
             return []
-        out = [start or self._vrep[v]]
+        out = [self._vrep[v]]
         x = self._next[out[0]]
         while x != out[0]:
             out.append(x)
             x = self._next[x]
         return out
+
+    def next_tagged(self, d: int, tag: str) -> int | None:
+        """First dart after d clockwise around its vertex tagged ``tag``,
+        or None if none is before d."""
+        nxt, tags = self._next, self._tag
+        x = nxt[d]
+        while x != d and tags[x] != tag:
+            x = nxt[x]
+        return x if x != d else None
+
+    def tag_run(self, d: int, rest: str) -> list[int] | None:
+        """The darts from d clockwise around its vertex up to the first not
+        tagged like d; None unless all the others are tagged ``rest``."""
+        nxt, tags = self._next, self._tag
+        run, x = [d], nxt[d]
+        while x != d and tags[x] == tags[d]:
+            run.append(x)
+            x = nxt[x]
+        while x != d and tags[x] == rest:
+            x = nxt[x]
+        return run if x == d else None
 
     def root_vertex(self) -> int:
         if self.root_corner is None:
@@ -348,14 +379,21 @@ class PlanarMap:
     def tag_of(self, d: int) -> str | None:
         return self._tag[d]
 
+    def tags(self) -> set[str | None]:
+        """The tags on the live darts."""
+        return set(compress(self._tag, self._mate))
+
     def edge_label(self, d: int) -> int:
         return self._label[d]
 
     # -- faces -------------------------------------------------------------
 
-    def face_next(self, d: int) -> int:
-        """Next corner clockwise along the boundary of d's face."""
-        return self._next[self._mate[d]]
+    def face_next(self, d: int, k: int) -> int:
+        """The corner k steps clockwise along the boundary of d's face."""
+        nxt, mate = self._next, self._mate
+        for _ in range(k):
+            d = nxt[mate[d]]
+        return d
 
     def faces(self) -> tuple[list[int], list[int]]:
         """Faces numbered in the order of their least dart: the face of
@@ -365,21 +403,21 @@ class PlanarMap:
         degree: list[int] = []
         for d, m in enumerate(mate):
             if m and face[d] < 0:
-                x, k = d, 0
+                f, x, k = len(degree), d, 0
                 while face[x] < 0:
-                    face[x] = len(degree)
+                    face[x] = f
                     x = nxt[mate[x]]
                     k += 1
                 degree.append(k)
         return face, degree
 
-    def face_of(self, d: int) -> list[int]:
-        orbit = [d]
-        x = self.face_next(d)
+    def face_degree(self, d: int) -> int:
+        """Number of corners of d's face."""
+        nxt, mate = self._next, self._mate
+        x, k = nxt[mate[d]], 1
         while x != d:
-            orbit.append(x)
-            x = self.face_next(x)
-        return orbit
+            x, k = nxt[mate[x]], k + 1
+        return k
 
     # -- surgery -----------------------------------------------------------
 
@@ -582,29 +620,6 @@ class PlanarMap:
         """Root-preserving isomorphism invariant."""
         return str(self.to_hypermap())
 
-    def to_dot(self) -> str:
-        """Graphviz rendering: filled black vertices, open white ones,
-        the root corner marked on its vertex."""
-        lines = ["graph planar_map {", "  node [shape=circle];"]
-        rv = self.root_vertex()
-        for v in self.vertices():
-            fill = ("black, fontcolor=white" if self._color[v] == BLACK
-                    else "white")
-            mark = ", peripheries=2" if v == rv else ""
-            lines.append(f'  v{v} [label="{v}", style=filled, '
-                         f'fillcolor={fill}{mark}];')
-        for d in self.darts():
-            if d < self._mate[d]:
-                attr = ""
-                tag = self._tag[d]
-                if tag:
-                    text = f"{tag}{self._label[d]}" if tag == 'T' else tag
-                    attr = f' [label="{text}"]'
-                lines.append(f"  v{self._vertex[d]} -- "
-                             f"v{self._vertex[self._mate[d]]}{attr};")
-        lines.append("}")
-        return '\n'.join(lines)
-
 
 def from_hypermap(code: HypermapCode, tag: str | None = None) -> PlanarMap:
     """Working map of a permutation-pair encoding, every edge tagged
@@ -621,9 +636,9 @@ def from_hypermap(code: HypermapCode, tag: str | None = None) -> PlanarMap:
     vrep: list[int] = []
     for d in [*range(1, size, 2), *range(2, size, 2)]:
         if vertex[d] < 0:       # the least dart of a vertex not yet seen
-            x = d
+            v, x = len(vrep), d
             while vertex[x] < 0:
-                vertex[x] = len(vrep)
+                vertex[x] = v
                 x = nxt[x]
             vrep.append(d)
     return from_dart_lists(nxt, vertex, vrep, [BLACK if d % 2 else WHITE for d in vrep],

@@ -502,7 +502,7 @@ def check_one_face_specialization(code: HypermapCode, size: _Size,
 def _decide(w: PlanarMap, d: int) -> str | int:
     """'bridge' if the cut test finds d's edge a bridge, else the
     half-degree of the face across it."""
-    return 'bridge' if separates(w, d) else len(w.face_of(w.mate(d))) // 2
+    return 'bridge' if separates(w, d) else w.face_degree(w.mate(d)) // 2
 
 
 @_check(5, 'maps', first=1)

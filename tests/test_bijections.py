@@ -1,8 +1,9 @@
+import hashlib
 import random
 from collections import Counter
 
 import pytest
-from test_cli import chain
+from test_cli import chain, run
 
 from tamari_atlas.bijections import (CertificateAssignment, certificates,
                                      interval_to_map, interval_to_tree,
@@ -12,7 +13,7 @@ from tamari_atlas.dyck import DyckPath, NewInterval, interval_stats, \
     rising_contacts
 from tamari_atlas.enumeration import (enum_degree_trees, enum_maps_oracle,
                                       enum_new_intervals)
-from tamari_atlas.cli import tagged_map_code
+from tamari_atlas.cli import tagged_map_code, tagged_map_dot
 from tamari_atlas.maps import BLACK, WHITE, PlanarMap, parse_hypermap
 from tamari_atlas.trees import (DegreeTree, PlaneTree, find_violation,
                                  parse_degree_tree)
@@ -230,12 +231,12 @@ def test_embedding_matches_reference_up_to_6():
         for dt in enum_degree_trees(n):
             frames = []
             tree_to_map(dt, trace=lambda kind, w, *_: frames.append(
-                (kind, tagged_map_code(w), w.to_dot(),
+                (kind, tagged_map_code(w), tagged_map_dot(w),
                  [w.vertex_darts(v) for v in w.vertices()],
                  [w.prev_cw(d) for d in w.darts()])))
             ref = reference_embedding(dt)
             assert frames[0] == (
-                'embed', tagged_map_code(ref), ref.to_dot(),
+                'embed', tagged_map_code(ref), tagged_map_dot(ref),
                 [ref.vertex_darts(v) for v in ref.vertices()],
                 [ref.prev_cw(d) for d in ref.darts()])
 
@@ -374,3 +375,35 @@ def test_trace_counts_cases_at_3000():
     rng = random.Random(6)
     for _ in range(3):
         _assert_trace_counts(random_degree_tree(rng, 3000))
+
+
+def test_map_path_outputs_are_pinned():
+    # the map path's outputs byte for byte: convert in both directions
+    # over every size-6 tree and oracle map and over 20 seeded trees with
+    # 1000 edges, and trace from either side over every size-4 object
+    rng = random.Random(23)
+    big = [str(random_degree_tree(rng, 1000)) for _ in range(20)]
+    _, big_maps = run(['convert', '--from', 'tree', '--to', 'map'],
+                      ''.join(line + '\n' for line in big))
+    trees = [enum_degree_trees(6), big, enum_degree_trees(4)]
+    maps = [enum_maps_oracle(6), big_maps.splitlines(), enum_maps_oracle(4)]
+    for argv, objs, digest in [
+        ('convert --from tree --to map', trees[0],
+         '274433d16e997e1746f41ce5690811d9ce9d4933f96911c89ad6093ff218dddd'),
+        ('convert --from map --to tree', maps[0],
+         '412194a7b87593bcb1d1bc027c9ca09728c6b2035f36ea8111315ce8e451e707'),
+        ('convert --from tree --to map', trees[1],
+         'd4cf40986754c191d79a820f32b7774ac22de04d718d243b462de0647dcdcee0'),
+        ('convert --from map --to tree', maps[1],
+         'fe236b7ca962df3181a961941aa1b74881da2cba8de0ddd70310dced741d9c03'),
+        ('trace --from tree', trees[2],
+         'bfd079c0a41ff8221b00b698b11ecee8550cc1cdb01900d9c8210b31ab44caad'),
+        ('trace --from map', maps[2],
+         '1c77ee39a4a07fbad697a250999ba92b4aba94a192d45f636f8b0982377befa9'),
+    ]:
+        code, out = run(argv.split(), ''.join(f'{o}\n' for o in objs))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+    # the random trees come back unchanged
+    assert run(['convert', '--from', 'map', '--to', 'tree'],
+               big_maps)[1].splitlines() == big

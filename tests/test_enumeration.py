@@ -30,7 +30,10 @@ def scan_map_codes(n):
             faces = [sigma[a] for a in alpha]
             if c_sigma + c_alpha + len(perm_cycles(faces, ids)) != n + 2:
                 continue
-            if bfs_edge_order(sigma, alpha, 1) == identity:
+            order, rotations = bfs_edge_order(sigma, alpha, 1)
+            if order == identity:
+                # a transitive pair: the search read every rotation
+                assert rotations == c_sigma + c_alpha
                 out.add(from_hypermap(
                     HypermapCode(n, sigma[1:], alpha[1:], 1)).canonical_code())
     return out
@@ -110,8 +113,8 @@ def whole_pair_grow(level, k):
                 if c_s + c_a + len(perm_cycles(faces, ids)) != k + 2:
                     continue
                 # relabel edges by their breadth-first order from edge 1
-                order = bfs_edge_order(s, a, 1)
-                assert len(order) == k
+                order, rotations = bfs_edge_order(s, a, 1)
+                assert (len(order), rotations) == (k, c_s + c_a)
                 label = [0] * (k + 1)
                 for i, e in enumerate(order, 1):
                     label[e] = i
@@ -145,7 +148,7 @@ def test_each_map_has_one_canonical_parent():
         for code in enum_maps_oracle(n):
             sigma = delete_last_edge((0, *code.sigma), n)
             alpha = delete_last_edge((0, *code.alpha), n)
-            assert bfs_edge_order(sigma, alpha, 1) == list(range(1, n))
+            assert bfs_edge_order(sigma, alpha, 1)[0] == list(range(1, n))
             assert HypermapCode(n - 1, tuple(sigma[1:]), tuple(alpha[1:]),
                                 1) in parents
 

@@ -1,4 +1,5 @@
 import io
+import itertools
 import random
 import re
 
@@ -115,6 +116,140 @@ def test_map_parser_matches_scan(monkeypatch):
     assert any(not m.startswith("error") for m in got[len(texts):])
 
 
+@pytest.mark.parametrize('fields,message', [
+    # not a permutation, and the root out of range
+    ((2, (1, 1), (1, 2), 3), "not a permutation of 1..2"),
+    ((2, (1, 2), (2, 2), 0), "not a permutation of 1..2"),
+    # not a permutation outside the component that the search reaches
+    ((3, (1, 3, 3), (1, 3, 2), 1), "not a permutation of 1..3"),
+    # a walk from edge 1 re-enters its own rotation at edge 2; edge 4 is
+    # apart, so the pair is not transitive either
+    ((4, (2, 3, 2, 4), (1, 2, 3, 4), 1), "not a permutation of 1..4"),
+    # a point out of range, and a pair that is not transitive
+    ((3, (1, 2, 4), (1, 2, 3), 1), "not a permutation of 1..3"),
+    ((3, (1, 2, 0), (1, 2, 3), 1), "not a permutation of 1..3"),
+    # genus 1 with the root out of range
+    ((3, (2, 3, 1), (2, 3, 1), 4), "root edge out of range"),
+    # not transitive, and not genus 0 either
+    ((3, (1, 2, 3), (1, 2, 3), 1), "permutation pair is not transitive"),
+    ((0, (), (), 1), "edgeless code has root=0"),
+    ((2, (1,), (1, 3), 1), "permutations must act on {1..n}"),
+])
+def test_code_check_names_the_first_broken_rule(fields, message):
+    with pytest.raises(ValueError) as info:
+        HypermapCode(*fields)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize('text,message', [
+    # a point repeated across two cycles, leaving 3 out
+    ("n=3 sigma=(1 2)(2) alpha=(1 2 3) root=1", "point 2"),
+    ("n=3 sigma=(2 3)(2) alpha=(1 2 3) root=9", "point 2"),
+    # the first bad point is named, repeated or out of range
+    ("n=3 sigma=(2)(2 5) alpha=(1 2 3) root=1", "point 2"),
+    ("n=3 sigma=(2)(5 2) alpha=(1 2 3) root=1", "point 5"),
+    # point 0 and point n + 1, each with a point left out
+    ("n=2 sigma=(0 1) alpha=(1 2) root=1", "point 0"),
+    ("n=2 sigma=(1 2) alpha=(2 0) root=1", "point 0"),
+    ("n=2 sigma=(1 3) alpha=(1 2) root=1", "point 3"),
+    ("n=2 sigma=(2 1) alpha=(3 1) root=3", "point 3"),
+])
+def test_map_parser_names_the_first_bad_point(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_hypermap(text)
+    assert str(info.value) == f"bad cycle notation at point {message[6:]}"
+
+
+def walked_code_check(n, sigma, alpha, root):
+    """Reference check: the message of the first rule a code breaks, each
+    rule checked by walking every cycle, in the order of the rules."""
+    if n < 0 or len(sigma) != n or len(alpha) != n:
+        return "permutations must act on {1..n}"
+    counts = []
+    for perm in ((0,) + sigma, (0,) + alpha):
+        if sorted(perm[1:]) != list(range(1, n + 1)):
+            return f"not a permutation of 1..{n}"
+        counts.append(len(maps.perm_cycles(perm, range(1, n + 1))))
+    if n == 0:
+        return None if root == 0 else "edgeless code has root=0"
+    if not 1 <= root <= n:
+        return "root edge out of range"
+    reached, todo = {root}, [root]
+    while todo:
+        e = todo.pop()
+        for x in (sigma[e - 1], alpha[e - 1]):
+            if x not in reached:
+                reached.add(x)
+                todo.append(x)
+    if len(reached) < n:
+        return "permutation pair is not transitive"
+    faces = maps.perm_cycles([0] + [sigma[a - 1] for a in alpha],
+                             range(1, n + 1))
+    c = sum(counts) + len(faces)
+    return None if c == n + 2 else f"not genus 0: cycle count {c} != {n + 2}"
+
+
+def test_code_check_matches_the_walked_reference():
+    # every code on up to 2 edges with points and root in -1..n+1, and
+    # a sample on 3 and 4 edges
+    rng = random.Random(9)
+    fields = [(n, s, a, r) for n in range(3)
+              for s in itertools.product(range(-1, n + 2), repeat=n)
+              for a in itertools.product(range(-1, n + 2), repeat=n)
+              for r in range(-1, n + 2)]
+    for n in (3, 4):
+        for _ in range(3000):
+            s, a = ([rng.randint(-1, n + 1) for _ in range(n)] if rng.random()
+                    < 0.3 else rng.sample(range(1, n + 1), n) for _ in 'sa')
+            fields.append((n, tuple(s), tuple(a), rng.randint(-1, n + 1)))
+    messages = set()
+    for n, s, a, r in fields:
+        try:
+            HypermapCode(n, s, a, r)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == walked_code_check(n, s, a, r), (n, s, a, r)
+        messages.add(re.sub(r'[0-9]+', '_', str(got)))
+    # every rule past the lengths, which all fields here have right, and
+    # None for a valid code
+    assert len(messages) == 6
+
+
+def test_planar_map_scans_match_brute_force_up_to_5():
+    # next_tagged, tag_run, face_next, face_degree and tags against walks
+    # of next_cw and mate, on every dart of every oracle map up to size 5
+    # with seeded tags
+    rng = random.Random(5)
+    runs = {True: 0, False: 0}   # tag_run found a run / not contiguous
+    for n in range(6):
+        for code in enum_maps_oracle(n):
+            m = from_hypermap(code)
+            for d in m.darts():
+                if d < m.mate(d):
+                    m.set_tag(d, rng.choice('MT'), rng.randrange(3))
+            assert m.tags() == {m.tag_of(d) for d in m.darts()}
+            for d in m.darts():
+                rot = [d]
+                while m.next_cw(rot[-1]) != d:
+                    rot.append(m.next_cw(rot[-1]))
+                for tag in 'MT':
+                    assert m.next_tagged(d, tag) == next(
+                        (x for x in rot[1:] if m.tag_of(x) == tag), None)
+                    run = list(itertools.takewhile(
+                        lambda x: m.tag_of(x) == m.tag_of(d), rot))
+                    ok = all(m.tag_of(x) == tag for x in rot[len(run):])
+                    assert m.tag_run(d, tag) == (run if ok else None)
+                    runs[ok] += 1
+                face = [d]
+                while m.next_cw(m.mate(face[-1])) != d:
+                    face.append(m.next_cw(m.mate(face[-1])))
+                assert m.face_degree(d) == len(face)
+                assert [m.face_next(d, k) for k in range(3 * len(face))] \
+                    == face * 3
+    assert runs[True] and runs[False]
+
+
 def test_map_parser_rejects_a_word_as_a_number():
     for text in ["n=None", "n=1 sigma=(None) alpha=(1) root=1",
                  "n=1 sigma=(1) alpha=(1) root=None"]:
@@ -140,9 +275,9 @@ def dart_stats(code: HypermapCode) -> MapStats:
     """Reference statistics, read off the darts of the working map."""
     m = from_hypermap(code)
     colors = [m.color(v) for v in m.vertices()]
-    outer = m.face_of(m.root_corner) if m.edge_count else []
+    outer = m.face_degree(m.root_corner) if m.edge_count else 0
     return MapStats(colors.count(BLACK), colors.count(WHITE),
-                    len(m.faces()[1]) or 1, len(outer) // 2)
+                    len(m.faces()[1]) or 1, outer // 2)
 
 
 def shuffled(code: HypermapCode, rng: random.Random) -> tuple:
@@ -231,15 +366,16 @@ def test_face_orbits_examples():
     path = build(PATH)
     assert sorted(path.faces()[1]) == [4]
     # the root corner's face is one of the two 2-gons
-    assert len(double.face_of(double.root_corner)) == 2
+    assert double.face_degree(double.root_corner) == 2
     # each dart's face number is shared by exactly the darts of its face
     for code in enum_maps_oracle(4):
         m = from_hypermap(code)
         face, degree = m.faces()
         for d in m.darts():
-            orbit = m.face_of(d)
+            orbit = [m.face_next(d, k) for k in range(m.face_degree(d))]
+            assert m.face_next(d, len(orbit)) == d
             assert {face[x] for x in orbit} == {face[d]}
-            assert degree[face[d]] == len(orbit)
+            assert degree[face[d]] == len(set(orbit))
         assert sum(degree) == len(m.darts())
 
 
@@ -259,7 +395,7 @@ def test_outdeg_matches_code_face_cycle():
             for c in (code, relabel(code, rng)):
                 root_cycle = next(f for f in c.face_cycles() if c.root in f)
                 m = from_hypermap(c)
-                assert len(m.face_of(m.root_corner)) == 2 * len(root_cycle)
+                assert m.face_degree(m.root_corner) == 2 * len(root_cycle)
                 assert c.stats() == dart_stats(c)
 
 
@@ -341,7 +477,7 @@ def test_prev_cw_inverts_next_cw_after_surgery():
             a, _ = w.add_edge(('after', d), ('vertex', w.new_vertex(BLACK)))
             assert_prev_inverts_next(w)
             v = w.vertex_of(d)
-            w.split_vertex(v, w.vertex_darts(v, start=d)[:2])
+            w.split_vertex(v, [d, w.next_cw(d)])
             assert_prev_inverts_next(w)
             w.contract_edge(d)
             assert_prev_inverts_next(w)
@@ -391,7 +527,7 @@ def test_euler_and_even_faces_up_to_5():
 
 
 def test_to_dot_smoke():
-    dot = build(DOUBLE).to_dot()
+    dot = cli.tagged_map_dot(build(DOUBLE))
     assert dot.startswith("graph")
     assert dot.count("--") == 2
     assert "peripheries=2" in dot  # root marker
