@@ -55,8 +55,7 @@ once, so both interval directions are linear on every tree shape.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .dyck import DyckPath, NewInterval, factor_rising_contacts
 from .maps import (BLACK, WHITE, HypermapCode, from_dart_lists,
@@ -265,8 +264,7 @@ def tree_to_map(dt: DegreeTree, trace: Callable[..., None] | None = None
         raise RuntimeError(f"tree_to_map built an invalid map: {exc}")
 
 
-@dataclass(frozen=True, slots=True)
-class CertificateAssignment:
+class CertificateAssignment(NamedTuple):
     """Certificate per node (by preorder index) and per-node multiplicity
     c(w) = number of nodes certified by w."""
 

@@ -32,8 +32,8 @@ from .bijections import (interval_to_map, interval_to_tree, map_to_interval,
 from .dyck import NewInterval, interval_stats
 from .enumeration import (enum_degree_trees, enum_maps_oracle,
                           enum_new_intervals, gf_table, gf_table_lines)
-from .maps import (BLACK, PlanarMap, cycles_str, from_hypermap,
-                   parse_hypermap)
+from .maps import (BLACK, HypermapCode, PlanarMap, cycles_str,
+                   from_hypermap, parse_hypermap)
 from .trees import degree_tree_to_dot, parse_degree_tree, tree_stats
 from .verify import report_lines, verify_suite
 
@@ -70,17 +70,6 @@ def _each_object(path: str, kind: str, fn) -> Iterator:
             stream.close()
 
 
-def _object_stats(kind: str, obj) -> tuple[int, int, int, int]:
-    if kind == 'interval':
-        s = interval_stats(obj)
-        return s.c00, s.c01, s.c11, s.rcont
-    if kind == 'tree':
-        s = tree_stats(obj)
-        return s.lnode, s.znode, s.pnode, s.rlabel
-    s = obj.stats()
-    return s.black, s.white, s.face, s.outdeg
-
-
 _CONVERT = {
     ('interval', 'tree'): interval_to_tree,
     ('interval', 'map'): interval_to_map,
@@ -91,6 +80,10 @@ _CONVERT = {
 }
 
 _FAMILY_KIND = {'intervals': 'interval', 'trees': 'tree', 'maps': 'map'}
+
+# each kind's stats record is a tuple in the order that the output prints
+_STATS = {'interval': interval_stats, 'tree': tree_stats,
+          'map': HypermapCode.stats}
 
 
 @functools.cache
@@ -193,7 +186,7 @@ def _cmd_enumerate(args, out) -> int:
     for obj in objs:
         line = str(obj)
         if args.with_stats:
-            line += '\t' + ' '.join(map(str, _object_stats(kind, obj)))
+            line += '\t' + ' '.join(map(str, _STATS[kind](obj)))
         print(line, file=out)
     return 0
 
@@ -208,8 +201,7 @@ def _cmd_convert(args, out) -> int:
 
 def _cmd_stats(args, out) -> int:
     kind = _FAMILY_KIND[args.family]
-    for stats in _each_object(args.input, kind,
-                              lambda obj: _object_stats(kind, obj)):
+    for stats in _each_object(args.input, kind, _STATS[kind]):
         print(' '.join(map(str, stats)), file=out)
     return 0
 

@@ -20,26 +20,52 @@ its upper path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 
-@dataclass(frozen=True, slots=True)
-class DyckPath:
+class _Value:
+    """Base of the checked value types. A subclass names its constructor's
+    arguments in ``_fields``; its ``__init__`` sets them with
+    ``object.__setattr__`` and runs its check, and its ``__eq__`` and
+    ``__hash__`` read them. After that no attribute can be assigned or
+    deleted. A value prints like a dataclass, and pickles and copies
+    through its constructor, so every copy is checked again."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ', '.join(f'{name}={getattr(self, name)!r}'
+                           for name in self._fields)
+        return f'{type(self).__qualname__}({fields})'
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class DyckPath(_Value):
     """A Dyck path as a word over {u, d}. The empty path is allowed.
 
     Its check is one stack pass, which also yields the bracket vector
     that it keeps as ``vector``: a down step closes the innermost open
-    up step i, whose factor holds the up steps read after it."""
+    up step i, whose factor holds the up steps read after it. Paths
+    compare by their steps alone."""
 
-    steps: str
-    vector: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ('steps', 'vector')
+    _fields = ('steps',)
 
-    def __post_init__(self):
-        out = [0] * len(self.steps)     # room for the up steps of any word
+    def __init__(self, steps: str):
+        object.__setattr__(self, 'steps', steps)
+        out = [0] * len(steps)      # room for the up steps of any word
         open_ups: list[int] = []    # 0-based indices of the open up steps
         k = 0                       # up steps read
-        for ch in self.steps:
+        for ch in steps:
             if ch == 'u':
                 open_ups.append(k)
                 k += 1
@@ -53,6 +79,14 @@ class DyckPath:
         if open_ups:
             raise ValueError("path does not end on the x-axis")
         object.__setattr__(self, 'vector', tuple(out[:k]))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.steps == other.steps
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.steps,))
 
     @property
     def size(self) -> int:
@@ -134,16 +168,24 @@ def is_new_interval(lower: DyckPath, upper: DyckPath) -> bool:
                                   for a, b, c in zip(vp, vq, vq[1:] + (0,)))
 
 
-@dataclass(frozen=True, slots=True)
-class NewInterval:
+class NewInterval(_Value):
     """A valid new interval [lower, upper]."""
 
-    lower: DyckPath
-    upper: DyckPath
+    __slots__ = _fields = ('lower', 'upper')
 
-    def __post_init__(self):
-        if not is_new_interval(self.lower, self.upper):
+    def __init__(self, lower: DyckPath, upper: DyckPath):
+        object.__setattr__(self, 'lower', lower)
+        object.__setattr__(self, 'upper', upper)
+        if not is_new_interval(lower, upper):
             raise ValueError("the two paths do not form a new interval")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.lower == other.lower and self.upper == other.upper
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.lower, self.upper))
 
     @property
     def size(self) -> int:
@@ -160,8 +202,7 @@ class NewInterval:
         return NewInterval(DyckPath(parts[0]), DyckPath(parts[1]))
 
 
-@dataclass(frozen=True)
-class IntervalStats:
+class IntervalStats(NamedTuple):
     """Type-pair counts and rising contacts of a new interval."""
 
     c00: int

@@ -40,9 +40,10 @@ by the surgery primitives, so it must be owned by a single thread.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import chain, compress
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
+
+from .dyck import _Value
 
 BLACK = 0
 WHITE = 1
@@ -121,48 +122,56 @@ def _cycle_count(perm: Sequence[int]) -> int:
     return count
 
 
-@dataclass(frozen=True, slots=True)
-class HypermapCode:
+class HypermapCode(_Value):
     """Rooted bipartite planar map as a permutation pair. Building one
     that is not a transitive genus-0 pair with its root in range raises
     ValueError; a valid one is renumbered canonically, by its BFS order."""
 
-    n: int
-    sigma: tuple[int, ...]
-    alpha: tuple[int, ...]
-    root: int
+    __slots__ = _fields = ('n', 'sigma', 'alpha', 'root')
 
-    def __post_init__(self):
-        n = self.n
-        if n < 0 or len(self.sigma) != n or len(self.alpha) != n:
+    def __init__(self, n: int, sigma: tuple[int, ...],
+                 alpha: tuple[int, ...], root: int):
+        if n < 0 or len(sigma) != n or len(alpha) != n:
             raise ValueError("permutations must act on {1..n}")
-        if n == 0:
-            if self.root != 0:
-                raise ValueError("edgeless code has root=0")
-            return
-        sigma, alpha = (0,) + self.sigma, (0,) + self.alpha
-        points = self.sigma + self.alpha
-        order, c = (bfs_edge_order(sigma, alpha, self.root)
-                    if 1 <= self.root <= n and 0 < min(points)
-                    and max(points) <= n else ([], 0))
-        if len(order) < n:
-            # walks of every rotation word the error, in the order of the
-            # rules: not a permutation, root out of range, not transitive
-            _cycle_count(sigma), _cycle_count(alpha)
-            if not 1 <= self.root <= n:
-                raise ValueError("root edge out of range")
-            raise ValueError("permutation pair is not transitive")
-        # e -> sigma(alpha(e)) permutes the edges only if both do, so the
-        # face walk also rejects a non-permutation the search read through
-        c += _cycle_count([sigma[a] for a in alpha])
-        if c != n + 2:
-            raise ValueError(f"not genus 0: cycle count {c} != {n + 2}")
-        if order != sorted(order):   # renumber edge order[i] as i + 1
-            label = dict(zip(order, range(1, n + 1)))
-            for name, perm in ('sigma', sigma), ('alpha', alpha):
-                object.__setattr__(self, name,
-                                   tuple(label[perm[e]] for e in order))
-            object.__setattr__(self, 'root', 1)
+        if n == 0 and root != 0:
+            raise ValueError("edgeless code has root=0")
+        if n:
+            sig, alp = (0,) + sigma, (0,) + alpha
+            points = sigma + alpha
+            order, c = (bfs_edge_order(sig, alp, root)
+                        if 1 <= root <= n and 0 < min(points)
+                        and max(points) <= n else ([], 0))
+            if len(order) < n:
+                # walks of every rotation word the error, in the order of
+                # the rules: not a permutation, root out of range, not
+                # transitive
+                _cycle_count(sig), _cycle_count(alp)
+                if not 1 <= root <= n:
+                    raise ValueError("root edge out of range")
+                raise ValueError("permutation pair is not transitive")
+            # e -> sigma(alpha(e)) permutes the edges only if both do, so
+            # the face walk also rejects a non-permutation the search read
+            # through
+            c += _cycle_count([sig[a] for a in alp])
+            if c != n + 2:
+                raise ValueError(f"not genus 0: cycle count {c} != {n + 2}")
+            if order != sorted(order):   # renumber edge order[i] as i + 1
+                label = dict(zip(order, range(1, n + 1)))
+                sigma, alpha, root = (tuple(label[sig[e]] for e in order),
+                                      tuple(label[alp[e]] for e in order), 1)
+        object.__setattr__(self, 'n', n)
+        object.__setattr__(self, 'sigma', sigma)
+        object.__setattr__(self, 'alpha', alpha)
+        object.__setattr__(self, 'root', root)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n == other.n and self.sigma == other.sigma
+                    and self.alpha == other.alpha and self.root == other.root)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.sigma, self.alpha, self.root))
 
     def face_cycles(self) -> list[list[int]]:
         """Orbits of e -> sigma(alpha(e)), one per face."""
@@ -266,8 +275,7 @@ def parse_hypermap(text: str) -> HypermapCode:
                         _number('root', field('root')))
 
 
-@dataclass(frozen=True)
-class MapStats:
+class MapStats(NamedTuple):
     """Vertex-color counts, face count and outer-face half-degree."""
 
     black: int

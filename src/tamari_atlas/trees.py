@@ -20,19 +20,27 @@ from the root down.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .dyck import DyckPath
+from .dyck import DyckPath, _Value
 
 
-@dataclass(frozen=True, slots=True)
-class PlaneTree:
+class PlaneTree(_Value):
     """Rooted plane tree; children[i] are node i's children in preorder."""
 
-    children: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ('children',)
 
-    def __post_init__(self):
-        _subtree_ends(self.children)
+    def __init__(self, children: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, 'children', children)
+        _subtree_ends(children)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.children == other.children
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.children,))
 
     @property
     def node_count(self) -> int:
@@ -109,15 +117,16 @@ def _plane_tree(steps: list[str], down: str) -> PlaneTree:
     """The plane tree whose node v >= 1 enters, in preorder, after the
     down steps in steps[v-1]; ValueError if they close the root early."""
     children: list[list[int]] = [[]]
-    path = [0]      # path[h]: the open node at height h
-    h = 0
+    path = [0]      # the open nodes, the root first
     for step in steps:
-        h -= step.count(down)
-        if h < 0:
-            raise ValueError("unbalanced parentheses in degree tree text")
-        children[path[h]].append(len(children))
-        h += 1
-        path[h:] = [len(children)]
+        k = step.count(down)
+        if k:
+            if k >= len(path):
+                raise ValueError("unbalanced parentheses in degree tree text")
+            del path[-k:]
+        v = len(children)
+        children[path[-1]].append(v)
+        path.append(v)
         children.append([])
     return PlaneTree(tuple(map(tuple, children)))
 
@@ -139,23 +148,32 @@ def plane_tree_to_dyck(tree: PlaneTree) -> DyckPath:
     return DyckPath(tree_word(tree, 'u' * tree.size, 'd'))
 
 
-@dataclass(frozen=True, slots=True)
-class DegreeTree:
+class DegreeTree(_Value):
     """Valid degree tree: a plane tree with an edge labeling, where
     edge_labels[v-1] labels the edge from node v (preorder index, v >= 1)
     to its parent. Building an invalid one raises ValueError."""
 
-    tree: PlaneTree
-    edge_labels: tuple[int, ...]
+    __slots__ = _fields = ('tree', 'edge_labels')
 
-    def __post_init__(self):
-        if len(self.edge_labels) != self.tree.size:
+    def __init__(self, tree: PlaneTree, edge_labels: tuple[int, ...]):
+        object.__setattr__(self, 'tree', tree)
+        object.__setattr__(self, 'edge_labels', edge_labels)
+        if len(edge_labels) != tree.size:
             raise ValueError("need one label per edge")
-        if min(self.edge_labels, default=0) < 0:
+        if min(edge_labels, default=0) < 0:
             raise ValueError("edge labels must be non-negative")
         bad = find_violation(self)
         if bad is not None:
             raise ValueError(f"invalid degree tree: {bad}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.tree == other.tree
+                    and self.edge_labels == other.edge_labels)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.tree, self.edge_labels))
 
     @property
     def size(self) -> int:
@@ -250,8 +268,7 @@ def degree_tree_to_dot(dt: DegreeTree) -> str:
     return '\n'.join(lines)
 
 
-@dataclass(frozen=True)
-class TreeStats:
+class TreeStats(NamedTuple):
     """Counts of leaf/zero/positive nodes and the root label."""
 
     lnode: int

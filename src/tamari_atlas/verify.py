@@ -22,7 +22,6 @@ watches a live working map, so each traced check makes its own.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import permutations as iter_permutations
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -35,8 +34,7 @@ from .maps import HypermapCode, PlanarMap, from_hypermap
 from .trees import DegreeTree, node_labels
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     check_id: str
     ok: bool
     detail: str

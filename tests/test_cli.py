@@ -396,21 +396,21 @@ def test_convert_validates_each_tree_once(monkeypatch, dst):
     ('tree', ["(1:(0:()))", "(0:(0:()))"])], ids=['map-tree', 'tree-map'])
 def test_convert_validates_each_map_once(monkeypatch, src, lines):
     # map -> tree checks the parsed code, tree -> map the code it builds;
-    # neither runs the dart-level check of PlanarMap
+    # neither runs the dart-level check of PlanarMap. A code's constructor
+    # is its check
     code_checks, map_checks = [], []
-    plain_code_check = maps.HypermapCode.__post_init__
+    plain_code_check = maps.HypermapCode.__init__
     plain_map_check = maps.PlanarMap.find_violation
 
-    def counted_code_check(code):
+    def counted_code_check(code, *fields):
         code_checks.append(code)
-        plain_code_check(code)
+        plain_code_check(code, *fields)
 
     def counted_map_check(m):
         map_checks.append(m)
         return plain_map_check(m)
 
-    monkeypatch.setattr(maps.HypermapCode, '__post_init__',
-                        counted_code_check)
+    monkeypatch.setattr(maps.HypermapCode, '__init__', counted_code_check)
     monkeypatch.setattr(maps.PlanarMap, 'find_violation', counted_map_check)
     dst = 'tree' if src == 'map' else 'map'
     code, out = run(['convert', '--from', src, '--to', dst],

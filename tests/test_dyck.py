@@ -223,14 +223,15 @@ def test_one_pass_vectors_match_scan_up_to_size_8():
 
 
 def test_each_path_is_checked_once(monkeypatch):
+    # a path's constructor is its check
     made = []
-    check = DyckPath.__post_init__
+    check = DyckPath.__init__
 
-    def counted(self):
-        made.append(self.steps)
-        check(self)
+    def counted(self, steps):
+        made.append(steps)
+        check(self, steps)
 
-    monkeypatch.setattr(DyckPath, '__post_init__', counted)
+    monkeypatch.setattr(DyckPath, '__init__', counted)
     # the enumerator builds one path per distinct word
     for n in range(1, 8):
         made.clear()

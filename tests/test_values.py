@@ -2,6 +2,7 @@ import copy
 import pickle
 
 import pytest
+from test_cli import fresh_python
 
 from tamari_atlas import (CertificateAssignment, CheckResult, DegreeTree,
                           DyckPath, HypermapCode, IntervalStats, MapStats,
@@ -112,3 +113,16 @@ def test_a_copied_path_keeps_its_vector():
     path = DyckPath('uuddud')
     for twin in (pickle.loads(pickle.dumps(path)), copy.deepcopy(path)):
         assert twin.vector == path.vector == (1, 0, 0)
+
+
+def test_importing_the_cli_loads_no_class_machinery():
+    # the value types are plain classes, so importing the package neither
+    # generates methods nor loads dataclasses and the inspect module that
+    # it imports; site may have loaded modules of its own before
+    script = ("import sys\n"
+              "before = set(sys.modules)\n"
+              "import tamari_atlas.cli\n"
+              "print(sorted({'dataclasses', 'inspect'}\n"
+              "             & (set(sys.modules) - before)))\n")
+    done = fresh_python(['-c', script])
+    assert done.stdout == "[]\n", done.stdout + done.stderr
