@@ -32,7 +32,6 @@ class _Value:
     through its constructor, so every copy is checked again."""
 
     __slots__ = ()
-    _fields: tuple[str, ...] = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

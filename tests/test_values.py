@@ -126,3 +126,11 @@ def test_importing_the_cli_loads_no_class_machinery():
               "             & (set(sys.modules) - before)))\n")
     done = fresh_python(['-c', script])
     assert done.stdout == "[]\n", done.stdout + done.stderr
+
+
+def test_unpickling_checks_the_value_again():
+    # a pickle holds the constructor's arguments, not the built fields
+    data = pickle.dumps(DyckPath('ud'))
+    assert data.count(b'ud') == 1
+    with pytest.raises(ValueError, match='falls below'):
+        pickle.loads(data.replace(b'ud', b'du'))
