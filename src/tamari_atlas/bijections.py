@@ -15,7 +15,9 @@ split, with the half holding the unexplored map edges becoming the new
 leftmost child and the half-degree of the face that the edge closes
 becoming the edge label (A3). tree_to_map runs the exact inverse cases in
 postorder, on vertices coloured as they are made: leaves white, the rest
-black (A3' merges a node into its parent; both are black).
+black. A3 is one ``split_vertex``, whose new edge is the tree edge, and
+A3' merges a node into its parent (both black) with ``contract_edge``,
+its inverse.
 
 map_to_tree never walks a face. The tree grows inside one face of the
 'M' part, the explored face: at first the outer face, and then also
@@ -30,9 +32,10 @@ explored, and A3 reads its label as half the input degree of the face
 across it, then flags that face. Apart from scans of the current
 vertex's rotation, one ``PlanarMap`` call each (``next_tagged`` for the
 next pending edge, ``tag_run`` for A3's map arc, then ``split_vertex``
-over that arc), every step takes constant time, so the direction runs
-in near-linear time on random inputs. verify's bridge-agreement checks
-each decision through ``trace``, by a cut test on the live working map.
+over that arc, which also adds the tree edge), every step takes constant
+time, so the direction runs in near-linear time on random inputs.
+verify's bridge-agreement checks each decision through ``trace``, by a
+cut test on the live working map.
 
 Maps cross the API as HypermapCodes: map_to_tree builds its working
 PlanarMap from the code, and tree_to_map codes its working map back. A
@@ -112,7 +115,7 @@ def map_to_tree(code: HypermapCode,
                 # A2: bridge into a bigger component; hop over it
                 e1 = w.next_cw(md)
                 behind = w.vertex_of(w.mate(e1))
-                a, b = w.add_edge(('corner', d), ('after', w.mate(e1)))
+                a, b = w.add_edge(d, w.next_cw(w.mate(e1)))
                 w.set_tag(a, 'T', 0)
                 w.delete_edge(d)
                 new_child(behind, 0)
@@ -133,10 +136,8 @@ def map_to_tree(code: HypermapCode,
             if arc is None:
                 raise RuntimeError("map darts are not contiguous at the "
                                    f"current vertex {cur}")
-            after = w.next_cw(arc[-1])
-            child_v = w.split_vertex(cur, arc)
-            place_tree = ('corner', after) if after != d else ('vertex', cur)
-            t_dart, m_dart = w.add_edge(place_tree, ('corner', d))
+            t_dart, m_dart = w.split_vertex(cur, arc)
+            child_v = w.vertex_of(m_dart)
             w.set_tag(t_dart, 'T', half_deg)
             w.delete_edge(d)
             new_child(child_v, half_deg)
@@ -233,7 +234,7 @@ def tree_to_map(dt: DegreeTree, trace: Callable[..., None] | None = None
             e_prime = w.prev_cw(q)
             if e_prime == q:
                 raise RuntimeError(f"node {node} has no component edge")
-            a, _ = w.add_edge(('after', p), ('corner', w.mate(e_prime)))
+            a, _ = w.add_edge(w.next_cw(p), w.mate(e_prime))
             w.set_tag(a, 'M')
             w.delete_edge(q)
             kind = "A2'"
@@ -244,7 +245,7 @@ def tree_to_map(dt: DegreeTree, trace: Callable[..., None] | None = None
             if d0 == q:
                 raise RuntimeError(f"node {node} has no component edge")
             target = w.face_next(d0, 2 * r - 1)
-            a, _ = w.add_edge(('corner', d0), ('corner', target))
+            a, _ = w.add_edge(d0, target)
             w.set_tag(a, 'M')
             if w.face_degree(d0) != 2 * r:
                 raise RuntimeError("new face does not close at the stated "

@@ -17,6 +17,11 @@ bare). Ids are never reused: a deleted dart keeps its slot with mate 0.
 So placing or removing a dart is an O(1) splice, and a tag is one read.
 Only this module touches the lists.
 
+Surgery takes darts, and a new dart always goes into the corner before a
+given one: ``add_edge(a, b)`` fills the corners before a and b, in that
+order. ``split_vertex`` and ``contract_edge`` are inverses, and both cut
+or join rotations by exchanging the successors of two darts.
+
 The permutation-pair encoding lists, per edge id in 1..n, the next edge
 clockwise around its black end (sigma) and around its white end (alpha);
 faces correspond to orbits of e -> sigma(alpha(e)). Its text form is
@@ -287,14 +292,15 @@ class MapStats(NamedTuple):
 class PlanarMap:
     """Mutable half-edge structure for rooted bipartite planar maps.
 
-    The constructor builds the edgeless map (one black vertex); use the
-    surgery primitives or :func:`from_hypermap` to build anything larger.
-    Tags and integer labels can be attached per edge for the bijection
-    working state; surgery keeps them consistent.
+    The constructor builds the edgeless map (one black vertex); a larger
+    one comes from :func:`from_hypermap` or :func:`from_dart_lists`, and
+    the surgery primitives change it. Tags and integer labels can be
+    attached per edge for the bijection working state; surgery keeps them
+    consistent.
     """
 
-    # every field of the state, set up by __init__ and duplicated by copy;
-    # all but root_corner are lists indexed by dart or by vertex
+    # every field of the state, set up by __init__; all but root_corner
+    # are lists indexed by dart or by vertex
     __slots__ = ('_next', '_prev', '_mate', '_vertex', '_tag', '_label',
                  '_vrep', '_color', 'root_corner')
 
@@ -306,13 +312,6 @@ class PlanarMap:
         self.root_corner: int | None = None
 
     # -- basic queries -----------------------------------------------------
-
-    def copy(self) -> "PlanarMap":
-        m = PlanarMap()
-        for field in PlanarMap.__slots__:
-            value = getattr(self, field)
-            setattr(m, field, value.copy() if type(value) is list else value)
-        return m
 
     @property
     def edge_count(self) -> int:
@@ -429,47 +428,23 @@ class PlanarMap:
 
     # -- surgery -----------------------------------------------------------
 
-    def new_vertex(self, color: int) -> int:
-        self._color.append(color)
-        self._vrep.append(0)
-        return len(self._color) - 1
-
-    def _place_dart(self, place) -> int:
-        """Create one dart at the position described by ``place``:
-        ('corner', d)  into the corner before d (new dart precedes d cw),
-        ('after', d)   immediately after d in cw order,
-        ('vertex', v)  on the bare vertex v.
-        """
-        kind, ref = place
-        d = len(self._next)
-        if kind == 'vertex':
-            if self._vrep[ref]:
-                raise ValueError(f"vertex {ref} is not bare")
-            self._vrep[ref] = before = after = d
-            v = ref
-        elif kind in ('corner', 'after'):
-            before = ref if kind == 'after' else self._prev[ref]
-            after = self._next[before]
-            v = self._vertex[before]
-        else:
-            raise ValueError(f"unknown placement {kind!r}")
-        self._next.append(after)
-        self._prev.append(before)
-        self._vertex.append(v)
-        self._next[before] = d
-        self._prev[after] = d
-        return d
-
-    def add_edge(self, place1, place2) -> tuple[int, int]:
-        """Add an edge whose darts sit at the two described positions.
-        Corner placements must share a face for planarity to be preserved;
-        this is the caller's responsibility during surgery sequences."""
-        d1 = self._place_dart(place1)
-        d2 = self._place_dart(place2)
-        self._mate += (d2, d1)
+    def add_edge(self, a: int, b: int) -> tuple[int, int]:
+        """Add an edge whose two darts go into the corners before darts
+        ``a`` and ``b``, in that order, so ``add_edge(a, a)`` puts the
+        first new dart before the second. The corners must share a face
+        for the map to stay planar; surgery leaves that to its caller."""
+        nxt, prv, vertex = self._next, self._prev, self._vertex
+        d = len(nxt)
+        for x, after in ((d, a), (d + 1, b)):
+            before = prv[after]
+            nxt.append(after)
+            prv.append(before)
+            vertex.append(vertex[after])
+            nxt[before] = prv[after] = x
+        self._mate += (d + 1, d)
         self._tag += (None, None)
         self._label += (0, 0)
-        return d1, d2
+        return d, d + 1
 
     def _remove_dart(self, d: int):
         v = self._vertex[d]
@@ -491,6 +466,15 @@ class PlanarMap:
         self._remove_dart(d)
         self._remove_dart(m)
 
+    def _swap_next(self, p: int, q: int):
+        """Exchange the successors of darts p and q: this joins their
+        rotations if they differ, and cuts their shared rotation into one
+        through p and one through q if not."""
+        nxt, prv = self._next, self._prev
+        a, b = nxt[q], nxt[p]
+        nxt[p], nxt[q] = a, b
+        prv[a], prv[b] = p, q
+
     def contract_edge(self, d: int):
         """Contract d's edge, merging its endpoints and preserving the
         cyclic order of the surrounding darts. Returns the kept vertex
@@ -501,12 +485,9 @@ class PlanarMap:
             raise ValueError("cannot contract a loop")
         for a in self.vertex_darts(y):
             self._vertex[a] = x
-        # exchanging the successors of p and q joins the two rotations,
-        # with y's other darts between p and q; then p and q go
-        nxt, prv = self._next, self._prev
-        a, b = nxt[q], nxt[p]
-        nxt[p], nxt[q] = a, b
-        prv[a], prv[b] = p, q
+        # one rotation, with y's other darts between p and q; then p and
+        # q go
+        self._swap_next(p, q)
         if self.root_corner == q:
             self.root_corner = p   # passes on to the dart after q
         self._remove_dart(p)
@@ -516,31 +497,33 @@ class PlanarMap:
         self._color[y] = None
         return x
 
-    def split_vertex(self, v: int, arc: list[int]) -> int:
-        """Detach the contiguous cw arc of darts from v onto a fresh vertex
-        of v's colour; the arc may be empty. Returns the new vertex."""
-        nxt, prv, vertex = self._next, self._prev, self._vertex
+    def split_vertex(self, v: int, arc: list[int]) -> tuple[int, int]:
+        """Inverse of :meth:`contract_edge`: move the non-empty contiguous
+        cw arc of v's darts onto a fresh vertex of v's colour, joined to v
+        by a new edge. Returns the edge's darts: the one at v takes the
+        arc's place, and the one at the new vertex goes before arc[0]."""
+        nxt, vertex = self._next, self._vertex
         # one walk from a live first dart of v, with no wrap back to it
         x = first = arc[0] if arc else 0
-        ok = not arc or (0 < first < len(nxt) and self._mate[first] != 0
-                         and vertex[first] == v)
+        ok = (0 < first < len(nxt) and self._mate[first] != 0
+              and vertex[first] == v)
         for d in arc[1:] if ok else ():
             x = nxt[x]
             ok = ok and d == x != first
         if not ok:
-            raise ValueError("darts do not form a contiguous cw arc")
-        w = self.new_vertex(self._color[v])
-        if arc:
-            before, after = prv[first], nxt[x]   # x: the last dart
-            for d in arc:
-                vertex[d] = w
-            nxt[before], nxt[x] = after, first
-            prv[after], prv[first] = before, x
-            if vertex[self._vrep[v]] == w:
-                # after == first when the arc is the whole rotation
-                self._vrep[v] = after if after != first else 0
-            self._vrep[w] = first
-        return w
+            raise ValueError("darts do not form a non-empty contiguous cw "
+                             "arc")
+        t, m = self.add_edge(first, first)
+        # x is the arc's last dart: cut m and the arc off from v
+        self._swap_next(t, x)
+        w = len(self._color)
+        self._color.append(self._color[v])
+        self._vrep[v] = t
+        self._vrep.append(m)
+        vertex[m] = w
+        for d in arc:
+            vertex[d] = w
+        return t, m
 
     # -- validation ----------------------------------------------------------
 

@@ -14,7 +14,8 @@ from tamari_atlas.dyck import DyckPath, NewInterval, interval_stats, \
 from tamari_atlas.enumeration import (enum_degree_trees, enum_maps_oracle,
                                       enum_new_intervals)
 from tamari_atlas.cli import tagged_map_code, tagged_map_dot
-from tamari_atlas.maps import BLACK, WHITE, PlanarMap, parse_hypermap
+from tamari_atlas.maps import (BLACK, WHITE, PlanarMap, from_dart_lists,
+                              parse_hypermap)
 from tamari_atlas.trees import (DegreeTree, PlaneTree, find_violation,
                                  parse_degree_tree)
 from tamari_atlas.verify import (check_one_face_specialization,
@@ -180,50 +181,62 @@ def test_trace_does_not_change_result():
 
 
 def test_trace_makes_no_per_step_copies(monkeypatch):
-    copies = []
-    plain_copy = PlanarMap.copy
+    # every PlanarMap, whether built or copied (copy.deepcopy makes its
+    # copy through __new__), is counted: each direction makes its one
+    # working map, and the observer sees only that one
+    made = []
 
-    def counted_copy(self):
-        copies.append(self)
-        return plain_copy(self)
+    def counted_new(cls):
+        made.append(object.__new__(cls))
+        return made[-1]
 
-    monkeypatch.setattr(PlanarMap, 'copy', counted_copy)
-    # the working map is built from the code, not copied; the edgeless
-    # map takes no step, so start at 1
+    monkeypatch.setattr(PlanarMap, '__new__', counted_new)
+    # the edgeless map takes no step, so start at 1
     for n in range(1, 5):
         for code in enum_maps_oracle(n):
             seen = []
-            copies.clear()
+            made.clear()
             map_to_tree(code, trace=lambda kind, w, *_: seen.append(w))
-            assert copies == []
+            assert len(made) == 1
             assert seen and all(w is seen[0] for w in seen)
+            assert seen[0] is made[0]
     for n in range(0, 5):
         for dt in enum_degree_trees(n):
-            copies.clear()
-            children = []
-            tree_to_map(dt, trace=lambda *step: children.append(step[4]))
-            assert copies == []
-            assert all(kids is None for kids in children)
+            steps = []
+            made.clear()
+            tree_to_map(dt, trace=lambda kind, w, *rest: steps.append(
+                (w, rest[-1])))
+            assert len(made) == min(n, 1)
+            assert all(w is made[0] and kids is None for w, kids in steps)
 
 
 def reference_embedding(dt: DegreeTree) -> PlanarMap:
-    """The tree as tree_to_map embeds it, built edge by edge with the
-    surgery primitives: vertex id = node, and each child's dart goes
-    right after its parent's dart toward the grandparent (at the root,
-    after the first child's dart); the root corner is the dart of the
-    root's last child."""
-    w = PlanarMap()
+    """The tree as tree_to_map embeds it, from rotation lists built by
+    insertion: vertex id = node, child c's edge has darts 2c-1 at its
+    parent and 2c at c, and each child's dart goes right after its
+    parent's dart toward the grandparent (at the root, after the first
+    child's dart); the root corner is the dart of the root's last child."""
     tree = dt.tree
-    up = [0] * tree.node_count
+    rotation: list[list[int]] = [[] for _ in range(tree.node_count)]
+    label = [0]
+    root = 0
     for child, node in enumerate(tree.parents()[1:], 1):
-        place = ('after', up[node]) if up[node] else ('vertex', 0)
-        cv = w.new_vertex(BLACK if tree.children[child] else WHITE)
-        p_dart, up[child] = w.add_edge(place, ('vertex', cv))
-        w.set_tag(p_dart, 'T', dt.label_of(child))
+        # a node comes before its children, so its rotation already
+        # starts at its dart toward its parent (the root's: its first
+        # child's dart, which the empty list takes)
+        rotation[node].insert(1, 2 * child - 1)
+        rotation[child].append(2 * child)
+        label += [dt.label_of(child)] * 2
         if node == 0:
-            up[0] = up[0] or p_dart
-            w.root_corner = p_dart
-    return w
+            root = 2 * child - 1
+    nxt = [0] * len(label)
+    vertex = [0] * len(label)
+    for v, darts in enumerate(rotation):
+        for d, after in zip(darts, darts[1:] + darts[:1]):
+            nxt[d], vertex[d] = after, v
+    return from_dart_lists(nxt, vertex, [r[0] for r in rotation],
+                           [BLACK if kids else WHITE
+                            for kids in tree.children], root, 'T', label)
 
 
 def test_embedding_matches_reference_up_to_6():
@@ -245,9 +258,9 @@ def test_tree_to_map_adds_edges_only_in_its_steps(monkeypatch):
     added = []
     add_edge = PlanarMap.add_edge
 
-    def counted(self, *places):
-        added.append(places)
-        return add_edge(self, *places)
+    def counted(self, *corners):
+        added.append(corners)
+        return add_edge(self, *corners)
 
     monkeypatch.setattr(PlanarMap, 'add_edge', counted)
     for n in range(0, 6):
@@ -407,3 +420,26 @@ def test_map_path_outputs_are_pinned():
     # the random trees come back unchanged
     assert run(['convert', '--from', 'map', '--to', 'tree'],
                big_maps)[1].splitlines() == big
+
+
+def test_trace_frames_are_pinned(tmp_path):
+    # render and the --trace-dir frames print vertex ids: trace from
+    # either side over every object of sizes 0 to 5, hashing each frame
+    # with its file name, and the printed steps
+    for src, enum, frame_digest, out_digest in [
+        ('map', enum_maps_oracle,
+         '9129b980e89a772e465a3f71ebe3616922928c7e2bd845ad41ab192d67913265',
+         'dbae5c8d021e8df08908275fd04ad4dcfa6fbae5f2f6eb0f82f9aacaab32d43f'),
+        ('tree', enum_degree_trees,
+         'db04b3bec962eaff339be49f367515478b9ce70281a7ccf8fcb9b438bb9c1212',
+         '9c48d472231f149fcabb4c40d89a93c47b561326d2eb6f430f129d76085a8011'),
+    ]:
+        frames = tmp_path / src
+        code, out = run(['trace', '--from', src, '--trace-dir', str(frames)],
+                        ''.join(f'{o}\n' for n in range(6) for o in enum(n)))
+        assert code == 0
+        digest = hashlib.sha256()
+        for name in sorted(path.name for path in frames.iterdir()):
+            digest.update(f'{name}\n{(frames / name).read_text()}'.encode())
+        assert digest.hexdigest() == frame_digest, src
+        assert hashlib.sha256(out.encode()).hexdigest() == out_digest, src

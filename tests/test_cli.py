@@ -278,6 +278,26 @@ def test_error_names_line_past_blank_and_comment_lines(capsys):
         assert capsys.readouterr().err.startswith("error: line 4: ")
 
 
+@pytest.mark.parametrize('src,dst,lines,first', [
+    ('tree', 'map', b'(0:())\n(\xff0:())\n',
+     'n=1 sigma=(1) alpha=(1) root=1'),
+    ('interval', 'tree', b'udud;uudd\nu\xffd;ud\n', '(0:())'),
+    ('map', 'tree', b'n=1 sigma=(1) alpha=(1) root=1\n'
+     b'n=1 sigma=(\xff1) alpha=(1) root=1\n', '(0:())'),
+], ids=['tree', 'interval', 'map'])
+def test_undecodable_input_file_names_its_line(capsys, tmp_path, src, dst,
+                                               lines, first):
+    # a byte that is not UTF-8 reaches the parser, which rejects its line
+    # as it does through stdin, after the lines before it are converted
+    path = tmp_path / 'objects.txt'
+    path.write_bytes(lines)
+    code, out = run(['convert', '--from', src, '--to', dst,
+                     '--input', str(path)])
+    assert code == 1
+    assert out == first + '\n'
+    assert capsys.readouterr().err.startswith("error: line 2: ")
+
+
 # one bad line of about 10**4 steps or edges per message that once
 # quoted the whole line, then numbers that were once accepted and printed
 # back differently: a sign, leading zeros, non-ASCII digits

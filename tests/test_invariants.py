@@ -1,7 +1,11 @@
 import ast
+import importlib
+import inspect
+from collections import Counter
 from pathlib import Path
 
 import tamari_atlas
+from tamari_atlas.maps import PlanarMap
 
 
 def _raises_assertion_error(node: ast.AST) -> bool:
@@ -105,6 +109,35 @@ def test_only_maps_reads_planar_map_storage():
                  if isinstance(node, ast.Attribute)
                  and node.attr in PLANAR_MAP_FIELDS]
         assert not found, f"{module.name}: PlanarMap storage read at {found}"
+
+
+def test_every_planar_map_method_is_used(monkeypatch):
+    # helpers that nothing uses get deleted: each public PlanarMap method
+    # or property is read somewhere in the package outside its own body,
+    # or traced by name by the benchmark. Reads match by attribute name,
+    # so a same-named attribute of another type counts too.
+    package = Path(tamari_atlas.__file__).parent
+    reads = Counter()
+    for module in sorted(package.glob('*.py')):
+        tree = ast.parse(module.read_text(), filename=str(module))
+        reads.update(node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute))
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and cls.name == 'PlanarMap':
+                for fn in cls.body:
+                    reads.subtract(node.attr for node in ast.walk(fn)
+                                   if isinstance(node, ast.Attribute)
+                                   and node.attr == getattr(fn, 'name', ''))
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parent.parent / 'bench'))
+    traced = importlib.import_module('spans').MAP_METHODS
+    public = [name for name, value in vars(PlanarMap).items()
+              if not name.startswith('_')
+              and (inspect.isfunction(value) or isinstance(value, property))]
+    assert 'add_edge' in public and 'edge_count' in public
+    unused = [name for name in public
+              if reads[name] <= 0 and name not in traced]
+    assert not unused, f"PlanarMap methods nothing calls: {unused}"
 
 
 def test_only_trees_names_the_tree_check():

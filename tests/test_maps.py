@@ -1,3 +1,4 @@
+import copy
 import io
 import itertools
 import random
@@ -10,7 +11,8 @@ from tamari_atlas import cli, maps
 from tamari_atlas.bijections import tree_to_map
 from tamari_atlas.enumeration import enum_maps_oracle
 from tamari_atlas.maps import (BLACK, WHITE, HypermapCode, MapStats,
-                               PlanarMap, from_hypermap, parse_hypermap)
+                               PlanarMap, from_dart_lists, from_hypermap,
+                               parse_hypermap)
 from tamari_atlas.verify import check_map_sanity, separates
 
 
@@ -312,25 +314,16 @@ def test_edgeless_map():
 def test_validation_examples():
     assert build(SINGLE).find_violation() is None
     # same-colored endpoints
-    m = PlanarMap()
-    v = m.new_vertex(BLACK)
-    a, _ = m.add_edge(('vertex', m.root_vertex()), ('vertex', v))
-    m.root_corner = a
+    m = from_dart_lists([0, 1, 2], [0, 0, 1], [1, 2], [BLACK, BLACK], 1)
     assert "black vertices" in m.find_violation()
     # two components, each one edge
-    m = PlanarMap()
-    a, _ = m.add_edge(('vertex', 0), ('vertex', m.new_vertex(WHITE)))
-    m.add_edge(('vertex', m.new_vertex(BLACK)),
-               ('vertex', m.new_vertex(WHITE)))
-    m.root_corner = a
+    m = from_dart_lists([0, 1, 2, 3, 4], [0, 0, 1, 2, 3], [1, 2, 3, 4],
+                        [BLACK, WHITE, BLACK, WHITE], 1)
     assert m.find_violation() == "permutation pair is not transitive"
     # three parallel edges in the same cw order around both ends: one
     # face, so V - E + F = 0, genus 1
-    m = PlanarMap()
-    a, b = m.add_edge(('vertex', 0), ('vertex', m.new_vertex(WHITE)))
-    c, _ = m.add_edge(('after', a), ('corner', b))
-    m.add_edge(('after', c), ('corner', b))
-    m.root_corner = a
+    m = from_dart_lists([0, 3, 4, 5, 6, 1, 2], [0, 0, 1, 0, 1, 0, 1],
+                        [1, 2], [BLACK, WHITE], 1)
     assert len(m.faces()[1]) == 1
     assert m.find_violation() == "not genus 0: cycle count 3 != 5"
 
@@ -345,8 +338,7 @@ def test_white_root_corner_is_not_coded():
 
 
 def test_map_without_root_corner_is_not_coded():
-    m = PlanarMap()
-    m.add_edge(('vertex', 0), ('vertex', m.new_vertex(WHITE)))
+    m = from_dart_lists([0, 1, 2], [0, 0, 1], [1, 2], [BLACK, WHITE], None)
     assert m.root_corner is None
     for root in (None, 0, 3, -1):   # none, unused, out of range
         m.root_corner = root
@@ -422,7 +414,7 @@ def test_surgery_add_edge_across_face():
     m = build(SINGLE)
     d = m.root_corner
     assert len(m.faces()[1]) == 1
-    m.add_edge(('corner', d), ('corner', m.mate(d)))
+    m.add_edge(d, m.mate(d))
     assert m.edge_count == 2
     assert len(m.faces()[1]) == 2
     assert m.find_violation() is None
@@ -439,16 +431,104 @@ def test_surgery_contract():
     assert m.edge_count == 1
 
 
+def rotation_from(m, d):
+    """The darts around d's vertex, clockwise from d."""
+    out = [d]
+    while m.next_cw(out[-1]) != d:
+        out.append(m.next_cw(out[-1]))
+    return out
+
+
 def test_split_vertex_and_rejoin():
     m = build(PATH)
     mid = m.vertex_of(m.mate(m.root_corner))
     darts = m.vertex_darts(mid)
     assert len(darts) == 2
-    w = m.split_vertex(mid, [darts[0]])
+    t, new = m.split_vertex(mid, [darts[0]])
+    w = m.vertex_of(new)
     assert m.color(w) == m.color(mid)
-    assert len(m.vertex_darts(w)) == len(m.vertex_darts(mid)) == 1
+    # each half keeps one dart of the path, plus its end of the new edge
+    assert rotation_from(m, new) == [new, darts[0]]
+    assert rotation_from(m, t) == [t, darts[1]]
+    assert sorted(m.vertex_darts(w)) == sorted((new, darts[0]))
     with pytest.raises(ValueError):
         m.split_vertex(mid, [999])
+    assert m.contract_edge(t) == mid
+    assert rotation_from(m, darts[0]) == darts
+    assert sorted(m.vertex_darts(mid)) == sorted(darts)
+    assert m.canonical_code() == PATH
+
+
+def test_add_edge_fills_the_corners_before_its_darts_in_order():
+    m = build(DOUBLE)
+    d = m.root_corner
+    x, y = m.add_edge(d, m.mate(d))
+    assert (m.vertex_of(x), m.next_cw(x)) == (m.vertex_of(d), d)
+    assert (m.vertex_of(y), m.next_cw(y)) == (m.vertex_of(m.mate(d)),
+                                              m.mate(d))
+    # the same corner twice: the first new dart comes before the second
+    a, b = m.add_edge(d, d)
+    assert (a, b) == (y + 1, y + 2)
+    assert rotation_from(m, x)[:4] == [x, a, b, d]
+    assert m.mate(a) == b
+    assert_prev_inverts_next(m)
+
+
+def test_split_vertex_is_the_inverse_of_contract_edge():
+    # every contiguous arc at every vertex of every map with at most 4
+    # edges: the new edge's dart at v takes the arc's place, its dart at
+    # the new vertex comes before arc[0], and contracting it restores
+    # every dart that was there before
+    for n in range(1, 5):
+        for code in enum_maps_oracle(n):
+            m = from_hypermap(code)
+            darts = m.darts()
+            before = [(m.next_cw(d), m.prev_cw(d), m.vertex_of(d))
+                      for d in darts]
+            for v in m.vertices():
+                rot = m.vertex_darts(v)
+                k = len(rot)
+                for i, length in itertools.product(range(k), range(1, k + 1)):
+                    arc = [rot[(i + j) % k] for j in range(length)]
+                    rest = [rot[(i + j) % k] for j in range(length, k)]
+                    w = copy.deepcopy(m)
+                    t, new = w.split_vertex(v, arc)
+                    assert (t, new) == (len(darts) + 1, len(darts) + 2)
+                    assert w.mate(t) == new and w.vertex_of(t) == v
+                    assert w.color(w.vertex_of(new)) == w.color(v)
+                    assert w.vertex_of(new) not in m.vertices()
+                    assert rotation_from(w, t) == [t, *rest]
+                    assert rotation_from(w, new) == [new, *arc]
+                    assert {w.vertex_of(d) for d in arc} == \
+                        {w.vertex_of(new)}
+                    assert_prev_inverts_next(w)
+                    assert w.contract_edge(t) == v
+                    assert [(w.next_cw(d), w.prev_cw(d), w.vertex_of(d))
+                            for d in darts] == before
+                    assert w.darts() == darts
+                    assert w.to_hypermap() == code
+
+
+def test_split_vertex_rejects_what_is_not_an_arc():
+    m = build(PATH)
+    mid = m.vertex_of(m.mate(m.root_corner))
+    a, b = m.vertex_darts(mid)
+    m.add_edge(a, m.mate(a))
+    c = m.prev_cw(a)   # the new dart, between b and a
+    dead = m.add_edge(a, m.mate(a))[0]
+    m.delete_edge(dead)
+    for arc in ([],                      # empty
+                [dead],                  # deleted
+                [m.root_corner],         # a dart of another vertex
+                [0], [-1], [999],        # no dart
+                [a, c],                  # c is two steps from a
+                [a, b, c, a],            # wraps past its first dart
+                [b, m.root_corner]):     # leaves the vertex
+        with pytest.raises(ValueError, match="^darts do not form a "
+                           "non-empty contiguous cw arc$"):
+            m.split_vertex(mid, arc)
+    assert_prev_inverts_next(m)
+    assert m.vertices() == [0, 1, 2] and m.edge_count == 3
 
 
 def assert_prev_inverts_next(m):
@@ -462,7 +542,7 @@ def test_find_violation_rejects_a_corrupted_prev():
         for code in enum_maps_oracle(n):
             m = from_hypermap(code)
             for d in m.darts():
-                bad = m.copy()
+                bad = copy.deepcopy(m)
                 bad._prev[d] = bad.mate(d)
                 assert "prev does not invert next" in bad.find_violation()
 
@@ -471,17 +551,19 @@ def test_prev_cw_inverts_next_cw_after_surgery():
     for code in enum_maps_oracle(3):
         m = from_hypermap(code)
         for d in m.darts():
-            w = m.copy()
-            w.add_edge(('corner', d), ('vertex', w.new_vertex(WHITE)))
+            w = copy.deepcopy(m)
+            w.add_edge(d, w.mate(d))
             assert_prev_inverts_next(w)
-            a, _ = w.add_edge(('after', d), ('vertex', w.new_vertex(BLACK)))
+            a, _ = w.add_edge(w.next_cw(d), d)
             assert_prev_inverts_next(w)
             v = w.vertex_of(d)
-            w.split_vertex(v, [d, w.next_cw(d)])
+            t, _ = w.split_vertex(v, [d, w.next_cw(d)])
             assert_prev_inverts_next(w)
             w.contract_edge(d)
             assert_prev_inverts_next(w)
             w.delete_edge(a)
+            assert_prev_inverts_next(w)
+            w.contract_edge(t)
             assert_prev_inverts_next(w)
 
 
