@@ -57,7 +57,6 @@ once, so both interval directions are linear on every tree shape.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable, NamedTuple
 
 from .dyck import DyckPath, NewInterval, factor_rising_contacts
@@ -66,120 +65,127 @@ from .maps import (BLACK, WHITE, HypermapCode, from_dart_lists,
 from .trees import DegreeTree, PlaneTree, _plane_tree, tree_word
 
 
+class TreeView:
+    """Read-only live view of map_to_tree's tree, a sequence by vertex id:
+    ``view[v]`` is the tuple of v's children, left to right."""
+
+    def __init__(self, first, sib):
+        self._first, self._sib = first, sib
+
+    def __getitem__(self, v):
+        out, c = [], self._first[v]
+        while c >= 0:
+            out.append(c)
+            c = self._sib[c]
+        return tuple(out)
+
+
 def map_to_tree(code: HypermapCode,
                 trace: Callable[..., None] | None = None) -> DegreeTree:
     """Transform a rooted bipartite planar map into a degree tree.
 
     ``trace``, if given, is called after each step as
     ``trace(kind, w, current, root, children)`` with the live working
-    PlanarMap and the live vertex -> children (left to right) mapping;
-    copy them to keep a state."""
+    PlanarMap and a :class:`TreeView` of the growing tree; copy them to
+    keep a state."""
     if code.n == 0:
         return DegreeTree(PlaneTree(((),)), ())
     w = from_hypermap(code, 'M')
     # faces of the input, flagged once merged into the explored face
-    # (see the module docstring)
+    # (see the module docstring); a bipartite map's faces have even degree
     face, degree = w.faces()
     explored = [False] * len(degree)
     explored[face[w.root_corner]] = True
 
     root = w.root_vertex()
-    kids: dict[int, deque[int]] = {root: deque()}   # left to right
-    labels: dict[int, int] = {}
-    cur = root
-    pend = w.root_corner
-    steps = 0   # advance steps, each converting one map edge
+    # the tree by vertex id, which splits keep below 2n + 2: leftmost
+    # child, next sibling to the right and edge label, -1 for none or not
+    # reached
+    first, sib, label = ([-1] * (2 * code.n + 2) for _ in range(3))
+    label[root] = 0
+    children = TreeView(first, sib)
+    cur, d = root, w.root_corner    # d: the pending dart
     stack: list[int] = []   # parent-side tree darts along the descent path
 
-    def new_child(v: int, label: int):
-        if v in kids:
-            raise RuntimeError(f"map_to_tree reached vertex {v} twice")
-        kids[v] = deque()
-        kids[cur].appendleft(v)
-        labels[v] = label
-
     while True:
-        d = pend
         md = w.mate(d)
         if not explored[face[d]]:
             raise RuntimeError(f"pending dart {d} is not on the explored face")
         if explored[face[md]]:
             # a bridge: its two sides lie in the explored face
+            lab = 0
             if w.next_cw(md) == md:
                 # A1: leaf edge, converted in place
-                w.set_tag(d, 'T', 0)
-                new_child(w.vertex_of(md), 0)
-                scan_from = d
+                t = scan_from = d
                 kind = 'A1'
             else:
                 # A2: bridge into a bigger component; hop over it
-                e1 = w.next_cw(md)
-                behind = w.vertex_of(w.mate(e1))
-                a, b = w.add_edge(d, w.next_cw(w.mate(e1)))
-                w.set_tag(a, 'T', 0)
-                w.delete_edge(d)
-                new_child(behind, 0)
-                stack.append(a)
-                cur = behind
-                scan_from = b
+                t, scan_from = w.add_edge(d, w.next_cw(w.mate(w.next_cw(md))))
                 kind = 'A2'
         else:
             # A3: split off the unexplored edges as the new leftmost child;
             # deleting d merges the face it closes into the explored face
             inner = face[md]
-            if degree[inner] % 2:
-                raise RuntimeError(f"face of dart {md} has odd degree "
-                                   f"{degree[inner]}")
-            half_deg = degree[inner] // 2
             explored[inner] = True
+            lab = degree[inner] // 2
             arc = w.tag_run(d, 'T')   # d's map darts, if tree darts follow
             if arc is None:
                 raise RuntimeError("map darts are not contiguous at the "
                                    f"current vertex {cur}")
-            t_dart, m_dart = w.split_vertex(cur, arc)
-            child_v = w.vertex_of(m_dart)
-            w.set_tag(t_dart, 'T', half_deg)
-            w.delete_edge(d)
-            new_child(child_v, half_deg)
-            stack.append(t_dart)
-            cur = child_v
-            scan_from = m_dart
+            t, scan_from = w.split_vertex(cur, arc)
             kind = 'A3'
-        steps += 1
+        # t, the new tree edge's dart at cur, takes label lab, and its far
+        # end becomes cur's leftmost child; A2 and A3 delete d and descend
+        w.set_tag(t, 'T', lab)
+        child = w.vertex_of(w.mate(t))
+        if label[child] >= 0:
+            raise RuntimeError(f"map_to_tree reached vertex {child} twice")
+        label[child] = lab
+        sib[child], first[cur] = first[cur], child
+        if kind != 'A1':
+            w.delete_edge(d)
+            stack.append(t)
+            cur = child
         if trace is not None:
-            trace(kind, w, cur, root, kids)
+            trace(kind, w, cur, root, children)
 
         # prepare: next pending edge, backtracking along the tree if needed
-        pend = w.next_tagged(scan_from, 'M')
-        while pend is None and stack:
+        d = w.next_tagged(scan_from, 'M')
+        while d is None and stack:
             t = stack.pop()
             cur = w.vertex_of(t)
-            pend = w.next_tagged(t, 'M')
-            if pend is None and trace is not None:
-                trace('backtrack', w, cur, root, kids)
+            d = w.next_tagged(t, 'M')
+            if d is None and trace is not None:
+                trace('backtrack', w, cur, root, children)
         if trace is not None:
-            trace('prepare', w, cur, root, kids)
-        if pend is None:
+            trace('prepare', w, cur, root, children)
+        if d is None:
             break
 
-    if steps != code.n:
-        raise RuntimeError("map_to_tree left map edges unconverted")
-
-    # flatten the vertex-keyed tree into preorder indexing
-    children: list[list[int]] = []
-    edge_labels: list[int] = []
-    todo = [(root, -1)]     # (vertex, preorder index of its parent)
+    # flatten into preorder, making no container per node but the output
+    # tuples: in reverse preorder, node i's children are i + 1 and then
+    # the end of each earlier child's subtree
+    order, todo = [], [root]
     while todo:
-        v, p = todo.pop()
-        idx = len(children)
-        children.append([])
-        if p >= 0:
-            children[p].append(idx)
-            edge_labels.append(labels[v])
-        todo.extend((c, idx) for c in reversed(kids[v]))
+        v = todo.pop()
+        if v >= 0:
+            order.append(v)
+            todo.append(sib[v])
+            todo.append(first[v])
+    if len(order) != code.n + 1:    # one node per step
+        raise RuntimeError("map_to_tree left map edges unconverted")
+    end, kids, out = [0] * len(order), [], [()] * len(order)
+    for i in range(code.n, -1, -1):
+        j, c = i + 1, first[order[i]]
+        kids.clear()
+        while c >= 0:
+            kids.append(j)
+            j, c = end[j], sib[c]
+        end[i] = j
+        out[i] = tuple(kids)
     try:
-        return DegreeTree(PlaneTree(tuple(map(tuple, children))),
-                          tuple(edge_labels))
+        return DegreeTree(PlaneTree(tuple(out)),
+                          tuple(map(label.__getitem__, order[1:])))
     except ValueError as exc:
         raise RuntimeError(f"map_to_tree built an invalid tree: {exc}")
 

@@ -429,11 +429,13 @@ class PlanarMap:
     # -- surgery -----------------------------------------------------------
 
     def add_edge(self, a: int, b: int) -> tuple[int, int]:
-        """Add an edge whose two darts go into the corners before darts
-        ``a`` and ``b``, in that order, so ``add_edge(a, a)`` puts the
-        first new dart before the second. The corners must share a face
-        for the map to stay planar; surgery leaves that to its caller."""
+        """Add an edge whose two darts go into the corners before live
+        darts ``a`` and ``b``, in that order, so ``add_edge(a, a)`` puts
+        the first new dart before the second. The corners must share a
+        face for the map to stay planar; surgery leaves that to its caller."""
         nxt, prv, vertex = self._next, self._prev, self._vertex
+        if not (self._mate[a] and self._mate[b]):
+            raise ValueError(f"dart {b if self._mate[a] else a} is not live")
         d = len(nxt)
         for x, after in ((d, a), (d + 1, b)):
             before = prv[after]
@@ -460,8 +462,10 @@ class PlanarMap:
             self.root_corner = after if after != d else None
 
     def delete_edge(self, d: int):
-        """Remove the edge of dart d; endpoints may become isolated."""
+        """Remove the edge of live dart d; endpoints may become isolated."""
         m = self._mate[d]
+        if not m:
+            raise ValueError(f"dart {d} is not live")
         self._mate[d] = self._mate[m] = 0
         self._remove_dart(d)
         self._remove_dart(m)
@@ -480,6 +484,8 @@ class PlanarMap:
         cyclic order of the surrounding darts. Returns the kept vertex
         (the one on d's side)."""
         p, q = d, self._mate[d]
+        if not q:
+            raise ValueError(f"dart {d} is not live")
         x, y = self._vertex[p], self._vertex[q]
         if x == y:
             raise ValueError("cannot contract a loop")

@@ -406,20 +406,20 @@ def separates(w: PlanarMap, d: int) -> bool:
 
 
 def _trace_shape_violation(w: PlanarMap, current: int, root: int,
-                           children: Mapping[int, Sequence[int]]
+                           children: Sequence[Sequence[int]]
                            ) -> str | None:
     tree_darts = [d for d in w.darts() if w.tag_of(d) == 'T']
     tree_vertices = {w.vertex_of(d) for d in tree_darts} | {root}
     if len(tree_darts) != 2 * (len(tree_vertices) - 1):
         return "tree-tagged edges do not form a tree"
-    recorded = set(children).union(*children.values())
+    recorded = {root}.union(*children)
     if recorded != tree_vertices:
         return "recorded tree nodes disagree with tree-tagged edges"
 
     # connected components of the map-tagged edges
     seen: set[int] = set()
     branch = [root]
-    while children.get(branch[-1]):
+    while children[branch[-1]]:
         branch.append(children[branch[-1]][0])
     deepest_attached = None
     for d in w.darts():

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -196,10 +197,13 @@ def test_trace_makes_no_per_step_copies(monkeypatch):
         for code in enum_maps_oracle(n):
             seen = []
             made.clear()
-            map_to_tree(code, trace=lambda kind, w, *_: seen.append(w))
+            map_to_tree(code, trace=lambda kind, w, cur, root, kids:
+                        seen.append((w, kids)))
             assert len(made) == 1
-            assert seen and all(w is seen[0] for w in seen)
-            assert seen[0] is made[0]
+            # one working map and one children view, the same at every step
+            assert seen and all(w is seen[0][0] and kids is seen[0][1]
+                                for w, kids in seen)
+            assert seen[0][0] is made[0]
     for n in range(0, 5):
         for dt in enum_degree_trees(n):
             steps = []
@@ -272,6 +276,47 @@ def test_tree_to_map_adds_edges_only_in_its_steps(monkeypatch):
             assert adds[:1] == ([('embed', 0)] if n else [])
             kinds = Counter(kind for kind, _ in adds)
             assert len(added) == kinds["A2'"] + kinds["A3'"]
+
+
+def test_trace_children_is_a_read_only_view_of_the_result():
+    # at the last step, the view read left to right from the root is the
+    # result tree's shape; the view rejects writes
+    rng = random.Random(3)
+    codes = [code for n in range(1, 5) for code in enum_maps_oracle(n)]
+    codes += [tree_to_map(random_degree_tree(rng, 200)) for _ in range(5)]
+    for code in codes:
+        last = []
+
+        def on_step(kind, w, cur, root, children):
+            last[:] = [root, children]
+
+        dt = map_to_tree(code, trace=on_step)
+        root, children = last
+        with pytest.raises(TypeError):
+            children[root] = ()
+        preorder, todo = [], [root]
+        while todo:
+            preorder.append(todo.pop())
+            todo.extend(reversed(children[preorder[-1]]))
+        index = {v: i for i, v in enumerate(preorder)}
+        assert tuple(tuple(index[c] for c in children[v])
+                     for v in preorder) == dt.tree.children
+
+
+def test_map_tree_memory_is_a_few_hundred_bytes_per_edge():
+    # the working map and flat per-vertex lists, no container per vertex:
+    # each direction's tracemalloc peak stays under 800 bytes per edge
+    n = 2 * 10**4
+    dt = random_degree_tree(random.Random(1), n)
+    code = tree_to_map(dt)
+    for direction, arg in ((map_to_tree, code), (tree_to_map, dt)):
+        tracemalloc.start()
+        try:
+            direction(arg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 800 * n, (direction.__name__, peak / n)
 
 
 def test_trace_shape_after_every_prepare():

@@ -531,6 +531,56 @@ def test_split_vertex_rejects_what_is_not_an_arc():
     assert m.vertices() == [0, 1, 2] and m.edge_count == 3
 
 
+def dead_dart_map():
+    """The map of DOUBLE with the root vertex's second edge deleted, and
+    that edge's two darts."""
+    m = build(DOUBLE)
+    e = m.next_cw(m.root_corner)
+    f = m.mate(e)
+    m.delete_edge(e)
+    return m, e, f
+
+
+def rotations(m):
+    return [m.vertex_darts(v) for v in m.vertices()]
+
+
+def test_add_edge_rejects_a_deleted_dart():
+    # a new dart spliced next to a dead one would put the dead dart back
+    # into the root vertex's rotation, where prev no longer inverts next
+    m, e, f = dead_dart_map()
+    before = rotations(m)
+    live = m.mate(m.root_corner)
+    for a, b, dead in ((e, live, e), (live, f, f)):
+        with pytest.raises(ValueError, match=f"^dart {dead} is not live$"):
+            m.add_edge(a, b)
+    assert rotations(m) == before and m.edge_count == 1
+    assert m.find_violation() is None
+
+
+def test_delete_edge_rejects_a_deleted_dart():
+    # a second deletion would splice the dead darts out of the rotations
+    # again
+    m, e, f = dead_dart_map()
+    before = rotations(m)
+    for d in (e, f):
+        with pytest.raises(ValueError, match=f"^dart {d} is not live$"):
+            m.delete_edge(d)
+    assert rotations(m) == before and m.edge_count == 1
+    assert m.find_violation() is None
+
+
+def test_contract_edge_rejects_a_deleted_dart():
+    # a dead dart's mate is 0, which the loop test would misread
+    m, e, f = dead_dart_map()
+    before = rotations(m)
+    for d in (e, f):
+        with pytest.raises(ValueError, match=f"^dart {d} is not live$"):
+            m.contract_edge(d)
+    assert rotations(m) == before and m.edge_count == 1
+    assert m.find_violation() is None
+
+
 def assert_prev_inverts_next(m):
     for d in m.darts():
         assert m.prev_cw(m.next_cw(d)) == d
