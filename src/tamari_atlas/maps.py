@@ -434,9 +434,10 @@ class PlanarMap:
         the first new dart before the second. The corners must share a
         face for the map to stay planar; surgery leaves that to its caller."""
         nxt, prv, vertex = self._next, self._prev, self._vertex
-        if not (self._mate[a] and self._mate[b]):
-            raise ValueError(f"dart {b if self._mate[a] else a} is not live")
-        d = len(nxt)
+        d, mate = len(nxt), self._mate
+        if not (0 < a < d and mate[a] and 0 < b < d and mate[b]):
+            raise ValueError(f"dart {b if 0 < a < d and mate[a] else a} "
+                             "is not live")
         for x, after in ((d, a), (d + 1, b)):
             before = prv[after]
             nxt.append(after)
@@ -463,7 +464,7 @@ class PlanarMap:
 
     def delete_edge(self, d: int):
         """Remove the edge of live dart d; endpoints may become isolated."""
-        m = self._mate[d]
+        m = self._mate[d] if 0 < d < len(self._mate) else 0
         if not m:
             raise ValueError(f"dart {d} is not live")
         self._mate[d] = self._mate[m] = 0
@@ -483,7 +484,7 @@ class PlanarMap:
         """Contract d's edge, merging its endpoints and preserving the
         cyclic order of the surrounding darts. Returns the kept vertex
         (the one on d's side)."""
-        p, q = d, self._mate[d]
+        p, q = d, self._mate[d] if 0 < d < len(self._mate) else 0
         if not q:
             raise ValueError(f"dart {d} is not live")
         x, y = self._vertex[p], self._vertex[q]

@@ -12,9 +12,9 @@ Each check is declared once, with its cap in the suite, by ``@_check``.
 One driver, :func:`_run`, walks up the sizes once, however many checks
 it runs; each ``check_<id>(n_max)`` runs it for that check alone. At
 each size it makes one :class:`_Size`, which enumerates a family and
-makes an object's untraced image only when a check first reads it. Each
-tally (:class:`_Tally`) reads the size whole; then each object passes
-once through every check that tests one object at a time
+makes an object's untraced image, kept by value, only when a check first
+reads it. Each tally (:class:`_Tally`) reads the size whole; then each
+object passes once through every check that tests one object at a time
 (:class:`_Each`), and the size is dropped before the next. A traced run
 watches a live working map, so each traced check makes its own.
 """
@@ -45,14 +45,15 @@ class CheckResult(NamedTuple):
 
 class _Size:
     """What the checks read at one size n: the maps and trees of size n,
-    the intervals of size n + 1 and their untraced images. Each is made
-    when a check first reads it, by the function bound here at call time.
-    What raises is not kept, so the next reader makes it again."""
+    their untraced images and the intervals of size n + 1. Each is made when
+    a check first reads it, by the function bound here at call time. What
+    raises is not kept, so the next reader makes it again."""
 
     def __init__(self, n: int):
         self.n = n
         self._kept: dict = {}
-        self._interval = (None, None)   # (family, index) and its interval
+        self._images: dict = {}
+        self._interval = (None, None)   # the object and its interval
 
     def _keep(self, key, make: Callable[[], object]):
         if key not in self._kept:
@@ -65,35 +66,23 @@ class _Size:
             enum_degree_trees(self.n) if name == 'trees' else
             enum_new_intervals(self.n + 1)))
 
-    def image(self, family: str, i: int):
-        """Map i's tree or tree i's map, kept in a list aligned with the
-        family, since the round trips read it from the other family too."""
-        images = self._keep((family, 'images'),
-                            lambda: [None] * len(self.family(family)))
-        if images[i] is None:
-            obj = self.family(family)[i]
-            images[i] = (map_to_tree(obj) if family == 'maps'
-                         else tree_to_map(obj))
-        return images[i]
+    def image(self, obj):
+        """A map's tree or a tree's map. Equal values hash alike, so a
+        round trip finds the kept image of an image."""
+        image = self._images.get(obj)
+        if image is None:
+            image = self._images[obj] = (
+                map_to_tree(obj) if isinstance(obj, HypermapCode)
+                else tree_to_map(obj))
+        return image
 
-    def image_of(self, obj, family: str):
-        """The image of a map or tree: the kept one if it equals an object
-        of ``family``, else one made afresh."""
-        where = self._keep((family, 'index'), lambda: {
-            x: i for i, x in enumerate(self.family(family))})
-        i = where.get(obj)
-        if i is not None:
-            return self.image(family, i)
-        return map_to_tree(obj) if family == 'maps' else tree_to_map(obj)
-
-    def interval(self, family: str, i: int):
-        """The interval of tree i, or of map i's tree. Only the last one
+    def interval(self, obj):
+        """The interval of a tree, or of a map's tree. Only the last one
         is kept: the driver passes each object through all its checks in
         a row, and intervals take more memory than the other images."""
-        if self._interval[0] != (family, i):
-            self._interval = ((family, i), tree_to_interval(
-                self.image(family, i) if family == 'maps'
-                else self.family(family)[i]))
+        if self._interval[0] is not obj:
+            self._interval = obj, tree_to_interval(
+                self.image(obj) if isinstance(obj, HypermapCode) else obj)
         return self._interval[1]
 
     def tally(self, family: str) -> GfTable:
@@ -113,12 +102,12 @@ class _Tally(NamedTuple):
 class _Each:
     """A check that tests one object at a time: each object that ``keep``
     admits of its families, at each size of ``sizes`` (intervals one size
-    larger). ``test(obj, size, family, i)`` yields the object's problems; a
+    larger). ``test(obj, size)`` yields the object's problems; a
     ValueError or RuntimeError that it raises is the object's one problem,
     and the other objects still run. A failure names its object, and a
     pass counts the objects tested of each family."""
 
-    def __init__(self, test: Callable[..., Iterable[str]],
+    def __init__(self, test: Callable[[object, _Size], Iterable[str]],
                  sizes: range, families: tuple[str, ...],
                  keep: Callable[[object], bool]):
         self.test, self.sizes, self.families, self.keep = \
@@ -130,11 +119,11 @@ class _Each:
         for family in self.families:    # an enumerator raises here
             size.family(family)
 
-    def visit(self, family: str, i: int, obj, size: _Size) -> None:
+    def visit(self, family: str, obj, size: _Size) -> None:
         if not self.keep(obj):
             return
         try:
-            problems = list(self.test(obj, size, family, i))
+            problems = list(self.test(obj, size))
         except (RuntimeError, ValueError) as exc:
             problems = [f"raised {type(exc).__name__}: {exc}"]
         # the family's singular names the object
@@ -177,9 +166,9 @@ def _run(n_max: int, checks: Mapping[str, tuple]) -> list[CheckResult]:
                     raised[check_id] = f"raised {type(exc).__name__}: {exc}"
         for family in ('trees', 'maps', 'intervals'):
             visits = [plan for plan in running if family in plan.families]
-            for i, obj in enumerate(size.family(family) if visits else ()):
+            for obj in size.family(family) if visits else ():
                 for plan in visits:
-                    plan.visit(family, i, obj, size)
+                    plan.visit(family, obj, size)
     return [CheckResult(check_id, False, raised[check_id])
             if check_id in raised else _result(check_id, *plan.end())
             for check_id, plan in plans.items()]
@@ -226,29 +215,23 @@ def check_counting(n_max: int) -> _Tally:
 
 
 @_check(5, 'trees', 'maps')
-def check_roundtrip_map_tree(obj, size: _Size, family: str, i: int
-                             ) -> Iterable[str]:
-    other = 'maps' if family == 'trees' else 'trees'
-    if size.image_of(size.image(family, i), other) != obj:
+def check_roundtrip_map_tree(obj, size: _Size) -> Iterable[str]:
+    if size.image(size.image(obj)) != obj:
         yield "not recovered"
 
 
 @_check(5, 'trees', 'intervals')
-def check_roundtrip_tree_interval(obj, size: _Size, family: str, i: int
-                                  ) -> Iterable[str]:
-    if family == 'trees':
-        back = interval_to_tree(size.interval(family, i))
-    else:
-        back = tree_to_interval(interval_to_tree(obj))
+def check_roundtrip_tree_interval(obj, size: _Size) -> Iterable[str]:
+    back = (interval_to_tree(size.interval(obj)) if isinstance(obj, DegreeTree)
+            else tree_to_interval(interval_to_tree(obj)))
     if back != obj:
         yield "not recovered"
 
 
 @_check(5, 'maps', first=1)
-def check_theorem_stats(code: HypermapCode, size: _Size, family: str,
-                        i: int) -> Iterable[str]:
+def check_theorem_stats(code: HypermapCode, size: _Size) -> Iterable[str]:
     ms = code.stats()
-    s = interval_stats(size.interval(family, i))
+    s = interval_stats(size.interval(code))
     if (ms.white, ms.black, ms.face, ms.outdeg) != \
             (s.c00, s.c01, 1 + s.c11, s.rcont - 1):
         yield f"{ms} vs {s}"
@@ -307,8 +290,7 @@ def check_oracle_equivalence(n_max: int) -> _Tally:
     def step(size: _Size) -> None:
         # canonical codes: equal codes are the same rooted map
         oracle = set(size.family('maps'))
-        image = {size.image('trees', i)
-                 for i in range(len(size.family('trees')))}
+        image = set(map(size.image, size.family('trees')))
         if oracle != image:
             fails.append(f"size {size.n}: "
                          f"oracle-only {sorted(map(str, oracle - image))}, "
@@ -318,14 +300,13 @@ def check_oracle_equivalence(n_max: int) -> _Tally:
 
 
 @_check(5, 'maps')
-def check_face_multiset(code: HypermapCode, size: _Size, family: str,
-                        i: int) -> Iterable[str]:
+def check_face_multiset(code: HypermapCode, size: _Size) -> Iterable[str]:
     # a face cycle's length is its face's half-degree
     faces = Counter(len(c) for c in code.face_cycles() if code.root not in c)
-    dt = size.image(family, i)
+    dt = size.image(code)
     labels = Counter(x for x in dt.edge_labels if x > 0)
     # the rising contacts of each internal node's factor of the lower path
-    rising = factor_rising_contacts(size.interval(family, i).lower)
+    rising = factor_rising_contacts(size.interval(code).lower)
     contacts = Counter(rising[node] for node, kids
                        in enumerate(dt.tree.children)
                        if kids and rising[node] > 0)
@@ -469,10 +450,9 @@ def check_trace_reversal(dt: DegreeTree, *_) -> Iterable[str]:
 
 
 @_check(6, 'trees')
-def check_rising_contact_labels(dt: DegreeTree, size: _Size, family: str,
-                                i: int) -> Iterable[str]:
+def check_rising_contact_labels(dt: DegreeTree, size: _Size) -> Iterable[str]:
     # the rising contacts of each node's factor of the lower path
-    rising = factor_rising_contacts(size.interval(family, i).lower)
+    rising = factor_rising_contacts(size.interval(dt).lower)
     for node, kids in enumerate(dt.tree.children):
         if kids and rising[node] != dt.label_of(kids[0]):
             yield (f"node {node}: contacts {rising[node]}, "
@@ -480,9 +460,8 @@ def check_rising_contact_labels(dt: DegreeTree, size: _Size, family: str,
 
 
 @_check(6, 'trees')
-def check_upper_bracket_subtrees(dt: DegreeTree, size: _Size, family: str,
-                                 i: int) -> Iterable[str]:
-    vq = bracket_vector(size.interval(family, i).upper)
+def check_upper_bracket_subtrees(dt: DegreeTree, size: _Size) -> Iterable[str]:
+    vq = bracket_vector(size.interval(dt).upper)
     expect = dt.tree.subtree_sizes()
     if vq != expect:
         yield f"brackets {vq}, expected {expect}"
@@ -490,9 +469,9 @@ def check_upper_bracket_subtrees(dt: DegreeTree, size: _Size, family: str,
 
 @_check(6, 'maps',
         keep=lambda code: code.n == 0 or len(code.face_cycles()) == 1)
-def check_one_face_specialization(code: HypermapCode, size: _Size,
-                                  family: str, i: int) -> Iterable[str]:
-    labels = size.image(family, i).edge_labels
+def check_one_face_specialization(code: HypermapCode, size: _Size
+                                  ) -> Iterable[str]:
+    labels = size.image(code).edge_labels
     if any(labels):
         yield f"labels {labels}"
 

@@ -4,6 +4,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
+import workloads
 from test_cli import chain, run
 
 from tamari_atlas.bijections import (CertificateAssignment, certificates,
@@ -17,8 +18,7 @@ from tamari_atlas.enumeration import (enum_degree_trees, enum_maps_oracle,
 from tamari_atlas.cli import tagged_map_code, tagged_map_dot
 from tamari_atlas.maps import (BLACK, WHITE, PlanarMap, from_dart_lists,
                               parse_hypermap)
-from tamari_atlas.trees import (DegreeTree, PlaneTree, find_violation,
-                                 parse_degree_tree)
+from tamari_atlas.trees import DegreeTree, find_violation, parse_degree_tree
 from tamari_atlas.verify import (check_one_face_specialization,
                                  check_roundtrip_map_tree,
                                  check_roundtrip_tree_interval,
@@ -352,37 +352,9 @@ def test_interval_to_tree_labels_match_factors_up_to_8():
 
 
 def random_degree_tree(rng: random.Random, n: int) -> DegreeTree:
-    """A random degree tree with n edges: the plane tree of a uniform
-    Dyck word (cycle lemma: rotate a shuffled word of n up and n + 1 down
-    steps to start after its first lowest point, then drop the last
-    step), and on each leftmost edge a uniform admissible label."""
-    steps = [1] * n + [-1] * (n + 1)
-    rng.shuffle(steps)
-    height, low, cut = 0, 0, 0
-    for i, step in enumerate(steps):
-        height += step
-        if height < low:
-            low, cut = height, i + 1
-    steps = (steps[cut:] + steps[:cut])[:-1]
-    children: list[list[int]] = [[]]
-    path = [0]
-    for step in steps:
-        if step > 0:
-            children.append([])
-            children[path[-1]].append(len(children) - 1)
-            path.append(len(children) - 1)
-        else:
-            path.pop()
-    # bottom-up: a node's derived label needs its children's labels only
-    ell = [0] * (n + 1)
-    labels = [0] * n
-    for v in reversed(range(n + 1)):
-        kids = children[v]
-        if kids:
-            a = rng.randint(0, ell[kids[0]])
-            labels[kids[0] - 1] = a
-            ell[v] = len(kids) - a + sum(ell[c] for c in kids)
-    return DegreeTree(PlaneTree(tuple(map(tuple, children))), tuple(labels))
+    """A random degree tree with n edges, from the benchmark's generator,
+    which builds its text without the package."""
+    return parse_degree_tree(workloads.random_degree_tree(rng, n))
 
 
 def test_random_trees_roundtrip_all_directions_at_5000():

@@ -1,9 +1,9 @@
 import ast
-import importlib
 import inspect
 from collections import Counter
 from pathlib import Path
 
+import spans
 import tamari_atlas
 from tamari_atlas.maps import PlanarMap
 
@@ -111,7 +111,7 @@ def test_only_maps_reads_planar_map_storage():
         assert not found, f"{module.name}: PlanarMap storage read at {found}"
 
 
-def test_every_planar_map_method_is_used(monkeypatch):
+def test_every_planar_map_method_is_used():
     # helpers that nothing uses get deleted: each public PlanarMap method
     # or property is read somewhere in the package outside its own body,
     # or traced by name by the benchmark. Reads match by attribute name,
@@ -128,9 +128,7 @@ def test_every_planar_map_method_is_used(monkeypatch):
                     reads.subtract(node.attr for node in ast.walk(fn)
                                    if isinstance(node, ast.Attribute)
                                    and node.attr == getattr(fn, 'name', ''))
-    monkeypatch.syspath_prepend(
-        str(Path(__file__).resolve().parent.parent / 'bench'))
-    traced = importlib.import_module('spans').MAP_METHODS
+    traced = spans.MAP_METHODS
     public = [name for name, value in vars(PlanarMap).items()
               if not name.startswith('_')
               and (inspect.isfunction(value) or isinstance(value, property))]

@@ -545,15 +545,24 @@ def rotations(m):
     return [m.vertex_darts(v) for v in m.vertices()]
 
 
+def out_of_range(m):
+    """Ids that are no dart: list indexing would read them from the end
+    of the dart lists (1 - len as live dart 1), or past it."""
+    n = len(m._next)
+    return -1, -n, 1 - n, n
+
+
 def test_add_edge_rejects_a_deleted_dart():
     # a new dart spliced next to a dead one would put the dead dart back
     # into the root vertex's rotation, where prev no longer inverts next
     m, e, f = dead_dart_map()
     before = rotations(m)
     live = m.mate(m.root_corner)
-    for a, b, dead in ((e, live, e), (live, f, f)):
-        with pytest.raises(ValueError, match=f"^dart {dead} is not live$"):
-            m.add_edge(a, b)
+    for dead in (e, f, *out_of_range(m)):
+        for a, b in ((dead, live), (live, dead)):
+            with pytest.raises(ValueError,
+                               match=f"^dart {dead} is not live$"):
+                m.add_edge(a, b)
     assert rotations(m) == before and m.edge_count == 1
     assert m.find_violation() is None
 
@@ -563,7 +572,7 @@ def test_delete_edge_rejects_a_deleted_dart():
     # again
     m, e, f = dead_dart_map()
     before = rotations(m)
-    for d in (e, f):
+    for d in (e, f, *out_of_range(m)):
         with pytest.raises(ValueError, match=f"^dart {d} is not live$"):
             m.delete_edge(d)
     assert rotations(m) == before and m.edge_count == 1
@@ -574,7 +583,7 @@ def test_contract_edge_rejects_a_deleted_dart():
     # a dead dart's mate is 0, which the loop test would misread
     m, e, f = dead_dart_map()
     before = rotations(m)
-    for d in (e, f):
+    for d in (e, f, *out_of_range(m)):
         with pytest.raises(ValueError, match=f"^dart {d} is not live$"):
             m.contract_edge(d)
     assert rotations(m) == before and m.edge_count == 1

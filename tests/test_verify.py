@@ -1,10 +1,11 @@
 import importlib
 import io
-import pathlib
 import re
 from collections import Counter
 
 import pytest
+import spans
+import workloads
 
 from tamari_atlas import bijections, cli, verify
 from tamari_atlas.enumeration import enum_maps_oracle
@@ -224,7 +225,50 @@ def test_one_object_that_raises_is_named_and_the_rest_run(monkeypatch):
     assert seen == [code for n in range(4) for code in enum_maps_oracle(n)]
 
 
-def test_check_ids_are_the_check_functions_and_the_traced_list(monkeypatch):
+WRONG_IMAGES = {
+    # tree (0:()0:()) gets the map of (0:(0:())): no tree reaches its own
+    # map, and the round trips from the tree and from that map come back
+    # wrong
+    'tree_to_map': (parse_degree_tree('(0:()0:())'),
+                    parse_degree_tree('(0:(0:()))'), [
+        "FAIL oracle-equivalence size 2: "
+        "oracle-only ['n=2 sigma=(1 2) alpha=(1)(2) root=1'], image-only []",
+        "FAIL roundtrip-map-tree tree (0:()0:()): not recovered; "
+        "map n=2 sigma=(1 2) alpha=(1)(2) root=1: not recovered"]),
+    # the map of (0:(0:())) gets the tree of the map of (0:()0:()): the
+    # round trips, the map's statistics against its tree's interval and
+    # the traced directions through that map disagree
+    'map_to_tree': (parse_hypermap('n=2 sigma=(1)(2) alpha=(1 2) root=1'),
+                    parse_hypermap('n=2 sigma=(1 2) alpha=(1)(2) root=1'), [
+        "FAIL roundtrip-map-tree tree (0:(0:())): not recovered; "
+        "map n=2 sigma=(1)(2) alpha=(1 2) root=1: not recovered",
+        "FAIL theorem-stats map n=2 sigma=(1)(2) alpha=(1 2) root=1: "
+        "MapStats(black=2, white=1, face=1, outdeg=2) vs "
+        "IntervalStats(c00=2, c01=1, c11=0, rcont=3)",
+        "FAIL trace-reversal tree (0:(0:())): "
+        "['A1', 'A1'] vs reversed ['A1', 'A2']"]),
+}
+
+
+@pytest.mark.parametrize('name', WRONG_IMAGES)
+def test_wrong_but_valid_image_fails_the_checks_that_compare_it(
+        monkeypatch, name):
+    # the wrong image is a valid object, so nothing raises: the checks
+    # that compare it with the object or the other families fail, each
+    # naming its object, and every other line stays as it was
+    bad, other, failed = WRONG_IMAGES[name]
+    real = getattr(verify, name)
+
+    def wrong(obj, trace=None):
+        return real(other if obj == bad else obj, trace=trace)
+
+    monkeypatch.setattr(verify, name, wrong)
+    fails = {line.split()[1]: line for line in failed}
+    assert report_lines(verify_suite(6)) == [
+        fails.get(line.split()[1], line) for line in SUITE_6]
+
+
+def test_check_ids_are_the_check_functions_and_the_traced_list():
     # a traced benchmark run looks each id up as verify.check_<id> and
     # raises LookupError on a missing one
     ids = [r.check_id for r in verify_suite(1)]
@@ -232,22 +276,14 @@ def test_check_ids_are_the_check_functions_and_the_traced_list(monkeypatch):
                        for name, value in vars(verify).items()
                        if name.startswith('check_') and callable(value))
     assert ids == functions
-    monkeypatch.syspath_prepend(
-        str(pathlib.Path(__file__).resolve().parent.parent / 'bench'))
-    spans = importlib.import_module('spans')
-    workloads = importlib.import_module('workloads')
     assert ids == sorted(spans.VERIFY_CHECK_IDS)
     assert len(spans.VERIFY_CHECK_IDS) == 18
     assert len(ids) == workloads.VERIFY_CHECKS
 
 
-def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
+def test_benchmark_tracer_installs_and_uninstalls():
     # a traced benchmark run looks each traced function up by name, so
     # deleting or renaming one breaks it while the rest of tier 1 passes
-    monkeypatch.syspath_prepend(
-        str(pathlib.Path(__file__).resolve().parent.parent / 'bench'))
-    spans = importlib.import_module('spans')
-
     def traced():
         return ([cli.run] + [vars(PlanarMap)[f] for f in spans.MAP_METHODS]
                 + [getattr(importlib.import_module(f'tamari_atlas.{m}'), f)
