@@ -217,7 +217,7 @@ def tree_to_map(dt: DegreeTree, trace: Callable[..., None] | None = None
         nxt[up] = d
     label = [0] * size
     label[1::2] = label[2::2] = dt.edge_labels
-    w = from_dart_lists(nxt, vertex, [1, *range(2, size, 2)],
+    w = from_dart_lists(nxt, vertex,
                         [BLACK if kids else WHITE for kids in tree.children],
                         2 * tree.children[0][-1] - 1, 'T', label)
     if trace is not None:

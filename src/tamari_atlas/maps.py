@@ -12,10 +12,10 @@ boundary of the face containing the starting corner.
 A map is stored flat, as lists indexed by dart (index 0 unused): the
 rotation ``_next`` and its inverse ``_prev``, ``_mate``, ``_vertex``, and
 a ``_tag``/``_label`` pair written on both darts of an edge; per vertex,
-``_color`` (None once deleted) and a representative dart ``_vrep`` (0 if
-bare). Ids are never reused: a deleted dart keeps its slot with mate 0.
-So placing or removing a dart is an O(1) splice, and a tag is one read.
-Only this module touches the lists.
+only ``_color`` (None once deleted): a vertex is the rotation cycle of
+its darts, walked from any one of them. Ids are never reused: a deleted
+dart keeps its slot with mate 0. So placing or removing a dart is an
+O(1) splice, and a tag is one read. Only this module touches the lists.
 
 Surgery takes darts, and a new dart always goes into the corner before a
 given one: ``add_edge(a, b)`` fills the corners before a and b, in that
@@ -289,6 +289,10 @@ class MapStats(NamedTuple):
     outdeg: int
 
 
+def _not_live(d: int) -> ValueError:
+    return ValueError(f"dart {d} is not live")
+
+
 class PlanarMap:
     """Mutable half-edge structure for rooted bipartite planar maps.
 
@@ -300,14 +304,16 @@ class PlanarMap:
     """
 
     # every field of the state, set up by __init__; all but root_corner
-    # are lists indexed by dart or by vertex
+    # are lists indexed by dart or by vertex. A walk or surgery from a dart
+    # first tests inline that it is live (a call would slow the
+    # bijections): from a dead dart a walk follows a stale _next forever
     __slots__ = ('_next', '_prev', '_mate', '_vertex', '_tag', '_label',
-                 '_vrep', '_color', 'root_corner')
+                 '_color', 'root_corner')
 
     def __init__(self):
         # the lists of the module docstring, for one black vertex
         self._next, self._prev, self._mate, self._vertex = [0], [0], [0], [0]
-        self._tag, self._label, self._vrep = [None], [0], [0]
+        self._tag, self._label = [None], [0]
         self._color: list[int | None] = [BLACK]
         self.root_corner: int | None = None
 
@@ -338,21 +344,23 @@ class PlanarMap:
     def color(self, v: int) -> int:
         return self._color[v]
 
-    def vertex_darts(self, v: int) -> list[int]:
-        """Darts of v in clockwise order, from a stable rep."""
-        if not self._vrep[v]:
-            return []
-        out = [self._vrep[v]]
-        x = self._next[out[0]]
-        while x != out[0]:
+    def rotation(self, d: int) -> list[int]:
+        """Darts of d's vertex in clockwise order, from d."""
+        nxt, mate = self._next, self._mate
+        if not (0 < d < len(mate) and mate[d]):
+            raise _not_live(d)
+        out, x = [d], nxt[d]
+        while x != d:
             out.append(x)
-            x = self._next[x]
+            x = nxt[x]
         return out
 
     def next_tagged(self, d: int, tag: str) -> int | None:
         """First dart after d clockwise around its vertex tagged ``tag``,
         or None if none is before d."""
-        nxt, tags = self._next, self._tag
+        nxt, tags, mate = self._next, self._tag, self._mate
+        if not (0 < d < len(mate) and mate[d]):
+            raise _not_live(d)
         x = nxt[d]
         while x != d and tags[x] != tag:
             x = nxt[x]
@@ -361,7 +369,9 @@ class PlanarMap:
     def tag_run(self, d: int, rest: str) -> list[int] | None:
         """The darts from d clockwise around its vertex up to the first not
         tagged like d; None unless all the others are tagged ``rest``."""
-        nxt, tags = self._next, self._tag
+        nxt, tags, mate = self._next, self._tag, self._mate
+        if not (0 < d < len(mate) and mate[d]):
+            raise _not_live(d)
         run, x = [d], nxt[d]
         while x != d and tags[x] == tags[d]:
             run.append(x)
@@ -398,6 +408,8 @@ class PlanarMap:
     def face_next(self, d: int, k: int) -> int:
         """The corner k steps clockwise along the boundary of d's face."""
         nxt, mate = self._next, self._mate
+        if not (0 < d < len(mate) and mate[d]):
+            raise _not_live(d)
         for _ in range(k):
             d = nxt[mate[d]]
         return d
@@ -421,6 +433,8 @@ class PlanarMap:
     def face_degree(self, d: int) -> int:
         """Number of corners of d's face."""
         nxt, mate = self._next, self._mate
+        if not (0 < d < len(mate) and mate[d]):
+            raise _not_live(d)
         x, k = nxt[mate[d]], 1
         while x != d:
             x, k = nxt[mate[x]], k + 1
@@ -436,8 +450,7 @@ class PlanarMap:
         nxt, prv, vertex = self._next, self._prev, self._vertex
         d, mate = len(nxt), self._mate
         if not (0 < a < d and mate[a] and 0 < b < d and mate[b]):
-            raise ValueError(f"dart {b if 0 < a < d and mate[a] else a} "
-                             "is not live")
+            raise _not_live(b if 0 < a < d and mate[a] else a)
         for x, after in ((d, a), (d + 1, b)):
             before = prv[after]
             nxt.append(after)
@@ -450,15 +463,9 @@ class PlanarMap:
         return d, d + 1
 
     def _remove_dart(self, d: int):
-        v = self._vertex[d]
         before, after = self._prev[d], self._next[d]
-        if after == d:
-            self._vrep[v] = 0
-        else:
-            self._next[before] = after
-            self._prev[after] = before
-            if self._vrep[v] == d:
-                self._vrep[v] = after
+        self._next[before] = after
+        self._prev[after] = before
         if self.root_corner == d:
             self.root_corner = after if after != d else None
 
@@ -466,7 +473,7 @@ class PlanarMap:
         """Remove the edge of live dart d; endpoints may become isolated."""
         m = self._mate[d] if 0 < d < len(self._mate) else 0
         if not m:
-            raise ValueError(f"dart {d} is not live")
+            raise _not_live(d)
         self._mate[d] = self._mate[m] = 0
         self._remove_dart(d)
         self._remove_dart(m)
@@ -486,11 +493,11 @@ class PlanarMap:
         (the one on d's side)."""
         p, q = d, self._mate[d] if 0 < d < len(self._mate) else 0
         if not q:
-            raise ValueError(f"dart {d} is not live")
+            raise _not_live(d)
         x, y = self._vertex[p], self._vertex[q]
         if x == y:
             raise ValueError("cannot contract a loop")
-        for a in self.vertex_darts(y):
+        for a in self.rotation(q):
             self._vertex[a] = x
         # one rotation, with y's other darts between p and q; then p and
         # q go
@@ -500,7 +507,6 @@ class PlanarMap:
         self._remove_dart(p)
         self._remove_dart(q)
         self._mate[p] = self._mate[q] = 0
-        self._vrep[y] = 0
         self._color[y] = None
         return x
 
@@ -525,8 +531,6 @@ class PlanarMap:
         self._swap_next(t, x)
         w = len(self._color)
         self._color.append(self._color[v])
-        self._vrep[v] = t
-        self._vrep.append(m)
         vertex[m] = w
         for d in arc:
             vertex[d] = w
@@ -542,45 +546,44 @@ class PlanarMap:
         genus are left to :class:`HypermapCode`."""
         nxt, prv, mate, vertex = (self._next, self._prev, self._mate,
                                   self._vertex)
-        color, vrep = self._color, self._vrep
+        color = self._color
         size = len(mate)
-        if ({len(nxt), len(prv), len(vertex), len(self._tag),
-             len(self._label)} != {size} or len(vrep) != len(color)):
+        if {len(nxt), len(prv), len(vertex), len(self._tag),
+                len(self._label)} != {size}:
             return "dart tables out of sync"
         darts = self.darts()
         for d in darts:
-            m, x = mate[d], nxt[d]
+            m, x, v = mate[d], nxt[d], vertex[d]
             if m == d or not 0 < m < size or mate[m] != d:
                 return f"mate is not a fixed-point-free involution at {d}"
             if not 0 < x < size or not mate[x] or prv[x] != d:
                 return f"prev does not invert next at dart {d}"
-        for v, r in enumerate(vrep):
-            if r and (color[v] is None or not 0 < r < size or not mate[r]
-                      or vertex[r] != v):
-                return f"vertex {v} representative out of sync"
+            if not 0 <= v < len(color) or color[v] is None:
+                return f"dart {d} is on no live vertex"
         for d in darts:
             if vertex[nxt[d]] != vertex[d]:
                 return f"rotation at dart {d} leaves its vertex"
-        rotations = perm_cycles(nxt, [r for r in vrep if r])
-        if sum(map(len, rotations)) != len(darts):
-            return "rotation orbits do not partition the darts"
+        isolated = set(self.vertices())   # until a rotation is found on it
+        for cycle in perm_cycles(nxt, darts):
+            v = vertex[cycle[0]]
+            if v not in isolated:
+                return f"vertex {v} has two rotation cycles"
+            isolated.remove(v)
         for d in darts:
             c = color[vertex[d]]
             if c == color[vertex[mate[d]]]:
                 return (f"edge at dart {d} joins two "
                         f"{'black' if c == BLACK else 'white'} vertices")
-        vertices = self.vertices()
-        isolated = [v for v in vertices if not vrep[v]]
         if not darts:
-            if len(vertices) != 1 or isolated != vertices:
+            if len(isolated) != 1:
                 return "edgeless map must be a single vertex"
-            if color[isolated[0]] != BLACK:
+            if color[isolated.pop()] != BLACK:
                 return "edgeless map vertex must be black"
             if self.root_corner is not None:
                 return "edgeless map has no root corner"
             return None
         if isolated:
-            return f"isolated vertex {isolated[0]} in a map with edges"
+            return f"isolated vertex {min(isolated)} in a map with edges"
         try:
             self.to_hypermap()
         except ValueError as exc:
@@ -631,24 +634,24 @@ def from_hypermap(code: HypermapCode, tag: str | None = None) -> PlanarMap:
     nxt[1::2] = [2 * s - 1 for s in code.sigma]
     nxt[2::2] = [2 * a for a in code.alpha]
     vertex = [0] + [-1] * (size - 1)
-    vrep: list[int] = []
+    color: list[int] = []
     for d in [*range(1, size, 2), *range(2, size, 2)]:
         if vertex[d] < 0:       # the least dart of a vertex not yet seen
-            v, x = len(vrep), d
+            v, x = len(color), d
             while vertex[x] < 0:
                 vertex[x] = v
                 x = nxt[x]
-            vrep.append(d)
-    return from_dart_lists(nxt, vertex, vrep, [BLACK if d % 2 else WHITE for d in vrep],
-                           2 * code.root - 1, tag)
+            color.append(BLACK if d % 2 else WHITE)
+    return from_dart_lists(nxt, vertex, color, 2 * code.root - 1, tag)
 
 
-def from_dart_lists(nxt: list[int], vertex: list[int], vrep: list[int],
-                    color: list[int], root: int, tag: str | None = None,
+def from_dart_lists(nxt: list[int], vertex: list[int], color: list[int],
+                    root: int, tag: str | None = None,
                     label: list[int] | None = None) -> PlanarMap:
     """The working map whose edge e has darts 2e-1 and 2e, every edge
     tagged ``tag``, from the lists that :class:`PlanarMap` keeps, less
-    the inverse rotation and the mates; they must describe a map."""
+    the inverse rotation and the mates: per dart the rotation and the
+    vertex, per vertex the colour. They must describe a map."""
     size = len(nxt)
     prv = [0] * size
     for d, x in enumerate(nxt):
@@ -657,7 +660,7 @@ def from_dart_lists(nxt: list[int], vertex: list[int], vrep: list[int],
     mate[1::2] = range(2, size, 2)
     mate[2::2] = range(1, size, 2)
     m = PlanarMap()
-    (m._next, m._prev, m._mate, m._vertex, m._vrep, m._color,
-     m.root_corner) = nxt, prv, mate, vertex, vrep, color, root
+    (m._next, m._prev, m._mate, m._vertex, m._color,
+     m.root_corner) = nxt, prv, mate, vertex, color, root
     m._tag, m._label = [None] + [tag] * (size - 1), label or [0] * size
     return m

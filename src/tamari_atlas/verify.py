@@ -365,16 +365,16 @@ def check_certificate_nesting(dt: DegreeTree, *_) -> Iterable[str]:
 
 def _reached(w: PlanarMap, start: int, crosses: Callable[[int], bool]
              ) -> set[int]:
-    """Vertices of w reached from ``start`` along the darts that
-    ``crosses`` admits; the one vertex search of the checks."""
-    seen = {start}
-    frontier = [start]
+    """Vertices of w reached from the vertex of dart ``start`` along the
+    darts that ``crosses`` admits; the one vertex search of the checks."""
+    seen = {w.vertex_of(start)}
+    frontier = [start]   # a dart of each vertex reached, its rotation unread
     while frontier:
-        for d in w.vertex_darts(frontier.pop()):
+        for d in w.rotation(frontier.pop()):
             y = w.vertex_of(w.mate(d))
             if y not in seen and crosses(d):
                 seen.add(y)
-                frontier.append(y)
+                frontier.append(w.mate(d))
     return seen
 
 
@@ -382,8 +382,7 @@ def separates(w: PlanarMap, d: int) -> bool:
     """Cut test: a vertex search from one end of d's edge that does not
     cross the edge misses the other end."""
     m = w.mate(d)
-    return w.vertex_of(m) not in _reached(w, w.vertex_of(d),
-                                          lambda x: x not in (d, m))
+    return w.vertex_of(m) not in _reached(w, d, lambda x: x not in (d, m))
 
 
 def _trace_shape_violation(w: PlanarMap, current: int, root: int,
@@ -406,7 +405,7 @@ def _trace_shape_violation(w: PlanarMap, current: int, root: int,
     for d in w.darts():
         if w.tag_of(d) != 'M' or w.vertex_of(d) in seen:
             continue
-        comp = _reached(w, w.vertex_of(d), lambda x: w.tag_of(x) == 'M')
+        comp = _reached(w, d, lambda x: w.tag_of(x) == 'M')
         seen |= comp
         attach = comp & tree_vertices
         if len(attach) != 1:
@@ -494,11 +493,12 @@ def check_bridge_agreement(code: HypermapCode, *_) -> Iterable[str]:
 
     def on_step(kind, w, cur, root, children):
         if kind == 'prepare':   # the pending edge follows a tree dart
-            want.extend(_decide(w, d) for d in w.vertex_darts(cur)
-                        if (w.tag_of(w.prev_cw(d)), w.tag_of(d)) == ('T', 'M'))
+            want.extend(_decide(w, d) for d in w.darts()
+                        if w.vertex_of(d) == cur and
+                        (w.tag_of(w.prev_cw(d)), w.tag_of(d)) == ('T', 'M'))
         elif kind == 'A3':   # the new tree edge is the one at cur
-            got.extend(w.edge_label(x) for x in w.vertex_darts(cur)
-                       if w.tag_of(x) == 'T')
+            got.extend(w.edge_label(x) for x in w.darts()
+                       if w.vertex_of(x) == cur and w.tag_of(x) == 'T')
         elif kind != 'backtrack':
             got.append('bridge')
 

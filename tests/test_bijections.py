@@ -238,7 +238,7 @@ def reference_embedding(dt: DegreeTree) -> PlanarMap:
     for v, darts in enumerate(rotation):
         for d, after in zip(darts, darts[1:] + darts[:1]):
             nxt[d], vertex[d] = after, v
-    return from_dart_lists(nxt, vertex, [r[0] for r in rotation],
+    return from_dart_lists(nxt, vertex,
                            [BLACK if kids else WHITE
                             for kids in tree.children], root, 'T', label)
 
@@ -249,12 +249,12 @@ def test_embedding_matches_reference_up_to_6():
             frames = []
             tree_to_map(dt, trace=lambda kind, w, *_: frames.append(
                 (kind, tagged_map_code(w), tagged_map_dot(w),
-                 [w.vertex_darts(v) for v in w.vertices()],
+                 [w.vertex_of(d) for d in w.darts()],
                  [w.prev_cw(d) for d in w.darts()])))
             ref = reference_embedding(dt)
             assert frames[0] == (
                 'embed', tagged_map_code(ref), tagged_map_dot(ref),
-                [ref.vertex_darts(v) for v in ref.vertices()],
+                [ref.vertex_of(d) for d in ref.darts()],
                 [ref.prev_cw(d) for d in ref.darts()])
 
 

@@ -92,12 +92,13 @@ def test_no_unused_imports_in_package():
 
 
 PLANAR_MAP_FIELDS = {'_next', '_prev', '_mate', '_vertex', '_tag', '_label',
-                     '_vrep', '_color'}
+                     '_color'}
 
 
 def test_only_maps_reads_planar_map_storage():
     # the rest of the package and the demos go through PlanarMap's
     # methods, so its storage can change without touching them
+    assert PLANAR_MAP_FIELDS == set(PlanarMap.__slots__) - {'root_corner'}
     package = Path(tamari_atlas.__file__).parent
     demos = Path(__file__).parent.parent / 'demos'
     modules = sorted(package.glob('*.py')) + sorted(demos.glob('*.py'))

@@ -1,8 +1,12 @@
 import copy
 import io
 import itertools
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from test_bijections import random_degree_tree
@@ -219,9 +223,9 @@ def test_code_check_matches_the_walked_reference():
 
 
 def test_planar_map_scans_match_brute_force_up_to_5():
-    # next_tagged, tag_run, face_next, face_degree and tags against walks
-    # of next_cw and mate, on every dart of every oracle map up to size 5
-    # with seeded tags
+    # rotation, next_tagged, tag_run, face_next, face_degree and tags
+    # against walks of next_cw and mate, on every dart of every oracle
+    # map up to size 5 with seeded tags
     rng = random.Random(5)
     runs = {True: 0, False: 0}   # tag_run found a run / not contiguous
     for n in range(6):
@@ -235,6 +239,7 @@ def test_planar_map_scans_match_brute_force_up_to_5():
                 rot = [d]
                 while m.next_cw(rot[-1]) != d:
                     rot.append(m.next_cw(rot[-1]))
+                assert m.rotation(d) == rot
                 for tag in 'MT':
                     assert m.next_tagged(d, tag) == next(
                         (x for x in rot[1:] if m.tag_of(x) == tag), None)
@@ -314,16 +319,26 @@ def test_edgeless_map():
 def test_validation_examples():
     assert build(SINGLE).find_violation() is None
     # same-colored endpoints
-    m = from_dart_lists([0, 1, 2], [0, 0, 1], [1, 2], [BLACK, BLACK], 1)
+    m = from_dart_lists([0, 1, 2], [0, 0, 1], [BLACK, BLACK], 1)
     assert "black vertices" in m.find_violation()
+    # a live dart on a deleted vertex, and on a vertex never made
+    m = from_dart_lists([0, 1, 2], [0, 0, 1], [BLACK, None], 1)
+    assert m.find_violation() == "dart 2 is on no live vertex"
+    m = from_dart_lists([0, 1, 2], [0, 0, 2], [BLACK, WHITE], 1)
+    assert m.find_violation() == "dart 2 is on no live vertex"
+    # black vertex 0 holds two loops of its own, darts 1 and 3
+    m = from_dart_lists([0, 1, 4, 3, 2], [0, 0, 1, 0, 1], [BLACK, WHITE], 1)
+    assert m.find_violation() == "vertex 0 has two rotation cycles"
+    m = from_dart_lists([0, 1, 2], [0, 0, 1], [BLACK, WHITE, WHITE], 1)
+    assert m.find_violation() == "isolated vertex 2 in a map with edges"
     # two components, each one edge
-    m = from_dart_lists([0, 1, 2, 3, 4], [0, 0, 1, 2, 3], [1, 2, 3, 4],
+    m = from_dart_lists([0, 1, 2, 3, 4], [0, 0, 1, 2, 3],
                         [BLACK, WHITE, BLACK, WHITE], 1)
     assert m.find_violation() == "permutation pair is not transitive"
     # three parallel edges in the same cw order around both ends: one
     # face, so V - E + F = 0, genus 1
     m = from_dart_lists([0, 3, 4, 5, 6, 1, 2], [0, 0, 1, 0, 1, 0, 1],
-                        [1, 2], [BLACK, WHITE], 1)
+                        [BLACK, WHITE], 1)
     assert len(m.faces()[1]) == 1
     assert m.find_violation() == "not genus 0: cycle count 3 != 5"
 
@@ -338,7 +353,7 @@ def test_white_root_corner_is_not_coded():
 
 
 def test_map_without_root_corner_is_not_coded():
-    m = from_dart_lists([0, 1, 2], [0, 0, 1], [1, 2], [BLACK, WHITE], None)
+    m = from_dart_lists([0, 1, 2], [0, 0, 1], [BLACK, WHITE], None)
     assert m.root_corner is None
     for root in (None, 0, 3, -1):   # none, unused, out of range
         m.root_corner = root
@@ -407,7 +422,8 @@ def test_surgery_delete_sole_edge():
     white = m.vertex_of(m.mate(d))
     m.delete_edge(d)
     assert m.edge_count == 0
-    assert m.vertex_darts(white) == m.vertex_darts(m.root_vertex()) == []
+    # both ends stay, with no dart left
+    assert m.darts() == [] and m.vertices() == [m.root_vertex(), white]
 
 
 def test_surgery_add_edge_across_face():
@@ -427,7 +443,8 @@ def test_surgery_contract():
     with pytest.raises(ValueError):
         m.split_vertex(m.vertex_of(d), [d, d])
     kept = m.contract_edge(d)
-    assert len(m.vertex_darts(kept)) == 1
+    assert m.vertex_of(m.root_corner) == kept
+    assert m.rotation(m.root_corner) == [m.root_corner]
     assert m.edge_count == 1
 
 
@@ -439,10 +456,18 @@ def rotation_from(m, d):
     return out
 
 
+def rotations(m):
+    """Each vertex's rotation, clockwise from its least dart."""
+    first = {}
+    for d in m.darts():
+        first.setdefault(m.vertex_of(d), d)
+    return [m.rotation(d) for d in first.values()]
+
+
 def test_split_vertex_and_rejoin():
     m = build(PATH)
     mid = m.vertex_of(m.mate(m.root_corner))
-    darts = m.vertex_darts(mid)
+    darts = m.rotation(m.mate(m.root_corner))
     assert len(darts) == 2
     t, new = m.split_vertex(mid, [darts[0]])
     w = m.vertex_of(new)
@@ -450,12 +475,12 @@ def test_split_vertex_and_rejoin():
     # each half keeps one dart of the path, plus its end of the new edge
     assert rotation_from(m, new) == [new, darts[0]]
     assert rotation_from(m, t) == [t, darts[1]]
-    assert sorted(m.vertex_darts(w)) == sorted((new, darts[0]))
+    assert m.vertex_of(darts[0]) == w
     with pytest.raises(ValueError):
         m.split_vertex(mid, [999])
     assert m.contract_edge(t) == mid
     assert rotation_from(m, darts[0]) == darts
-    assert sorted(m.vertex_darts(mid)) == sorted(darts)
+    assert {m.vertex_of(d) for d in darts} == {mid}
     assert m.canonical_code() == PATH
 
 
@@ -485,9 +510,8 @@ def test_split_vertex_is_the_inverse_of_contract_edge():
             darts = m.darts()
             before = [(m.next_cw(d), m.prev_cw(d), m.vertex_of(d))
                       for d in darts]
-            for v in m.vertices():
-                rot = m.vertex_darts(v)
-                k = len(rot)
+            for rot in rotations(m):
+                v, k = m.vertex_of(rot[0]), len(rot)
                 for i, length in itertools.product(range(k), range(1, k + 1)):
                     arc = [rot[(i + j) % k] for j in range(length)]
                     rest = [rot[(i + j) % k] for j in range(length, k)]
@@ -512,7 +536,7 @@ def test_split_vertex_is_the_inverse_of_contract_edge():
 def test_split_vertex_rejects_what_is_not_an_arc():
     m = build(PATH)
     mid = m.vertex_of(m.mate(m.root_corner))
-    a, b = m.vertex_darts(mid)
+    a, b = m.rotation(m.mate(m.root_corner))
     m.add_edge(a, m.mate(a))
     c = m.prev_cw(a)   # the new dart, between b and a
     dead = m.add_edge(a, m.mate(a))[0]
@@ -539,10 +563,6 @@ def dead_dart_map():
     f = m.mate(e)
     m.delete_edge(e)
     return m, e, f
-
-
-def rotations(m):
-    return [m.vertex_darts(v) for v in m.vertices()]
 
 
 def out_of_range(m):
@@ -588,6 +608,33 @@ def test_contract_edge_rejects_a_deleted_dart():
             m.contract_edge(d)
     assert rotations(m) == before and m.edge_count == 1
     assert m.find_violation() is None
+
+
+def test_scans_reject_a_deleted_dart():
+    # a dead dart's stale next_cw can lead a walk round forever, and a
+    # negative id reads the lists from the end, so the probes run in a
+    # child process that a timeout stops
+    scans = {'rotation': (), 'next_tagged': ('T',), 'tag_run': ('T',),
+             'face_next': (3,), 'face_degree': ()}
+    script = ("import sys\n"
+              "from tamari_atlas.maps import from_hypermap, parse_hypermap\n"
+              f"m = from_hypermap(parse_hypermap({DOUBLE!r}))\n"
+              "m.delete_edge(m.next_cw(m.root_corner))\n"
+              "for d in map(int, sys.argv[1:]):\n"
+              f"    for scan, args in {scans!r}.items():\n"
+              "        try:\n"
+              "            print(scan, getattr(m, scan)(d, *args))\n"
+              "        except ValueError as exc:\n"
+              "            print(scan, exc)\n")
+    m, e, f = dead_dart_map()   # the map that the script builds
+    ids = (e, f, *out_of_range(m))
+    src = str(Path(maps.__file__).parent.parent)
+    done = subprocess.run([sys.executable, '-c', script, *map(str, ids)],
+                          timeout=30, capture_output=True, text=True,
+                          env={**os.environ, 'PYTHONPATH': src})
+    assert done.stdout.splitlines() == [f"{scan} dart {d} is not live"
+                                        for d in ids for scan in scans], \
+        done.stderr
 
 
 def assert_prev_inverts_next(m):
