@@ -31,9 +31,9 @@ marking it explored: an edge is a bridge when the face across it is
 explored, and A3 reads its label as half the input degree of the face
 across it, then flags that face. Apart from scans of the current
 vertex's rotation, one ``PlanarMap`` call each (``next_tagged`` for the
-next pending edge, ``tag_run`` for A3's map arc, then ``split_vertex``
-over that arc, which also adds the tree edge), every step takes constant
-time, so the direction runs in near-linear time on random inputs.
+next pending edge, ``tag_run`` for the end of A3's map arc, then
+``split_vertex`` up to it, adding the tree edge), every step takes
+constant time, so the direction runs in near-linear time on random inputs.
 verify's bridge-agreement checks each decision through ``trace``, by a
 cut test on the live working map.
 
@@ -128,11 +128,11 @@ def map_to_tree(code: HypermapCode,
             inner = face[md]
             explored[inner] = True
             lab = degree[inner] // 2
-            arc = w.tag_run(d, 'T')   # d's map darts, if tree darts follow
-            if arc is None:
+            last = w.tag_run(d, 'T')   # end of d's map darts, or None
+            if last is None:
                 raise RuntimeError("map darts are not contiguous at the "
                                    f"current vertex {cur}")
-            t, scan_from = w.split_vertex(cur, arc)
+            t, scan_from = w.split_vertex(d, last)
             kind = 'A3'
         # t, the new tree edge's dart at cur, takes label lab, and its far
         # end becomes cur's leftmost child; A2 and A3 delete d and descend

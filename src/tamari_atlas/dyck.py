@@ -20,18 +20,33 @@ its upper path.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterator, NamedTuple, Sequence
 
 
 class _Value:
-    """Base of the checked value types. A subclass names its constructor's
-    arguments in ``_fields``; its ``__init__`` sets them with
-    ``object.__setattr__`` and runs its check, and its ``__eq__`` and
-    ``__hash__`` read them. After that no attribute can be assigned or
-    deleted. A value prints like a dataclass, and pickles and copies
-    through its constructor, so every copy is checked again."""
+    """Base of the checked value types, and the one place where their
+    equality is written: two values are equal when they are of the same
+    class and the fields named in its ``_fields`` are equal, and a value
+    hashes as those fields do. A subclass's ``__init__`` sets its fields
+    with ``object.__setattr__`` and runs its check; after that no
+    attribute can be assigned or deleted. A value prints like a
+    dataclass, and pickles and copies through its constructor, whose
+    arguments ``_fields`` names, so every copy is checked again."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        # one getter per class: the field's value, or the tuple of several
+        cls._field_values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._field_values(self) == self._field_values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._field_values(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -78,14 +93,6 @@ class DyckPath(_Value):
         if open_ups:
             raise ValueError("path does not end on the x-axis")
         object.__setattr__(self, 'vector', tuple(out[:k]))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.steps == other.steps
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.steps,))
 
     @property
     def size(self) -> int:
@@ -177,14 +184,6 @@ class NewInterval(_Value):
         object.__setattr__(self, 'upper', upper)
         if not is_new_interval(lower, upper):
             raise ValueError("the two paths do not form a new interval")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.lower == other.lower and self.upper == other.upper
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.lower, self.upper))
 
     @property
     def size(self) -> int:

@@ -19,8 +19,9 @@ O(1) splice, and a tag is one read. Only this module touches the lists.
 
 Surgery takes darts, and a new dart always goes into the corner before a
 given one: ``add_edge(a, b)`` fills the corners before a and b, in that
-order. ``split_vertex`` and ``contract_edge`` are inverses, and both cut
-or join rotations by exchanging the successors of two darts.
+order. ``split_vertex(a, b)`` takes an arc of a rotation by its first
+and last darts; it and ``contract_edge`` are inverses, and both cut or
+join rotations by exchanging the successors of two darts.
 
 The permutation-pair encoding lists, per edge id in 1..n, the next edge
 clockwise around its black end (sigma) and around its white end (alpha);
@@ -168,15 +169,6 @@ class HypermapCode(_Value):
         object.__setattr__(self, 'sigma', sigma)
         object.__setattr__(self, 'alpha', alpha)
         object.__setattr__(self, 'root', root)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.n == other.n and self.sigma == other.sigma
-                    and self.alpha == other.alpha and self.root == other.root)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n, self.sigma, self.alpha, self.root))
 
     def face_cycles(self) -> list[list[int]]:
         """Orbits of e -> sigma(alpha(e)), one per face."""
@@ -366,19 +358,19 @@ class PlanarMap:
             x = nxt[x]
         return x if x != d else None
 
-    def tag_run(self, d: int, rest: str) -> list[int] | None:
-        """The darts from d clockwise around its vertex up to the first not
-        tagged like d; None unless all the others are tagged ``rest``."""
+    def tag_run(self, d: int, rest: str) -> int | None:
+        """Last dart of the run from d clockwise of darts tagged like d;
+        None unless all the others around d's vertex are tagged ``rest``."""
         nxt, tags, mate = self._next, self._tag, self._mate
         if not (0 < d < len(mate) and mate[d]):
             raise _not_live(d)
-        run, x = [d], nxt[d]
+        x = nxt[d]
         while x != d and tags[x] == tags[d]:
-            run.append(x)
             x = nxt[x]
+        last = self._prev[x]
         while x != d and tags[x] == rest:
             x = nxt[x]
-        return run if x == d else None
+        return last if x == d else None
 
     def root_vertex(self) -> int:
         if self.root_corner is None:
@@ -389,7 +381,9 @@ class PlanarMap:
     # -- edge tags ---------------------------------------------------------
 
     def set_tag(self, d: int, tag: str, label: int = 0):
-        m = self._mate[d]
+        m = self._mate[d] if 0 < d < len(self._mate) else 0
+        if not m:
+            raise _not_live(d)
         self._tag[d] = self._tag[m] = tag
         self._label[d] = self._label[m] = label
 
@@ -510,30 +504,28 @@ class PlanarMap:
         self._color[y] = None
         return x
 
-    def split_vertex(self, v: int, arc: list[int]) -> tuple[int, int]:
-        """Inverse of :meth:`contract_edge`: move the non-empty contiguous
-        cw arc of v's darts onto a fresh vertex of v's colour, joined to v
-        by a new edge. Returns the edge's darts: the one at v takes the
-        arc's place, and the one at the new vertex goes before arc[0]."""
-        nxt, vertex = self._next, self._vertex
-        # one walk from a live first dart of v, with no wrap back to it
-        x = first = arc[0] if arc else 0
-        ok = (0 < first < len(nxt) and self._mate[first] != 0
-              and vertex[first] == v)
-        for d in arc[1:] if ok else ():
-            x = nxt[x]
-            ok = ok and d == x != first
-        if not ok:
-            raise ValueError("darts do not form a non-empty contiguous cw "
-                             "arc")
-        t, m = self.add_edge(first, first)
-        # x is the arc's last dart: cut m and the arc off from v
-        self._swap_next(t, x)
+    def split_vertex(self, a: int, b: int) -> tuple[int, int]:
+        """Inverse of :meth:`contract_edge`: move the darts from a to b
+        clockwise around their vertex v (a alone if b is a, all of v's if
+        b precedes a) onto a fresh vertex of v's colour, joined to v by a
+        new edge. Returns the edge's darts: the one at v takes the arc's
+        place, and the one at the new vertex goes before a."""
+        mate, vertex = self._mate, self._vertex
+        if not (0 < a < len(mate) and mate[a] and 0 < b < len(mate)
+                and mate[b]):
+            raise _not_live(b if 0 < a < len(mate) and mate[a] else a)
+        v = vertex[a]
+        if vertex[b] != v:
+            raise ValueError(f"darts {a} and {b} are on different vertices")
+        t, m = self.add_edge(a, a)
+        # cut m and the arc off from v, then rename them in one walk
+        self._swap_next(t, b)
         w = len(self._color)
         self._color.append(self._color[v])
-        vertex[m] = w
-        for d in arc:
-            vertex[d] = w
+        x, nxt = m, self._next
+        while vertex[x] != w:
+            vertex[x] = w
+            x = nxt[x]
         return t, m
 
     # -- validation ----------------------------------------------------------

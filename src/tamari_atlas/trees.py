@@ -34,14 +34,6 @@ class PlaneTree(_Value):
         object.__setattr__(self, 'children', children)
         _subtree_ends(children)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.children == other.children
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.children,))
-
     @property
     def node_count(self) -> int:
         return len(self.children)
@@ -165,15 +157,6 @@ class DegreeTree(_Value):
         bad = find_violation(self)
         if bad is not None:
             raise ValueError(f"invalid degree tree: {bad}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.tree == other.tree
-                    and self.edge_labels == other.edge_labels)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.tree, self.edge_labels))
 
     @property
     def size(self) -> int:

@@ -139,6 +139,27 @@ def test_every_planar_map_method_is_used():
     assert not unused, f"PlanarMap methods nothing calls: {unused}"
 
 
+def test_only_the_value_base_defines_equality():
+    # the value types compare and hash by their fields through
+    # dyck._Value alone, so a field added to _fields cannot be left out
+    # of a hand-written pair; __hash__ = None counts as a definition
+    package = Path(tamari_atlas.__file__).parent
+    for module in sorted(package.glob('*.py')):
+        tree = ast.parse(module.read_text(), filename=str(module))
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef) or (
+                    module.name, cls.name) == ('dyck.py', '_Value'):
+                continue
+            names = {node.name for node in cls.body
+                     if isinstance(node, ast.FunctionDef)}
+            names.update(target.id for node in cls.body
+                         if isinstance(node, ast.Assign)
+                         for target in node.targets
+                         if isinstance(target, ast.Name))
+            found = names & {'__eq__', '__hash__'}
+            assert not found, f"{module.name}: {cls.name} defines {found}"
+
+
 def test_only_trees_names_the_tree_check():
     # a DegreeTree validates itself when built, so no other module calls
     # trees.find_violation; PlanarMap.find_violation is a method and

@@ -246,7 +246,7 @@ def test_planar_map_scans_match_brute_force_up_to_5():
                     run = list(itertools.takewhile(
                         lambda x: m.tag_of(x) == m.tag_of(d), rot))
                     ok = all(m.tag_of(x) == tag for x in rot[len(run):])
-                    assert m.tag_run(d, tag) == (run if ok else None)
+                    assert m.tag_run(d, tag) == (run[-1] if ok else None)
                     runs[ok] += 1
                 face = [d]
                 while m.next_cw(m.mate(face[-1])) != d:
@@ -437,11 +437,12 @@ def test_surgery_add_edge_across_face():
 
 
 def test_surgery_contract():
-    # contracting requires differently-placed endpoints, not a loop
+    # contracting requires differently-placed endpoints, not a loop;
+    # splitting requires both ends of the arc at one vertex
     m = build(PATH)
     d = m.root_corner
     with pytest.raises(ValueError):
-        m.split_vertex(m.vertex_of(d), [d, d])
+        m.split_vertex(d, m.mate(d))
     kept = m.contract_edge(d)
     assert m.vertex_of(m.root_corner) == kept
     assert m.rotation(m.root_corner) == [m.root_corner]
@@ -469,7 +470,7 @@ def test_split_vertex_and_rejoin():
     mid = m.vertex_of(m.mate(m.root_corner))
     darts = m.rotation(m.mate(m.root_corner))
     assert len(darts) == 2
-    t, new = m.split_vertex(mid, [darts[0]])
+    t, new = m.split_vertex(darts[0], darts[0])
     w = m.vertex_of(new)
     assert m.color(w) == m.color(mid)
     # each half keeps one dart of the path, plus its end of the new edge
@@ -477,7 +478,7 @@ def test_split_vertex_and_rejoin():
     assert rotation_from(m, t) == [t, darts[1]]
     assert m.vertex_of(darts[0]) == w
     with pytest.raises(ValueError):
-        m.split_vertex(mid, [999])
+        m.split_vertex(999, 999)
     assert m.contract_edge(t) == mid
     assert rotation_from(m, darts[0]) == darts
     assert {m.vertex_of(d) for d in darts} == {mid}
@@ -500,10 +501,10 @@ def test_add_edge_fills_the_corners_before_its_darts_in_order():
 
 
 def test_split_vertex_is_the_inverse_of_contract_edge():
-    # every contiguous arc at every vertex of every map with at most 4
-    # edges: the new edge's dart at v takes the arc's place, its dart at
-    # the new vertex comes before arc[0], and contracting it restores
-    # every dart that was there before
+    # every arc, given by its two end darts, at every vertex of every map
+    # with at most 4 edges: the new edge's dart at v takes the arc's
+    # place, its dart at the new vertex comes before arc[0], and
+    # contracting it restores every dart that was there before
     for n in range(1, 5):
         for code in enum_maps_oracle(n):
             m = from_hypermap(code)
@@ -516,7 +517,7 @@ def test_split_vertex_is_the_inverse_of_contract_edge():
                     arc = [rot[(i + j) % k] for j in range(length)]
                     rest = [rot[(i + j) % k] for j in range(length, k)]
                     w = copy.deepcopy(m)
-                    t, new = w.split_vertex(v, arc)
+                    t, new = w.split_vertex(arc[0], arc[-1])
                     assert (t, new) == (len(darts) + 1, len(darts) + 2)
                     assert w.mate(t) == new and w.vertex_of(t) == v
                     assert w.color(w.vertex_of(new)) == w.color(v)
@@ -531,28 +532,6 @@ def test_split_vertex_is_the_inverse_of_contract_edge():
                             for d in darts] == before
                     assert w.darts() == darts
                     assert w.to_hypermap() == code
-
-
-def test_split_vertex_rejects_what_is_not_an_arc():
-    m = build(PATH)
-    mid = m.vertex_of(m.mate(m.root_corner))
-    a, b = m.rotation(m.mate(m.root_corner))
-    m.add_edge(a, m.mate(a))
-    c = m.prev_cw(a)   # the new dart, between b and a
-    dead = m.add_edge(a, m.mate(a))[0]
-    m.delete_edge(dead)
-    for arc in ([],                      # empty
-                [dead],                  # deleted
-                [m.root_corner],         # a dart of another vertex
-                [0], [-1], [999],        # no dart
-                [a, c],                  # c is two steps from a
-                [a, b, c, a],            # wraps past its first dart
-                [b, m.root_corner]):     # leaves the vertex
-        with pytest.raises(ValueError, match="^darts do not form a "
-                           "non-empty contiguous cw arc$"):
-            m.split_vertex(mid, arc)
-    assert_prev_inverts_next(m)
-    assert m.vertices() == [0, 1, 2] and m.edge_count == 3
 
 
 def dead_dart_map():
@@ -570,6 +549,37 @@ def out_of_range(m):
     of the dart lists (1 - len as live dart 1), or past it."""
     n = len(m._next)
     return -1, -n, 1 - n, n
+
+
+def test_split_vertex_rejects_what_is_not_an_arc():
+    # an end that is no live dart, or ends on two vertices, is rejected
+    # before any write: a dead dart's stale next_cw would lead the cut
+    # off its vertex
+    m, e, f = dead_dart_map()
+    before = rotations(m), m.vertices(), m.edge_count
+    live = m.mate(m.root_corner)
+    for dead in (e, f, *out_of_range(m)):
+        for a, b in ((dead, live), (live, dead)):
+            with pytest.raises(ValueError,
+                               match=f"^dart {dead} is not live$"):
+                m.split_vertex(a, b)
+    with pytest.raises(ValueError, match=f"^darts {m.root_corner} and "
+                       f"{live} are on different vertices$"):
+        m.split_vertex(m.root_corner, live)
+    assert (rotations(m), m.vertices(), m.edge_count) == before
+    assert m.find_violation() is None
+
+
+def test_set_tag_rejects_a_deleted_dart():
+    # a dead dart's mate is 0, so a tag would land in the unused slot 0
+    # and on no edge; a negative id would tag a dart from the end
+    m, e, f = dead_dart_map()
+    before = list(m._tag), list(m._label)
+    for d in (e, f, *out_of_range(m)):
+        with pytest.raises(ValueError, match=f"^dart {d} is not live$"):
+            m.set_tag(d, 'T', 5)
+    assert (m._tag, m._label) == before
+    assert m.find_violation() is None
 
 
 def test_add_edge_rejects_a_deleted_dart():
@@ -662,8 +672,7 @@ def test_prev_cw_inverts_next_cw_after_surgery():
             assert_prev_inverts_next(w)
             a, _ = w.add_edge(w.next_cw(d), d)
             assert_prev_inverts_next(w)
-            v = w.vertex_of(d)
-            t, _ = w.split_vertex(v, [d, w.next_cw(d)])
+            t, _ = w.split_vertex(d, w.next_cw(d))
             assert_prev_inverts_next(w)
             w.contract_edge(d)
             assert_prev_inverts_next(w)

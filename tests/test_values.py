@@ -7,6 +7,7 @@ from test_cli import fresh_python
 from tamari_atlas import (CertificateAssignment, CheckResult, DegreeTree,
                           DyckPath, HypermapCode, IntervalStats, MapStats,
                           NewInterval, PlaneTree, TreeStats)
+from tamari_atlas.dyck import _Value
 
 # per type: a value, an equal one built apart, a different one, and the
 # value's repr; the checked types come first
@@ -73,6 +74,43 @@ def test_a_path_compares_without_its_vector():
     path = DyckPath('uudd')
     object.__setattr__(path, 'vector', ())
     assert path == DyckPath('uudd') and hash(path) == hash(DyckPath('uudd'))
+
+
+def bare(cls, values, **slots):
+    """An instance of cls with the given field values and other slots,
+    built around its check, which the equality rule does not depend on."""
+    value = object.__new__(cls)
+    for name, x in (*zip(cls._fields, values), *slots.items()):
+        object.__setattr__(value, name, x)
+    return value
+
+
+@pytest.mark.parametrize('cls', _Value.__subclasses__(),
+                         ids=lambda cls: cls.__name__)
+def test_value_types_compare_and_hash_by_their_fields_alone(cls):
+    # every value type, found as a subclass of _Value: equal fields give
+    # equal values with equal hashes, whatever the other slots hold; a
+    # change to any one field makes them unequal; another class with the
+    # same fields is unequal, and a tuple is no value at all
+    fields = [('field', k) for k in range(len(cls._fields))]
+    others = [name for name in cls.__slots__ if name not in cls._fields]
+    a = bare(cls, fields, **{name: 1 for name in others})
+    b = bare(cls, fields, **{name: 2 for name in others})
+    assert a == b and not a != b and hash(a) == hash(b)
+    for k in range(len(fields)):
+        changed = bare(cls, fields[:k] + [('other', k)] + fields[k + 1:])
+        assert a != changed and not a == changed, cls._fields[k]
+    twin = type(cls.__name__, (cls,), {'__slots__': ()})
+    assert a != bare(twin, fields) and bare(twin, fields) != a
+    assert a.__eq__(tuple(fields)) is NotImplemented
+    assert a != tuple(fields)
+
+
+def test_the_checked_types_are_the_values_found():
+    # the contract above runs over _Value's subclasses; a base put
+    # between them and _Value would hide them from it
+    assert {type(value) for value, *_ in VALUES[:CHECKED]} <= \
+        set(_Value.__subclasses__())
 
 
 def test_no_two_checked_types_are_equal():
