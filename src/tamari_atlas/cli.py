@@ -30,8 +30,7 @@ from typing import Iterator
 from .bijections import (interval_to_map, interval_to_tree, map_to_interval,
                          map_to_tree, tree_to_interval, tree_to_map)
 from .dyck import NewInterval, interval_stats
-from .enumeration import (enum_degree_trees, enum_maps_oracle,
-                          enum_new_intervals, gf_table, gf_table_lines)
+from .enumeration import ENUMERATE, gf_table, gf_table_lines
 from .maps import (BLACK, HypermapCode, PlanarMap, cycles_str,
                    from_hypermap, parse_hypermap)
 from .trees import degree_tree_to_dot, parse_degree_tree, tree_stats
@@ -180,13 +179,7 @@ def tagged_map_dot(m: PlanarMap) -> str:
 
 def _cmd_enumerate(args, out) -> int:
     kind = _FAMILY_KIND[args.family]
-    if args.family == 'intervals':
-        objs = enum_new_intervals(args.size)
-    elif args.family == 'trees':
-        objs = enum_degree_trees(args.size)
-    else:
-        objs = enum_maps_oracle(args.size)
-    for obj in objs:
+    for obj in ENUMERATE[args.family](args.size):
         line = str(obj)
         if args.with_stats:
             line += '\t' + ' '.join(map(str, _STATS[kind](obj)))

@@ -17,8 +17,8 @@ either colour), and keeps a genus-0 result exactly when the new edge is
 its last breadth-first edge. That is McKay's canonical augmentation
 ("Isomorph-free exhaustive generation", 1998): each map is grown once,
 from its canonical parent, so nothing is relabelled or deduplicated. It
-shares only ``perm_cycles``, ``bfs_edge_order`` and ``HypermapCode``
-with the maps module.
+shares only ``orbits``, ``bfs_edge_order`` and ``HypermapCode`` with
+the maps module.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .dyck import (DyckPath, NewInterval, bracket_vector, iter_dyck_words,
                    interval_stats, words_under)
-from .maps import HypermapCode, bfs_edge_order, perm_cycles
+from .maps import HypermapCode, bfs_edge_order, orbits
 from .trees import DegreeTree, _plane_tree
 
 
@@ -118,11 +118,10 @@ def _grow(level: list[tuple[tuple[int, ...], tuple[int, ...]]],
     for sigma, alpha in level:
         # label corners by face: the step e -> sigma[alpha[e]] passes the
         # white corner after e and the black corner after alpha[e]
-        black, white = [0] * k, [0] * k
-        for face, cyc in enumerate(perm_cycles([sigma[x] for x in alpha],
-                                               range(1, k))):
-            for e in cyc:
-                white[e] = black[alpha[e]] = face
+        white = orbits([sigma[x] for x in alpha], range(1, k))[0]
+        black = [0] * k
+        for e, a in enumerate(alpha):
+            black[a] = white[e]
         alphas = _insertions(alpha, k)
         for b, s in enumerate(_insertions(sigma, k), 1):
             for w, a in enumerate(alphas, 1):
@@ -157,6 +156,10 @@ def enum_maps_oracle(n: int) -> list[HypermapCode]:
         level = _grow(level, k)
     return [HypermapCode(n, sigma[1:], alpha[1:], 1)
             for sigma, alpha in level]
+
+
+ENUMERATE = {'intervals': enum_new_intervals, 'trees': enum_degree_trees,
+             'maps': enum_maps_oracle}
 
 
 def count_formula(n: int) -> int:
@@ -196,15 +199,13 @@ def gf_tally(family: str, objects: Iterable) -> GfTable:
 
 def gf_table(family: str, max_size: int) -> GfTable:
     """:func:`gf_tally` over every object of the family up to max_size."""
-    if family == 'intervals':
-        sizes, enum = range(1, max_size + 1), enum_new_intervals
-    elif family == 'maps':
-        sizes, enum = range(0, max_size + 1), enum_maps_oracle
-    else:
+    if family not in ('intervals', 'maps'):
         raise ValueError(f"unknown family {family!r}")
+    sizes = range(int(family == 'intervals'), max_size + 1)
     if max_size < sizes.start:
         raise ValueError(f"{family} need size >= {sizes.start}")
-    return gf_tally(family, (obj for n in sizes for obj in enum(n)))
+    return gf_tally(family, (obj for n in sizes
+                             for obj in ENUMERATE[family](n)))
 
 
 def gf_table_lines(table: GfTable) -> Iterator[str]:

@@ -29,12 +29,12 @@ faces correspond to orbits of e -> sigma(alpha(e)). Its text form is
 ``n=<n> sigma=<cycles> alpha=<cycles> root=<edge>``, with disjoint cycles
 including fixed points, and the edgeless map written ``n=0``.
 
-Every orbit listed, over edge ids or over darts, comes from the one walker
-:func:`perm_cycles`. A code's check lists none: :func:`bfs_edge_order`,
-the one breadth-first search over a pair, counts the sigma and alpha
-cycles it reads, and the check walks the face cycles only to count them.
-The search's order renumbers a code canonically and grows the map oracle
-in ``enumeration``; ``PlanarMap`` scans walk one rotation or one face.
+Every orbit numbered, over edge ids or over darts, comes from the one
+walker :func:`orbits`; :func:`perm_cycles` lists cycles only for the text
+form and ``find_violation``. :func:`bfs_edge_order`, the one breadth-first
+search over a pair, counts the sigma and alpha cycles a code's check
+reads; its order renumbers a code canonically and grows the map oracle in
+``enumeration``. ``PlanarMap`` scans walk one rotation or one face.
 
 A HypermapCode is how a map crosses the API: like the other families'
 value types it is immutable and checks itself when built, so every one
@@ -71,6 +71,28 @@ def perm_cycles(perm: Mapping[int, int] | Sequence[int],
         if cyc:
             cycles.append(cyc)
     return cycles
+
+
+def orbits(perm: Sequence[int], points: Iterable[int]
+           ) -> tuple[list[int], list[int]]:
+    """Cycles of the permutation x -> perm[x] that meet ``points``,
+    numbered in the order of their first point: ``index[x]`` is x's
+    cycle, -1 for a point off them, and ``lengths[c]`` is cycle c's
+    length. ValueError when a walk does not close where it began, as on
+    any map into range(len(perm)) that is not a bijection."""
+    index = [-1] * len(perm)
+    lengths: list[int] = []
+    for start in points:
+        if index[start] < 0:
+            c, x, k = len(lengths), start, 0
+            while index[x] < 0:
+                index[x] = c
+                x = perm[x]
+                k += 1
+            if x != start:
+                raise ValueError(f"not a permutation of 1..{len(perm) - 1}")
+            lengths.append(k)
+    return index, lengths
 
 
 def cycles_str(perm: Mapping[int, int] | Sequence[int],
@@ -111,23 +133,6 @@ def bfs_edge_order(sigma: Sequence[int], alpha: Sequence[int],
     return order, rotations
 
 
-def _cycle_count(perm: Sequence[int]) -> int:
-    """Number of cycles of perm (index 0 unused); ValueError unless perm
-    permutes 1..n."""
-    n = len(perm) - 1
-    seen = bytearray(n + 1)
-    count = 0
-    for start in range(1, n + 1):
-        x = start
-        count += not seen[x]
-        while not seen[x]:     # a new cycle: walk it
-            seen[x] = 1
-            x = perm[x]
-            if not 0 < x <= n or seen[x] and x != start:
-                raise ValueError(f"not a permutation of 1..{n}")
-    return count
-
-
 class HypermapCode(_Value):
     """Rooted bipartite planar map as a permutation pair. Building one
     that is not a transitive genus-0 pair with its root in range raises
@@ -142,23 +147,25 @@ class HypermapCode(_Value):
         if n == 0 and root != 0:
             raise ValueError("edgeless code has root=0")
         if n:
-            sig, alp = (0,) + sigma, (0,) + alpha
+            sig, alp, ids = (0,) + sigma, (0,) + alpha, range(1, n + 1)
             points = sigma + alpha
+            in_range = 0 < min(points) and max(points) <= n
             order, c = (bfs_edge_order(sig, alp, root)
-                        if 1 <= root <= n and 0 < min(points)
-                        and max(points) <= n else ([], 0))
+                        if 1 <= root <= n and in_range else ([], 0))
             if len(order) < n:
-                # walks of every rotation word the error, in the order of
-                # the rules: not a permutation, root out of range, not
-                # transitive
-                _cycle_count(sig), _cycle_count(alp)
+                # the range test and walks of every rotation word the
+                # error, in the order of the rules: not a permutation,
+                # root out of range, not transitive
+                if not in_range:
+                    raise ValueError(f"not a permutation of 1..{n}")
+                orbits(sig, ids), orbits(alp, ids)
                 if not 1 <= root <= n:
                     raise ValueError("root edge out of range")
                 raise ValueError("permutation pair is not transitive")
             # e -> sigma(alpha(e)) permutes the edges only if both do, so
             # the face walk also rejects a non-permutation the search read
             # through
-            c += _cycle_count([sig[a] for a in alp])
+            c += len(orbits([sig[a] for a in alp], ids)[1])
             if c != n + 2:
                 raise ValueError(f"not genus 0: cycle count {c} != {n + 2}")
             if order != sorted(order):   # renumber edge order[i] as i + 1
@@ -170,25 +177,25 @@ class HypermapCode(_Value):
         object.__setattr__(self, 'alpha', alpha)
         object.__setattr__(self, 'root', root)
 
-    def face_cycles(self) -> list[list[int]]:
-        """Orbits of e -> sigma(alpha(e)), one per face."""
+    def faces(self) -> tuple[list[int], list[int]]:
+        """Faces numbered in the order of their least edge, as the cycles
+        of e -> sigma(alpha(e)): the face of each edge (-1 at index 0)
+        and the half-degree of each face, its cycle's length."""
         sigma = (0,) + self.sigma
-        return perm_cycles([sigma[a] for a in (0,) + self.alpha],
-                           range(1, self.n + 1))
+        return orbits([sigma[a] for a in (0,) + self.alpha],
+                      range(1, self.n + 1))
 
     def stats(self) -> MapStats:
         """One black vertex per sigma cycle, one white vertex per alpha
-        cycle, one face per face cycle; the outer face is the face cycle
-        through the root edge, whose length is its half-degree. The
-        edgeless map is one black vertex in one face."""
+        cycle, one face per face cycle; the outer face is the face of the
+        root edge. The edgeless map is one black vertex in one face."""
         if self.n == 0:
             return MapStats(1, 0, 1, 0)
         ids = range(1, self.n + 1)
-        faces = self.face_cycles()
-        return MapStats(len(perm_cycles((0,) + self.sigma, ids)),
-                        len(perm_cycles((0,) + self.alpha, ids)),
-                        len(faces),
-                        len(next(c for c in faces if self.root in c)))
+        face, half = self.faces()
+        return MapStats(len(orbits((0,) + self.sigma, ids)[1]),
+                        len(orbits((0,) + self.alpha, ids)[1]),
+                        len(half), half[face[self.root]])
 
     def __str__(self) -> str:
         if self.n == 0:
@@ -412,17 +419,7 @@ class PlanarMap:
         """Faces numbered in the order of their least dart: the face of
         each dart (-1 for a deleted one) and the degree of each face."""
         nxt, mate = self._next, self._mate
-        face = [-1] * len(mate)
-        degree: list[int] = []
-        for d, m in enumerate(mate):
-            if m and face[d] < 0:
-                f, x, k = len(degree), d, 0
-                while face[x] < 0:
-                    face[x] = f
-                    x = nxt[mate[x]]
-                    k += 1
-                degree.append(k)
-        return face, degree
+        return orbits([nxt[m] for m in mate], compress(range(len(mate)), mate))
 
     def face_degree(self, d: int) -> int:
         """Number of corners of d's face."""
@@ -625,15 +622,10 @@ def from_hypermap(code: HypermapCode, tag: str | None = None) -> PlanarMap:
     nxt = [0] * size
     nxt[1::2] = [2 * s - 1 for s in code.sigma]
     nxt[2::2] = [2 * a for a in code.alpha]
-    vertex = [0] + [-1] * (size - 1)
-    color: list[int] = []
-    for d in [*range(1, size, 2), *range(2, size, 2)]:
-        if vertex[d] < 0:       # the least dart of a vertex not yet seen
-            v, x = len(color), d
-            while vertex[x] < 0:
-                vertex[x] = v
-                x = nxt[x]
-            color.append(BLACK if d % 2 else WHITE)
+    vertex, lengths = orbits(nxt, chain(range(1, size, 2), range(2, size, 2)))
+    # the black (odd) darts' cycles come first, so vertex[2], the first
+    # white dart's, is the number of black vertices
+    color = [BLACK] * vertex[2] + [WHITE] * (len(lengths) - vertex[2])
     return from_dart_lists(nxt, vertex, color, 2 * code.root - 1, tag)
 
 

@@ -28,8 +28,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 from .bijections import (certificates, interval_to_tree, map_to_tree,
                          tree_to_interval, tree_to_map)
 from .dyck import bracket_vector, factor_rising_contacts, interval_stats
-from .enumeration import (GfTable, count_formula, enum_degree_trees,
-                          enum_maps_oracle, enum_new_intervals, gf_tally)
+from .enumeration import ENUMERATE, GfTable, count_formula, gf_tally
 from .maps import HypermapCode, PlanarMap, from_hypermap
 from .trees import DegreeTree, node_labels
 
@@ -61,10 +60,9 @@ class _Size:
         return self._kept[key]
 
     def family(self, name: str) -> list:
-        return self._keep(name, lambda: (
-            enum_maps_oracle(self.n) if name == 'maps' else
-            enum_degree_trees(self.n) if name == 'trees' else
-            enum_new_intervals(self.n + 1)))
+        # intervals of size n + 1 go with the maps and trees of size n
+        return self._keep(name, lambda: ENUMERATE[name](
+            self.n + (name == 'intervals')))
 
     def image(self, obj):
         """A map's tree or a tree's map. Equal values hash alike, so a
@@ -301,8 +299,9 @@ def check_oracle_equivalence(n_max: int) -> _Tally:
 
 @_check(5, 'maps')
 def check_face_multiset(code: HypermapCode, size: _Size) -> Iterable[str]:
-    # a face cycle's length is its face's half-degree
-    faces = Counter(len(c) for c in code.face_cycles() if code.root not in c)
+    # the half-degrees of the inner faces
+    face, half = code.faces()
+    faces = Counter(h for f, h in enumerate(half) if f != face[code.root])
     dt = size.image(code)
     labels = Counter(x for x in dt.edge_labels if x > 0)
     # the rising contacts of each internal node's factor of the lower path
@@ -467,7 +466,7 @@ def check_upper_bracket_subtrees(dt: DegreeTree, size: _Size) -> Iterable[str]:
 
 
 @_check(6, 'maps',
-        keep=lambda code: code.n == 0 or len(code.face_cycles()) == 1)
+        keep=lambda code: code.n == 0 or len(code.faces()[1]) == 1)
 def check_one_face_specialization(code: HypermapCode, size: _Size
                                   ) -> Iterable[str]:
     labels = size.image(code).edge_labels

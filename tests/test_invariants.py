@@ -5,7 +5,7 @@ from pathlib import Path
 
 import spans
 import tamari_atlas
-from tamari_atlas.maps import PlanarMap
+from tamari_atlas.maps import HypermapCode, PlanarMap
 
 
 def _raises_assertion_error(node: ast.AST) -> bool:
@@ -112,11 +112,11 @@ def test_only_maps_reads_planar_map_storage():
         assert not found, f"{module.name}: PlanarMap storage read at {found}"
 
 
-def test_every_planar_map_method_is_used():
-    # helpers that nothing uses get deleted: each public PlanarMap method
-    # or property is read somewhere in the package outside its own body,
-    # or traced by name by the benchmark. Reads match by attribute name,
-    # so a same-named attribute of another type counts too.
+def _unused_public_methods(kind: type, traced=()) -> tuple[list, list]:
+    """The public methods and properties of ``kind``, and those of them
+    that nothing in the package reads outside their own body and the
+    benchmark does not trace by name. Reads match by attribute name, so
+    a same-named attribute of another type counts too."""
     package = Path(tamari_atlas.__file__).parent
     reads = Counter()
     for module in sorted(package.glob('*.py')):
@@ -124,19 +124,29 @@ def test_every_planar_map_method_is_used():
         reads.update(node.attr for node in ast.walk(tree)
                      if isinstance(node, ast.Attribute))
         for cls in ast.walk(tree):
-            if isinstance(cls, ast.ClassDef) and cls.name == 'PlanarMap':
+            if isinstance(cls, ast.ClassDef) and cls.name == kind.__name__:
                 for fn in cls.body:
                     reads.subtract(node.attr for node in ast.walk(fn)
                                    if isinstance(node, ast.Attribute)
                                    and node.attr == getattr(fn, 'name', ''))
-    traced = spans.MAP_METHODS
-    public = [name for name, value in vars(PlanarMap).items()
+    public = [name for name, value in vars(kind).items()
               if not name.startswith('_')
               and (inspect.isfunction(value) or isinstance(value, property))]
+    return public, [name for name in public
+                    if reads[name] <= 0 and name not in traced]
+
+
+def test_every_planar_map_method_is_used():
+    # helpers that nothing uses get deleted
+    public, unused = _unused_public_methods(PlanarMap, spans.MAP_METHODS)
     assert 'add_edge' in public and 'edge_count' in public
-    unused = [name for name in public
-              if reads[name] <= 0 and name not in traced]
     assert not unused, f"PlanarMap methods nothing calls: {unused}"
+
+
+def test_every_hypermap_code_method_is_used():
+    public, unused = _unused_public_methods(HypermapCode)
+    assert 'stats' in public and 'faces' in public
+    assert not unused, f"HypermapCode methods nothing calls: {unused}"
 
 
 def test_only_the_value_base_defines_equality():

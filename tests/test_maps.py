@@ -122,6 +122,21 @@ def test_map_parser_matches_scan(monkeypatch):
     assert any(not m.startswith("error") for m in got[len(texts):])
 
 
+def test_orbits_numbers_the_cycles_through_the_points():
+    # x -> perm[x] has cycles (1 3)(2)(4 6 5), index 0 unused; they are
+    # numbered in the order of their first point, -1 off them
+    perm = [0, 3, 2, 1, 6, 4, 5]
+    assert maps.orbits(perm, [4, 2, 1]) == ([-1, 2, 1, 2, 0, 0, 0],
+                                            [3, 1, 2])
+    assert maps.orbits(perm, [2]) == ([-1, -1, 0, -1, -1, -1, -1], [1])
+    assert maps.orbits(perm, []) == ([-1] * 7, [])
+    # a map that is not injective: some walk does not close where it began
+    for bad in ([0, 2, 2], [0, 2, 1, 1], [0, 1, 1]):
+        with pytest.raises(ValueError) as info:
+            maps.orbits(bad, range(1, len(bad)))
+        assert str(info.value) == f"not a permutation of 1..{len(bad) - 1}"
+
+
 @pytest.mark.parametrize('fields,message', [
     # not a permutation, and the root out of range
     ((2, (1, 1), (1, 2), 3), "not a permutation of 1..2"),
@@ -400,9 +415,9 @@ def test_outdeg_matches_code_face_cycle():
     for n in range(1, 5):
         for code in enum_maps_oracle(n):
             for c in (code, relabel(code, rng)):
-                root_cycle = next(f for f in c.face_cycles() if c.root in f)
+                face, half = c.faces()
                 m = from_hypermap(c)
-                assert m.face_degree(m.root_corner) == 2 * len(root_cycle)
+                assert m.face_degree(m.root_corner) == 2 * half[face[c.root]]
                 assert c.stats() == dart_stats(c)
 
 

@@ -7,7 +7,7 @@ import pytest
 import spans
 import workloads
 
-from tamari_atlas import bijections, cli, verify
+from tamari_atlas import bijections, cli, enumeration, verify
 from tamari_atlas.enumeration import enum_maps_oracle
 from tamari_atlas.maps import PlanarMap, parse_hypermap
 from tamari_atlas.trees import parse_degree_tree
@@ -56,14 +56,14 @@ def test_suite_lines_at_6():
 
 def test_enumerator_that_raises_fails_only_the_checks_that_read_it(
         monkeypatch):
-    real = verify.enum_maps_oracle
+    real = enumeration.ENUMERATE['maps']
 
     def broken_at_3(n):
         if n == 3:
             raise ValueError("no maps of size 3")
         return real(n)
 
-    monkeypatch.setattr(verify, 'enum_maps_oracle', broken_at_3)
+    monkeypatch.setitem(enumeration.ENUMERATE, 'maps', broken_at_3)
     readers = {'bridge-agreement', 'corollary-identity', 'counting',
                'face-multiset', 'map-sanity', 'one-face-specialization',
                'oracle-equivalence', 'roundtrip-map-tree', 'theorem-stats',
@@ -102,13 +102,13 @@ def test_caps_and_lone_checks_agree_with_the_suite():
 
 def test_suite_builds_each_map_size_once_per_call(monkeypatch):
     built = Counter()
-    real = verify.enum_maps_oracle
+    real = enumeration.ENUMERATE['maps']
 
     def counting(n):
         built[n] += 1
         return real(n)
 
-    monkeypatch.setattr(verify, 'enum_maps_oracle', counting)
+    monkeypatch.setitem(enumeration.ENUMERATE, 'maps', counting)
     assert all(r.ok for r in verify_suite(6))
     assert built == {n: 1 for n in range(0, 7)}
     # nothing is kept between calls: a second call builds every size again
@@ -298,4 +298,4 @@ def test_benchmark_tracer_installs_and_uninstalls():
         tracer.uninstall()
     assert 'enumeration.enum_maps_oracle' in {s[0] for s in tracer.spans}
     assert traced() == originals
-    assert verify.enum_maps_oracle is enum_maps_oracle
+    assert enumeration.ENUMERATE['maps'] is enum_maps_oracle
