@@ -140,8 +140,8 @@ def tagged_map_code(m: PlanarMap) -> str:
     darts = m.darts()
     if not darts:
         return "n=0"
-    rotation = {d: m.next_cw(d) for d in darts}
-    mate = {d: m.mate(d) for d in darts}
+    ids = range(1, darts[-1] + 1)
+    rotation, mate = [m.next_cw(d) for d in ids], [m.mate(d) for d in ids]
     tags = []
     for d in darts:
         if d < m.mate(d):

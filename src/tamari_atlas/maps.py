@@ -29,12 +29,13 @@ faces correspond to orbits of e -> sigma(alpha(e)). Its text form is
 ``n=<n> sigma=<cycles> alpha=<cycles> root=<edge>``, with disjoint cycles
 including fixed points, and the edgeless map written ``n=0``.
 
-Every orbit numbered, over edge ids or over darts, comes from the one
-walker :func:`orbits`; :func:`perm_cycles` lists cycles only for the text
-form and ``find_violation``. :func:`bfs_edge_order`, the one breadth-first
-search over a pair, counts the sigma and alpha cycles a code's check
-reads; its order renumbers a code canonically and grows the map oracle in
-``enumeration``. ``PlanarMap`` scans walk one rotation or one face.
+Every orbit numbered comes from the one walker :func:`orbits`, and every
+cycle written from :func:`cycles_str`. The text form is parsed by ``str``
+methods, cut at each ``=`` and each ``)``, with no regular expression.
+:func:`bfs_edge_order`, the one breadth-first search over a pair, counts
+the sigma and alpha cycles a code's check reads; its order renumbers a
+code canonically and grows the map oracle in ``enumeration``.
+``PlanarMap`` scans walk one rotation or one face.
 
 A HypermapCode is how a map crosses the API: like the other families'
 value types it is immutable and checks itself when built, so every one
@@ -45,32 +46,13 @@ by the surgery primitives, so it must be owned by a single thread.
 
 from __future__ import annotations
 
-import re
-from itertools import chain, compress
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from itertools import accumulate, chain, compress
+from typing import Iterable, NamedTuple, Sequence
 
 from .dyck import _Value
 
 BLACK = 0
 WHITE = 1
-
-
-def perm_cycles(perm: Mapping[int, int] | Sequence[int],
-                points: Iterable[int]) -> list[list[int]]:
-    """Disjoint cycles of the permutation x -> perm[x] that meet
-    ``points``, in the order of their first point, each starting there.
-    A permutation of {1..n} is passed as a sequence with index 0 unused."""
-    seen = bytearray(max(perm) + 1)   # a mapping's keys, a sequence's values
-    cycles = []
-    for start in points:
-        x, cyc = start, []
-        while not seen[x]:
-            seen[x] = 1
-            cyc.append(x)
-            x = perm[x]
-        if cyc:
-            cycles.append(cyc)
-    return cycles
 
 
 def orbits(perm: Sequence[int], points: Iterable[int]
@@ -95,11 +77,21 @@ def orbits(perm: Sequence[int], points: Iterable[int]
     return index, lengths
 
 
-def cycles_str(perm: Mapping[int, int] | Sequence[int],
-               points: Iterable[int]) -> str:
-    """Cycle notation of :func:`perm_cycles`, e.g. ``(1 2)(3)``."""
-    cycles = [' '.join(map(str, c)) for c in perm_cycles(perm, points)]
-    return '(' + ')('.join(cycles) + ')' if cycles else ''
+def cycles_str(perm: Sequence[int], points: Iterable[int]) -> str:
+    """Cycle notation, e.g. ``(1 2)(3)``, of the permutation x -> perm[x - 1]
+    in its cycles through ``points``, in the order of their first point,
+    each from there."""
+    seen = bytearray(len(perm) + 1)
+    order = []   # the points cycle by cycle, a 0 before each cycle
+    for x in points:
+        if not seen[x]:
+            order.append(0)
+            while not seen[x]:
+                seen[x] = 1
+                order.append(x)
+                x = perm[x - 1]
+    text = (' %d' * len(order)) % tuple(order)
+    return '(' + text[3:].replace(' 0 ', ')(') + ')'
 
 
 def bfs_edge_order(sigma: Sequence[int], alpha: Sequence[int],
@@ -201,14 +193,8 @@ class HypermapCode(_Value):
         if self.n == 0:
             return "n=0"
         ids = range(1, self.n + 1)
-        return (f"n={self.n} sigma={cycles_str((0,) + self.sigma, ids)} "
-                f"alpha={cycles_str((0,) + self.alpha, ids)} "
-                f"root={self.root}")
-
-
-_CYCLE_RE = re.compile(r'\(([^()]*)\)')
-_FIELD_RE = re.compile(r'\b(n|sigma|alpha|root)=')
-_ODD_POINT = re.compile(r'[^0-9()\s]|(?<![0-9])0[0-9]')
+        return (f"n={self.n} sigma={cycles_str(self.sigma, ids)} "
+                f"alpha={cycles_str(self.alpha, ids)} root={self.root}")
 
 
 def _number(what: str, text: str) -> int:
@@ -225,41 +211,64 @@ def _number(what: str, text: str) -> int:
 
 
 def _parse_cycles(n: int, text: str) -> tuple[int, ...]:
-    # in bulk unless the text holds a character no point 1, 2, ... prints,
-    # or a leading zero: such text is rejected, its error worded by _number
-    number = (int if not _ODD_POINT.search(text)
+    # a cycle is the text after the last '(' before a ')'; it stays one
+    # string, so the cycles leave no object for the garbage collector
+    cycles = [piece.rpartition('(')[2]
+              for piece in text.split(')')[:-1] if '(' in piece]
+    points = ' '.join(cycles).split()
+    # in bulk when every point prints as written, in ASCII digits and the
+    # least starting with 1..9; else _number words the first bad point
+    digits = ''.join(points)
+    number = (int if digits.isascii() and digits.isdigit()
+              and min(points) >= '1'
               else lambda point: _number('cycle point', point))
-    cycles = [list(map(number, m.split())) for m in _CYCLE_RE.findall(text)]
+    points = list(map(number, points))
     shown = text if len(text) <= 40 else text[:37] + '...'
-    if not all(cycles):
+    lengths = list(map(len, map(str.split, cycles)))
+    if 0 in lengths:
         raise ValueError(f"empty cycle '()' in cycles {shown!r}")
     # count the points before allocating: n comes from the input and may
-    # be far too large for a list
-    if sum(map(len, cycles)) != n or _CYCLE_RE.sub('', text).strip():
+    # be far too large for a list. Text but blanks outside the cycles
+    # leaves more than their points and parentheses once blanks are gone
+    if (len(points) != n
+            or len(''.join(text.split())) != len(digits) + 2 * len(cycles)):
         raise ValueError(f"cycles {shown!r} do not cover "
                          f"1..{str(n)[:20]} exactly")
-    succ = dict(zip(chain.from_iterable(cycles),
-                    chain.from_iterable(c[1:] + c[:1] for c in cycles)))
-    if len(succ) < n or min(succ) < 1 or max(succ) > n:
+    succ = [0] * (n + 1)
+    if 0 < min(points) and max(points) <= n:
+        # each point to the next one, then each cycle's last to its first
+        any(map(succ.__setitem__, points, points[1:]))
+        for end, length in zip(accumulate(lengths), lengths):
+            succ[points[end - 1]] = points[end - length]
+    if succ.count(0) > 1:
         seen = set()   # a point repeated or out of range: name the first
-        for a in chain.from_iterable(cycles):
+        for a in points:
             if not 1 <= a <= n or a in seen:
                 raise ValueError(f"bad cycle notation at point {str(a)[:20]}")
             seen.add(a)
-    return tuple(map(succ.__getitem__, range(1, n + 1)))
+    return tuple(succ[1:])
 
 
 def parse_hypermap(text: str) -> HypermapCode:
     """Parse the hypermap text form; whitespace and newlines both accepted
     between the fields, each field at most once."""
-    parts = _FIELD_RE.split(text)
-    if len(parts) < 3 or parts[0].strip():
+    # a field starts at its name and '=', the name at the start or after a
+    # character not a letter, digit or '_'; field '' is the text before
+    fields, name, value = {}, '', []
+    *pieces, last = text.split('=')
+    for piece in pieces:
+        head = piece.rstrip('nsigmalphrot')
+        if (piece[len(head):] in ('n', 'sigma', 'alpha', 'root')
+                and not (head[-1:].isalnum() or head.endswith('_'))):
+            fields[name] = '='.join(value + [head]).strip()
+            name, value = piece[len(head):], []
+            if name in fields and not fields['']:
+                raise ValueError(f"duplicate field {name!r}")
+        else:
+            value.append(piece)
+    fields[name] = '='.join(value + [last]).strip()
+    if fields.pop('') or not fields:
         raise ValueError("malformed map text")
-    fields: dict[str, str] = {}
-    for name, value in zip(parts[1::2], parts[2::2]):
-        if name in fields:
-            raise ValueError(f"duplicate field {name!r}")
-        fields[name] = value.strip()
 
     def field(name: str) -> str:
         if name not in fields:
@@ -552,12 +561,11 @@ class PlanarMap:
         for d in darts:
             if vertex[nxt[d]] != vertex[d]:
                 return f"rotation at dart {d} leaves its vertex"
-        isolated = set(self.vertices())   # until a rotation is found on it
-        for cycle in perm_cycles(nxt, darts):
-            v = vertex[cycle[0]]
-            if v not in isolated:
-                return f"vertex {v} has two rotation cycles"
-            isolated.remove(v)
+        index, owner = orbits(nxt, darts)[0], {}   # each vertex's rotation
+        for d in darts:
+            if owner.setdefault(vertex[d], index[d]) != index[d]:
+                return f"vertex {vertex[d]} has two rotation cycles"
+        isolated = set(self.vertices()) - owner.keys()
         for d in darts:
             c = color[vertex[d]]
             if c == color[vertex[mate[d]]]:

@@ -173,7 +173,6 @@ class DegreeTree(_Value):
 
 _SPACED_LABEL = re.compile(r"[0-9]\s+[0-9]")
 _STEP = re.compile(r"(?:0|[1-9][0-9]*):\(|\)")   # a label prints as read
-_LABEL = re.compile(r"[0-9]+")
 
 
 def parse_degree_tree(text: str) -> DegreeTree:
@@ -183,15 +182,16 @@ def parse_degree_tree(text: str) -> DegreeTree:
     if _SPACED_LABEL.search(text):
         raise ValueError("whitespace inside a label in degree tree text")
     s = ''.join(text.split())
-    if s[:1] != "(" or s[-1:] != ")" or _STEP.sub("", s[1:-1]):
+    if s[:1] + s[-1:] != "()" or _STEP.sub("", s[1:-1]):
         raise ValueError("degree tree text must be '(', then 'LABEL:(' "
                          "and ')' steps, then ')', LABEL one of 0, 1, 2, ...")
     # count first, so unbalanced text is rejected before any work per
-    # node; the text before each '(' after the first is ')' * k, 'LABEL:'
+    # node; the text before each '(' after the first is ')' * k, 'LABEL:',
+    # so the labels are what is left with the parentheses and ':' blanked
     if s.count("(") != s.count(")"):
         raise ValueError("unbalanced parentheses in degree tree text")
-    return DegreeTree(_plane_tree(s[1:-1].split("(")[:-1], ")"),
-                      tuple(map(int, _LABEL.findall(s))))
+    return DegreeTree(_plane_tree(s[1:-1].split("(")[:-1], ")"), tuple(
+        map(int, s.translate(str.maketrans('():', '   ')).split())))
 
 
 def node_labels(dt: DegreeTree) -> tuple[int, ...]:

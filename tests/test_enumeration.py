@@ -9,8 +9,8 @@ from tamari_atlas.enumeration import (_grow, _insertions, count_formula,
                                       enum_degree_trees, enum_dyck,
                                       enum_maps_oracle, enum_new_intervals,
                                       gf_table, gf_table_lines, gf_tally)
-from tamari_atlas.maps import (HypermapCode, bfs_edge_order, from_hypermap,
-                               perm_cycles)
+from tamari_atlas.maps import HypermapCode, bfs_edge_order, from_hypermap
+from test_maps import cycle_count
 
 
 def scan_map_codes(n):
@@ -23,12 +23,12 @@ def scan_map_codes(n):
     ids = range(1, n + 1)
     identity = list(ids)
     perms = [(0,) + p for p in permutations(ids)]
-    cycle_counts = [len(perm_cycles(p, ids)) for p in perms]
+    cycle_counts = [cycle_count(p, n) for p in perms]
     out = set()
     for sigma, c_sigma in zip(perms, cycle_counts):
         for alpha, c_alpha in zip(perms, cycle_counts):
             faces = [sigma[a] for a in alpha]
-            if c_sigma + c_alpha + len(perm_cycles(faces, ids)) != n + 2:
+            if c_sigma + c_alpha + cycle_count(faces, n) != n + 2:
                 continue
             order, rotations = bfs_edge_order(sigma, alpha, 1)
             if order == identity:
@@ -100,17 +100,16 @@ def whole_pair_grow(level, k):
     """Reference growth step: keeps a candidate by the genus-0 cycle count
     of its whole pair (sigma, alpha and face cycles), without using the
     parent's genus, and relabels it canonically."""
-    ids = range(1, k + 1)
     out = set()
     for sigma, alpha in level:
-        alphas = [(a, len(perm_cycles(a, ids))) for a in _insertions(alpha, k)]
+        alphas = [(a, cycle_count(a, k)) for a in _insertions(alpha, k)]
         for s in _insertions(sigma, k):
-            c_s = len(perm_cycles(s, ids))
+            c_s = cycle_count(s, k)
             for a, c_a in alphas:
                 if s[k] == k and a[k] == k:   # both ends new: disconnected
                     continue
                 faces = [s[x] for x in a]
-                if c_s + c_a + len(perm_cycles(faces, ids)) != k + 2:
+                if c_s + c_a + cycle_count(faces, k) != k + 2:
                     continue
                 # relabel edges by their breadth-first order from edge 1
                 order, rotations = bfs_edge_order(s, a, 1)

@@ -53,6 +53,29 @@ def test_text_form_byte_exact():
             parse_hypermap(bad)
 
 
+@pytest.mark.parametrize('text,line', [
+    # fields in any order, each between any blanks, a trailing one too
+    ("root=1 n=2 alpha=(1 2) sigma=(1 2)", DOUBLE),
+    ("n=2\tsigma=(1 2)\r\nalpha=(1 2)\nroot=1", DOUBLE),
+    ("n=1 sigma=(1) alpha=(1) root=1 ", SINGLE),
+    ("root=2\tn=3\r\nalpha=(3 1)  (2)\n sigma=(1 2 3)\n",
+     "n=3 sigma=(1 2 3) alpha=(1)(2 3) root=1"),
+    # blanks between cycles, and none before a field name
+    ("n=2 sigma=(1 2) alpha=(1)  (2) root=1",
+     "n=2 sigma=(1 2) alpha=(1)(2) root=1"),
+    ("n=2 sigma=(1)(2) alpha=(2 1)root=2", PATH),
+    # a field name only counts after a non-word character, with its '='
+    # right after it; the text after the root is the root's
+    ("xn=2 sigma=(1 2) alpha=(1 2) root=1", "error: malformed map text"),
+    ("n = 2 sigma=(1 2) alpha=(1 2) root=1", "error: malformed map text"),
+    ("n=2 sigma=(1 2) n=2 alpha=(1 2) root=1", "error: duplicate field 'n'"),
+    ("n=1 sigma=(1) alpha=(1) root=1 extra",
+     "error: root '1 extra' is not one of 0, 1, 2, ..."),
+])
+def test_map_text_layouts_are_pinned(text, line):
+    assert parse_or_message(text) == line
+
+
 def scan_number(what: str, text: str) -> int:
     """Reference point reader: each point through int() and back. It is
     the per-point reader that the bulk conversion replaced."""
@@ -88,38 +111,87 @@ def scan_parse_cycles(n: int, text: str) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def parse_or_message(text: str) -> str:
+FIELD_SPLIT = re.compile(r'\b(n|sigma|alpha|root)=')
+
+
+def scan_parse_hypermap(text: str) -> HypermapCode:
+    """Reference parser: the fields split off at each match of
+    FIELD_SPLIT, each then read by scan_number or scan_parse_cycles. It
+    is the regular-expression parser that the str-method one replaced."""
+    parts = FIELD_SPLIT.split(text)
+    if len(parts) < 3 or parts[0].strip():
+        raise ValueError("malformed map text")
+    fields = {}
+    for name, value in zip(parts[1::2], parts[2::2]):
+        if name in fields:
+            raise ValueError(f"duplicate field {name!r}")
+        fields[name] = value.strip()
+
+    def field(name):
+        if name not in fields:
+            raise ValueError(f"missing field {name!r}")
+        return fields[name]
+
+    n = scan_number('n', field('n'))
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if n == 0:
+        if len(fields) > 1:
+            raise ValueError("the edgeless map is written 'n=0' alone")
+        return HypermapCode(0, (), (), 0)
+    return HypermapCode(n, scan_parse_cycles(n, field('sigma')),
+                        scan_parse_cycles(n, field('alpha')),
+                        scan_number('root', field('root')))
+
+
+def parse_or_message(text: str, parse=parse_hypermap) -> str:
     try:
-        return str(parse_hypermap(text))
+        return str(parse(text))
     except ValueError as exc:
         return f"error: {exc}"
 
 
-def test_map_parser_matches_scan(monkeypatch):
+def mutate(text: str, rng: random.Random, alphabet: str) -> str:
+    """text with one random character inserted, deleted or replaced."""
+    i = rng.randrange(len(text) + 1)
+    ch = rng.choice(alphabet)
+    return rng.choice([text[:i] + ch + text[i:],        # insert
+                       text[:i] + text[i + 1:],         # delete
+                       text[:i] + ch + text[i + 1:]])   # replace
+
+
+def test_map_parser_matches_scan():
     texts = [str(code) for n in range(6) for code in enum_maps_oracle(n)]
     rng = random.Random(12)
-    mutants = []
-    for _ in range(20000):
+    points = [mutate(rng.choice(texts), rng, "0123456789()=+_ ")
+              for _ in range(20000)]
+    # one to three edits with the letters of the field names, '=' and
+    # blanks, which move, make and break fields
+    rng = random.Random(13)
+    fields = []
+    for _ in range(10000):
         text = rng.choice(texts)
-        i = rng.randrange(len(text) + 1)
-        ch = rng.choice("0123456789()=+_ ")
-        mutants.append(rng.choice([text[:i] + ch + text[i:],        # insert
-                                   text[:i] + text[i + 1:],         # delete
-                                   text[:i] + ch + text[i + 1:]]))  # replace
-    got = [parse_or_message(text) for text in texts + mutants]
-    with monkeypatch.context() as patch:
-        patch.setattr(maps, '_number', scan_number)
-        patch.setattr(maps, '_parse_cycles', scan_parse_cycles)
-        want = [parse_or_message(text) for text in texts + mutants]
+        for _ in range(rng.randint(1, 3)):
+            text = mutate(text, rng, "nsigmalphrot=\t\n")
+        fields.append(text)
+    got = [parse_or_message(text) for text in texts + points + fields]
+    want = [parse_or_message(text, scan_parse_hypermap)
+            for text in texts + points + fields]
     assert got == want
     assert got[:len(texts)] == texts
-    # both outcomes, and every kind of message the cycle reader words
+    # both outcomes in each mutant set, every kind of message that the
+    # cycle reader words, and those of the field reader but a duplicate,
+    # which the layouts above pin
     messages = {re.sub(r"'.*'|[0-9]+", '_', m) for m in got}
     assert {"error: cycle point _ is not one of _, _, _, ...",
             "error: cycles _ do not cover _.._ exactly",
             "error: empty cycle _",
-            "error: bad cycle notation at point _"} <= messages
-    assert any(not m.startswith("error") for m in got[len(texts):])
+            "error: bad cycle notation at point _",
+            "error: malformed map text",
+            "error: missing field _"} <= messages
+    cut = len(texts) + len(points)
+    for outcomes in got[len(texts):cut], got[cut:]:
+        assert {m.startswith("error") for m in outcomes} == {False, True}
 
 
 def test_orbits_numbers_the_cycles_through_the_points():
@@ -181,6 +253,19 @@ def test_map_parser_names_the_first_bad_point(text, message):
     assert str(info.value) == f"bad cycle notation at point {message[6:]}"
 
 
+def cycle_count(perm, n: int) -> int:
+    """Reference count of the cycles of the permutation x -> perm[x] of
+    1..n, index 0 unused, each cycle walked once."""
+    seen, count = bytearray(n + 1), 0
+    for start in range(1, n + 1):
+        count += not seen[start]
+        x = start
+        while not seen[x]:
+            seen[x] = 1
+            x = perm[x]
+    return count
+
+
 def walked_code_check(n, sigma, alpha, root):
     """Reference check: the message of the first rule a code breaks, each
     rule checked by walking every cycle, in the order of the rules."""
@@ -190,7 +275,7 @@ def walked_code_check(n, sigma, alpha, root):
     for perm in ((0,) + sigma, (0,) + alpha):
         if sorted(perm[1:]) != list(range(1, n + 1)):
             return f"not a permutation of 1..{n}"
-        counts.append(len(maps.perm_cycles(perm, range(1, n + 1))))
+        counts.append(cycle_count(perm, n))
     if n == 0:
         return None if root == 0 else "edgeless code has root=0"
     if not 1 <= root <= n:
@@ -204,9 +289,7 @@ def walked_code_check(n, sigma, alpha, root):
                 todo.append(x)
     if len(reached) < n:
         return "permutation pair is not transitive"
-    faces = maps.perm_cycles([0] + [sigma[a - 1] for a in alpha],
-                             range(1, n + 1))
-    c = sum(counts) + len(faces)
+    c = sum(counts) + cycle_count([0] + [sigma[a - 1] for a in alpha], n)
     return None if c == n + 2 else f"not genus 0: cycle count {c} != {n + 2}"
 
 
