@@ -54,10 +54,10 @@ _PARSE = {'interval': NewInterval.parse, 'tree': parse_degree_tree,
 def _each_object(path: str, kind: str, fn) -> Iterator:
     """fn(object) for each object line of the input, parsed as ``kind``;
     a ValueError from either names the line (a failed read does not)."""
-    # an undecodable byte reaches the parser, which names its line, as it
-    # does through stdin in UTF-8 mode
-    stream = (sys.stdin if path == '-' else
-              open(path, encoding='utf-8', errors='surrogateescape'))
+    # as through stdin in UTF-8 mode on POSIX, a line ends at \n only and
+    # an undecodable byte reaches the parser, which names its line
+    stream = (sys.stdin if path == '-' else open(
+        path, encoding='utf-8', errors='surrogateescape', newline='\n'))
     try:
         for number, line in enumerate(stream, 1):
             line = line.strip()

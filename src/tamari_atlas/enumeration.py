@@ -24,6 +24,7 @@ the maps module.
 from __future__ import annotations
 
 import math
+from functools import cache
 from itertools import chain, product
 from typing import Iterable, Iterator, Sequence
 
@@ -50,18 +51,15 @@ def enum_new_intervals(n: int) -> list[NewInterval]:
     one DyckPath, shared by its intervals."""
     if n < 1:
         raise ValueError("intervals need size >= 1")
-    paths: dict[str, DyckPath] = {}
+    path = cache(DyckPath)
     pairs = []
     for inner in iter_dyck_words(n - 1):
-        upper = DyckPath('u' + inner + 'd')
-        paths[upper.steps] = upper
+        upper = path('u' + inner + 'd')
         vq = bracket_vector(upper) + (0,)
         bound = [min(vq[k], vq[k + 1]) if vq[k] else 0 for k in range(n)]
         pairs.extend((lower, upper.steps) for lower in words_under(bound))
     pairs.sort()
-    for lower in {lower for lower, _ in pairs} - paths.keys():
-        paths[lower] = DyckPath(lower)
-    return [NewInterval(paths[lower], paths[upper]) for lower, upper in pairs]
+    return [NewInterval(path(lower), path(upper)) for lower, upper in pairs]
 
 
 def enum_degree_trees(n: int) -> list[DegreeTree]:

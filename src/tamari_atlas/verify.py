@@ -11,17 +11,19 @@ half-degree multiset identity.
 Each check is declared once, with its cap in the suite, by ``@_check``.
 One driver, :func:`_run`, walks up the sizes once, however many checks
 it runs; each ``check_<id>(n_max)`` runs it for that check alone. At
-each size it makes one :class:`_Size`, which enumerates a family and
-makes an object's untraced image, kept by value, only when a check first
-reads it. Each tally (:class:`_Tally`) reads the size whole; then each
-object passes once through every check that tests one object at a time
-(:class:`_Each`), and the size is dropped before the next. A traced run
-watches a live working map, so each traced check makes its own.
+each size it makes one :class:`_Size`, whose caches enumerate a family
+and make an object's untraced image only when a check first reads it.
+Each tally (:class:`_Tally`) reads the size whole; then each object
+passes once through every check that tests one object at a time
+(:class:`_Each`), and the size is freed, by reference counting, before
+the next. A traced run watches a live working map, so each traced check
+makes its own.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache, lru_cache
 from itertools import permutations as iter_permutations
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -42,50 +44,32 @@ class CheckResult(NamedTuple):
         return f"{'PASS' if self.ok else 'FAIL'} {self.check_id} {self.detail}"
 
 
-class _Size:
-    """What the checks read at one size n: the maps and trees of size n,
-    their untraced images and the intervals of size n + 1. Each is made when
-    a check first reads it, by the function bound here at call time. What
-    raises is not kept, so the next reader makes it again."""
+class _Size(NamedTuple):
+    """What the checks read at one size n, each made by a ``functools``
+    cache when a check first reads it, through the function bound here at
+    call time: ``family(name)``, the maps or trees of size n or the
+    intervals of size n + 1; ``image(obj)``, a map's tree or a tree's map,
+    kept by value, so a round trip finds the kept image of an image;
+    ``interval(obj)``, of a tree or a map's tree, only the last one kept
+    (the driver passes each object through its checks in a row); and
+    ``tally(name)``. What raises is not kept. No cached function refers
+    to the record, so each size is freed when the driver moves on."""
+    n: int
+    family: Callable[[str], list]
+    image: Callable[[object], object]
+    interval: Callable[[object], object]
+    tally: Callable[[str], GfTable]
 
-    def __init__(self, n: int):
-        self.n = n
-        self._kept: dict = {}
-        self._images: dict = {}
-        self._interval = (None, None)   # the object and its interval
 
-    def _keep(self, key, make: Callable[[], object]):
-        if key not in self._kept:
-            self._kept[key] = make()
-        return self._kept[key]
-
-    def family(self, name: str) -> list:
-        # intervals of size n + 1 go with the maps and trees of size n
-        return self._keep(name, lambda: ENUMERATE[name](
-            self.n + (name == 'intervals')))
-
-    def image(self, obj):
-        """A map's tree or a tree's map. Equal values hash alike, so a
-        round trip finds the kept image of an image."""
-        image = self._images.get(obj)
-        if image is None:
-            image = self._images[obj] = (
-                map_to_tree(obj) if isinstance(obj, HypermapCode)
-                else tree_to_map(obj))
-        return image
-
-    def interval(self, obj):
-        """The interval of a tree, or of a map's tree. Only the last one
-        is kept: the driver passes each object through all its checks in
-        a row, and intervals take more memory than the other images."""
-        if self._interval[0] is not obj:
-            self._interval = obj, tree_to_interval(
-                self.image(obj) if isinstance(obj, HypermapCode) else obj)
-        return self._interval[1]
-
-    def tally(self, family: str) -> GfTable:
-        return self._keep((family, 'tally'),
-                          lambda: gf_tally(family, self.family(family)))
+def _size(n: int) -> _Size:
+    # intervals of size n + 1 go with the maps and trees of size n
+    family = cache(lambda name: ENUMERATE[name](n + (name == 'intervals')))
+    image = cache(lambda obj: map_to_tree(obj)
+                  if isinstance(obj, HypermapCode) else tree_to_map(obj))
+    interval = lru_cache(maxsize=1)(lambda obj: tree_to_interval(
+        image(obj) if isinstance(obj, HypermapCode) else obj))
+    return _Size(n, family, image, interval,
+                 cache(lambda name: gf_tally(name, family(name))))
 
 
 class _Tally(NamedTuple):
@@ -153,7 +137,7 @@ def _run(n_max: int, checks: Mapping[str, tuple]) -> list[CheckResult]:
              for check_id, (cap, plan) in checks.items()}
     raised: dict[str, str] = {}
     for n in range(max(plan.sizes.stop for plan in plans.values())):
-        size = _Size(n)
+        size = _size(n)
         running = []
         for check_id, plan in plans.items():
             if n in plan.sizes and check_id not in raised:

@@ -278,6 +278,23 @@ def test_error_names_line_past_blank_and_comment_lines(capsys):
         assert capsys.readouterr().err.startswith("error: line 4: ")
 
 
+@pytest.mark.parametrize('src,text,result', [
+    ('map', 'root=2\tn=3\ralpha=(3 1)  (2)\r\t sigma=(1 2 3)\r\n',
+     (0, 'n=3 sigma=(1 2 3) alpha=(1)(2 3) root=1\n')),
+    ('tree', '(0:())\r(1:(0:()))\n', (1, '')),
+], ids=['map', 'tree'])
+def test_input_file_and_stdin_end_lines_alike(tmp_path, src, text, result):
+    # both sources end a line at \n only, so \r is a blank inside a line
+    path = tmp_path / 'objects.txt'
+    path.write_bytes(text.encode())
+    argv = ['-m', 'tamari_atlas.cli', 'convert', '--from', src, '--to', src]
+    piped = fresh_python(argv, text)
+    read = fresh_python([*argv, '--input', str(path)])
+    assert (piped.returncode, piped.stdout) == result, piped.stderr
+    assert (read.returncode, read.stdout, read.stderr) == \
+        (piped.returncode, piped.stdout, piped.stderr)
+
+
 @pytest.mark.parametrize('src,dst,lines,first', [
     ('tree', 'map', b'(0:())\n(\xff0:())\n',
      'n=1 sigma=(1) alpha=(1) root=1'),

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from test_cli import run
 
@@ -171,6 +173,18 @@ def test_tamari_is_partial_order_up_to_size_6():
                         assert i == j  # antisymmetric
         # the relation matches tamari_leq itself on a sample
         assert tamari_leq(paths[0], paths[-1]) == bool(below[0] & (1 << (len(paths) - 1)))
+
+
+def test_tamari_intervals_count_chapotons_formula_up_to_size_7():
+    # Chapoton (2006): the Tamari lattice of size n has
+    # 2 (4n+1)! / ((n+1)! (3n+2)!) intervals
+    f = math.factorial
+    counts = []
+    for n in range(1, 8):
+        paths = enum_dyck(n)
+        counts.append(sum(tamari_leq(p, q) for p in paths for q in paths))
+        assert counts[-1] == 2 * f(4 * n + 1) // (f(n + 1) * f(3 * n + 2))
+    assert counts == [1, 3, 13, 68, 399, 2530, 16965]
 
 
 def test_no_10_type_pair_up_to_size_7():

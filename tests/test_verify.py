@@ -1,3 +1,4 @@
+import gc
 import importlib
 import io
 import re
@@ -87,6 +88,18 @@ def test_suite_rejects_bad_bound():
         for check in checks:
             with pytest.raises(ValueError, match="n_max must be at least 1"):
                 check(n_max)
+
+
+def test_each_size_is_freed_by_reference_counting():
+    # no cached function of a size refers to its record, so no cycle keeps
+    # a size's lists alive until the cyclic collector runs
+    gc.collect()
+    gc.disable()
+    try:
+        assert report_lines(verify_suite(6)) == SUITE_6
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_caps_and_lone_checks_agree_with_the_suite():
